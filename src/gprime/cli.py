@@ -72,32 +72,23 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="build the instance and re-run every axiom check")
-    p.add_argument("file", help="instance JSON file")
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="emit structure facts without a verdict")
-    p.add_argument("file", help="instance JSON file")
-
-    p = sub.add_parser("prime", parents=[common],
-                       help="decide primeness and emit replayable witnesses")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--method", choices=("oracle", "theorem", "all"),
-                   default="all",
-                   help="decision route; 'all' cross-checks both "
-                        "(default: all)")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte-identical "
-                        "output)")
-
-    p = sub.add_parser("equivalence", parents=[common],
-                       help="evaluate all seven conditions on the product "
-                            "ring and check they agree")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte-identical "
-                        "output)")
+    instance_commands = {
+        "validate": "build the instance and re-run every axiom check",
+        "analyze": "emit structure facts without a verdict",
+        "prime": "decide primeness and emit replayable witnesses",
+        "equivalence": "evaluate all seven conditions on the product ring "
+                       "and check they agree"}
+    on_file = {}
+    for name, text in instance_commands.items():
+        on_file[name] = sub.add_parser(name, parents=[common], help=text)
+        on_file[name].add_argument("file", help="instance JSON file")
+    on_file["prime"].add_argument(
+        "--method", choices=("oracle", "theorem", "all"), default="all",
+        help="decision route; 'all' cross-checks both (default: all)")
+    for name in ("prime", "equivalence"):
+        on_file[name].add_argument(
+            "--timings", action="store_true",
+            help="include wall-clock timings (breaks byte-identical output)")
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="generate random instances and assert every "
@@ -126,36 +117,22 @@ def _carrier_bound(args, instance=None) -> int:
     return SKEW_RING_BOUND
 
 
-def _cmd_validate(args) -> Dict:
+def _cmd_instance(args) -> Dict:
+    """validate, analyze, prime and equivalence: parse the file, resolve the
+    bound, build the instance, then emit the command's document; prime and
+    equivalence reports are replayed before they are returned."""
     instance = parse(args.file)
     bound = _carrier_bound(args, instance)
     built = build_instance(instance, bound)
-    return validation_document(built, bound)
-
-
-def _cmd_analyze(args) -> Dict:
-    instance = parse(args.file)
-    bound = _carrier_bound(args, instance)
-    built = build_instance(instance, bound)
-    return analysis_document(built, bound)
-
-
-def _cmd_prime(args) -> Dict:
-    instance = parse(args.file)
-    bound = _carrier_bound(args, instance)
-    built = build_instance(instance, bound)
-    doc = primeness_document(built, args.method, bound,
-                             with_timings=args.timings)
-    replayed = verify_witnesses(built, doc, bound)
-    doc["witness_verification"] = {"replayed": replayed, "ok": True}
-    return doc
-
-
-def _cmd_equivalence(args) -> Dict:
-    instance = parse(args.file)
-    bound = _carrier_bound(args, instance)
-    built = build_instance(instance, bound)
-    doc = equivalence_document(built, bound, with_timings=args.timings)
+    if args.command == "validate":
+        return validation_document(built, bound)
+    if args.command == "analyze":
+        return analysis_document(built, bound)
+    if args.command == "prime":
+        doc = primeness_document(built, args.method, bound,
+                                 with_timings=args.timings)
+    else:
+        doc = equivalence_document(built, bound, with_timings=args.timings)
     replayed = verify_witnesses(built, doc, bound)
     doc["witness_verification"] = {"replayed": replayed, "ok": True}
     return doc
@@ -176,19 +153,10 @@ def _cmd_fuzz(args) -> Dict:
     return doc
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "prime": _cmd_prime,
-    "equivalence": _cmd_equivalence,
-    "fuzz": _cmd_fuzz,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc = _COMMANDS[args.command](args)
+        doc = _cmd_fuzz(args) if args.command == "fuzz" else _cmd_instance(args)
     except InternalDisagreement as exc:
         _report_error(exc)
         return 3

@@ -174,14 +174,6 @@ def _aut_pool(fibre: FiniteRing) -> List[Dict[int, int]]:
     return pool
 
 
-def _aut_order(aut: Dict[int, int]) -> int:
-    order, current = 1, aut
-    while any(current[x] != x for x in current):
-        current = {x: aut[current[x]] for x in current}
-        order += 1
-    return order
-
-
 def _compose_auts(outer: Dict[int, int], inner: Dict[int, int]) -> Dict[int, int]:
     return {x: outer[inner[x]] for x in inner}
 

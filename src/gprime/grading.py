@@ -8,13 +8,15 @@ decomposition map, so ``decompose`` is a table walk, not a search.
 
 Everything downstream leans on two small facts: a product of additive spans is
 controlled by generator pairs, and closure routines only ever have to multiply
-pushed generators.  All searches run in (morphism index, element index) order,
-so witnesses are reproducible.
+pushed generators.  Both live in ``rings``: ``invariant_closure`` is
+``rings.close`` with conjugation added to the production rules, and both pair
+criteria hand their members and closures to ``rings.first_zero_pair``.  All
+searches run in (morphism index, element index) order, so witnesses are
+reproducible.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -22,9 +24,9 @@ from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
                      ObjectNotInSupport)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
-from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _extend_span,
-                    additive_closure, ideal_generated, is_s_unital, is_zero_product,
-                    principal_ideal, set_product)
+from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _memo,
+                    additive_closure, close, first_zero_pair, ideal_generated,
+                    is_s_unital, principal_ideal, set_product)
 
 __all__ = [
     "Grading",
@@ -364,7 +366,7 @@ def invariant_closure(grading: Grading, seed: Iterable[int]) -> AdditiveSubgroup
     """The smallest conjugation-stable ideal of the identity-component ring
     containing ``seed``.
 
-    Worklist closure with two production rules per pushed generator x:
+    ``rings.close`` with two production rules per pushed generator x:
     products with the identity-component ring's additive generators (ideal
     closure) and sandwiches u*x*v over generator pairs of S_g^-1, S_g for
     every morphism g (conjugation closure).  Bilinearity makes generator
@@ -376,39 +378,27 @@ def invariant_closure(grading: Grading, seed: Iterable[int]) -> AdditiveSubgroup
     G = grading.groupoid
     sandwich = [(grading.components[G.inv[g]].gens, grading.components[g].gens)
                 for g in range(G.n_morphisms)]
-    span = {0}
-    pushed: List[int] = []
-    work = deque(seed)
-    for x in work:
+    seed = list(seed)
+    for x in seed:
         if x not in P.elements:
             raise MalformedInput(
                 f"{ring.label(x)} is not in the identity-component ring")
-    while work:
-        x = work.popleft()
-        if x in span:
-            continue
-        _extend_span(ring, span, x)
-        pushed.append(x)
+
+    def produce(x: int) -> Iterator[int]:
         for r in P.gens:
-            for p in (mul(r, x), mul(x, r)):
-                if p not in span:
-                    work.append(p)
+            yield mul(r, x)
+            yield mul(x, r)
         for ugens, vgens in sandwich:
             for u in ugens:
                 ux = mul(u, x)
                 for v in vgens:
-                    p = mul(ux, v)
-                    if p not in span:
-                        work.append(p)
-    return AdditiveSubgroup(ring, frozenset(span), tuple(pushed))
+                    yield mul(ux, v)
+
+    return close(ring, seed, produce)
 
 
 def _cached_invariant_closure(grading: Grading, a: int) -> AdditiveSubgroup:
-    hit = grading._inv_cache.get(a)
-    if hit is None:
-        hit = invariant_closure(grading, [a])
-        grading._inv_cache[a] = hit
-    return hit
+    return _memo(grading._inv_cache, a, lambda x: invariant_closure(grading, [x]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +482,8 @@ def is_support_hub(grading: Grading, e: int) -> HubResult:
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero identity component")
     mul = grading.ring.mul
-    out_h = [h for h in range(G.n_morphisms) if G.src[h] == e]
-    in_k = [k for k in range(G.n_morphisms) if G.rng[k] == e]
+    out_h = G.morphisms_from(e)
+    in_k = G.morphisms_into(e)
     witnesses: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for g, a in grading.homogeneous():
         h_hit = next((h for h in out_h
@@ -527,13 +517,9 @@ def is_graded_prime(grading: Grading) -> PairCriterionResult:
     structural hypotheses.)  Witness is the first failing pair in (morphism,
     element) order.
     """
-    homog = list(grading.homogeneous())
-    ideals = [principal_ideal(grading.ring, a) for _, a in homog]
-    for i, (_, a) in enumerate(homog):
-        for j, (_, c) in enumerate(homog):
-            if is_zero_product(ideals[i], ideals[j]):
-                return PairCriterionResult(False, (a, c, ideals[i], ideals[j]))
-    return PairCriterionResult(True, None)
+    pair = first_zero_pair([a for _, a in grading.homogeneous()],
+                           lambda a: principal_ideal(grading.ring, a))
+    return PairCriterionResult(pair is None, pair)
 
 
 def is_G_prime_principal(grading: Grading) -> PairCriterionResult:
@@ -544,31 +530,9 @@ def is_G_prime_principal(grading: Grading) -> PairCriterionResult:
     invariant closures in place of principal ideals; the reduction is exact
     for the same reason as in the graded case.
     """
-    P = grading.principal_part()
-    members = [x for x in P.sorted_elements() if x != 0]
-    rep: Dict[int, frozenset] = {}
-    distinct: Dict[frozenset, AdditiveSubgroup] = {}
-    for a in members:
-        closure = _cached_invariant_closure(grading, a)
-        rep[a] = closure.elements
-        distinct.setdefault(closure.elements, closure)
-    zero_partners: Dict[frozenset, set] = {k: set() for k in distinct}
-    hit = False
-    for ka, ia in distinct.items():
-        for kb, ib in distinct.items():
-            if is_zero_product(ia, ib):
-                zero_partners[ka].add(kb)
-                hit = True
-    if not hit:
-        return PairCriterionResult(True, None)
-    for a in members:
-        partners = zero_partners[rep[a]]
-        if not partners:
-            continue
-        for b in members:
-            if rep[b] in partners:
-                return PairCriterionResult(False, (a, b, distinct[rep[a]], distinct[rep[b]]))
-    raise AssertionError("unreachable: zero pair recorded but not refound")
+    members = [x for x in grading.principal_part().sorted_elements() if x != 0]
+    pair = first_zero_pair(members, lambda a: _cached_invariant_closure(grading, a))
+    return PairCriterionResult(pair is None, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,15 @@ from .groupoid import (FiniteGroup, FiniteGroupoid, is_connected, isotropy,
                        validate_groupoid)
 from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       build_skew_ring, connell_check, is_A_G_prime, is_global,
-                      is_group_type, restrict_to_isotropy, sigma_invariant_closure,
-                      skew_prime_verdict, skew_support_hub,
-                      sufficient_conditions_report, validate_partial_action)
-from .primeness import equivalence_report, evaluate_condition, is_prime_oracle
+                      is_group_type, isotropy_reduction, restrict_to_isotropy,
+                      sigma_invariant_closure, skew_prime_verdict,
+                      skew_support_hub, sufficient_conditions_report,
+                      validate_partial_action)
+from .primeness import equivalence_report, evaluate_condition
 from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
-                    GroupRing, MatrixRing, TableRing, additive_closure,
-                    is_prime_bruteforce, is_zero_product, principal_ideal)
+                    GroupRing, MatrixRing, PrimeResult, TableRing,
+                    additive_closure, is_prime_bruteforce, is_zero_product,
+                    principal_ideal)
 
 __all__ = [
     "Instance", "BuiltInstance", "parse", "parse_data", "build_instance",
@@ -596,6 +598,14 @@ def carrier_grading(built: BuiltInstance, bound: int) -> Grading:
     return build_groupoid_ring(built.base, built.groupoid, bound)
 
 
+def _criterion_section(built: BuiltInstance) -> Dict:
+    """The three-part groupoid-ring criterion, leg by leg."""
+    res = connell_check(built.base, built.groupoid)
+    return {"holds": res.holds, "connected": res.connected,
+            "coefficients_prime": res.coefficients_prime,
+            "isotropy_ok": res.isotropy_ok, "reasons": list(res.reasons)}
+
+
 def _pair_witness(space: str, closure: str, ring: FiniteRing,
                   a: int, b: int) -> Dict:
     return {"kind": "zero-ideal-pair", "space": space, "closure": closure,
@@ -657,14 +667,35 @@ def analysis_document(built: BuiltInstance, bound: int) -> Dict:
             doc["support_hubs"] = {G.objects[e]: skew_support_hub(act, e).is_hub
                                    for e in act.support_objects()}
     if built.base is not None:
-        res = connell_check(built.base, G)
         doc["groupoid_ring"] = {"coefficients": _ring_facts(built.base),
-                                "criterion": {"holds": res.holds,
-                                              "connected": res.connected,
-                                              "coefficients_prime": res.coefficients_prime,
-                                              "isotropy_ok": res.isotropy_ok,
-                                              "reasons": list(res.reasons)}}
+                                "criterion": _criterion_section(built)}
     return doc
+
+
+def _oracle(ring: FiniteRing, bound: int, witnesses: List[Dict],
+            space: str = "carrier") -> PrimeResult:
+    """The oracle's verdict on ``ring``; its zero pair joins ``witnesses``."""
+    res = is_prime_bruteforce(ring, bound=bound)
+    if res.witness is not None:
+        witnesses.append(_pair_witness(space, "ideal", ring,
+                                       res.witness.a, res.witness.b))
+    return res
+
+
+def _objects_section(grading: Grading, per_object: Mapping,
+                     witnesses: List[Dict]) -> Dict:
+    """Hub and isotropy verdicts per support object; the zero pair behind
+    each non-prime isotropy component joins ``witnesses``."""
+    G = grading.groupoid
+    for e, ev in per_object.items():
+        w = ev.isotropy_prime.witness
+        if w is not None:
+            sub = isotropy_component(grading, e)
+            witnesses.append(_pair_witness(f"isotropy:{G.objects[e]}", "ideal",
+                                           sub.ring, w.a, w.b))
+    return {G.objects[e]: {"hub": ev.hub.is_hub,
+                           "isotropy_prime": ev.isotropy_prime.prime}
+            for e, ev in per_object.items()}
 
 
 def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
@@ -673,48 +704,29 @@ def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        res = is_prime_oracle(grading, bound=bound)
+        res = _oracle(grading.ring, bound, witnesses)
         doc.update(verdict=res.prime, method="oracle", degenerate=res.degenerate)
-        if res.witness is not None:
-            witnesses.append(_pair_witness("carrier", "ideal", grading.ring,
-                                           res.witness.a, res.witness.b))
     elif method == "theorem":
         value, evidence = evaluate_condition(grading, "vii", oracle_bound=bound)
         doc.update(verdict=value, method="theorem")
-        doc["objects"] = {G.objects[e]: {"hub": ev.hub.is_hub,
-                                         "isotropy_prime": ev.isotropy_prime.prime}
-                          for e, ev in evidence["objects"].items()}
-        for e, ev in evidence["objects"].items():
-            w = ev.isotropy_prime.witness
-            if w is not None:
-                sub = isotropy_component(grading, e)
-                witnesses.append(_pair_witness(f"isotropy:{G.objects[e]}", "ideal",
-                                               sub.ring, w.a, w.b))
+        doc["objects"] = _objects_section(grading, evidence["objects"], witnesses)
     else:
         rep = equivalence_report(grading, oracle_bound=bound,
                                  with_timings=with_timings)
         doc.update(verdict=rep.verdict, method=rep.method,
                    conditions=dict(rep.conditions), degenerate=rep.degenerate)
-        doc["objects"] = {G.objects[e]: {"hub": ev.hub.is_hub,
-                                         "isotropy_prime": ev.isotropy_prime.prime}
-                          for e, ev in rep.per_object.items()}
-        if rep.timings is not None:
-            doc["timings"] = {k: round(v, 6) for k, v in rep.timings.items()}
         w = rep.witnesses
         if "oracle" in w:
             witnesses.append(_pair_witness("carrier", "ideal", grading.ring,
                                            w["oracle"].a, w["oracle"].b))
-        if "graded_ideal_pair" in w:
-            a, b = w["graded_ideal_pair"][0], w["graded_ideal_pair"][1]
-            witnesses.append(_pair_witness("carrier", "ideal", grading.ring, a, b))
-        if "invariant_ideal_pair" in w:
-            a, b = w["invariant_ideal_pair"][0], w["invariant_ideal_pair"][1]
-            witnesses.append(_pair_witness("carrier", "invariant", grading.ring, a, b))
-        for e, pw in w.get("non_prime_isotropy", {}).items():
-            if pw is not None:
-                sub = isotropy_component(grading, e)
-                witnesses.append(_pair_witness(f"isotropy:{G.objects[e]}", "ideal",
-                                               sub.ring, pw.a, pw.b))
+        for key, closure in (("graded_ideal_pair", "ideal"),
+                             ("invariant_ideal_pair", "invariant")):
+            if key in w:
+                witnesses.append(_pair_witness("carrier", closure, grading.ring,
+                                               w[key][0], w[key][1]))
+        doc["objects"] = _objects_section(grading, rep.per_object, witnesses)
+        if rep.timings is not None:
+            doc["timings"] = {k: round(v, 6) for k, v in rep.timings.items()}
         if "support_hub" in w:
             doc["evidence"] = {"support_hub": G.objects[w["support_hub"]]}
         if "non_hub_objects" in w:
@@ -734,15 +746,11 @@ def _isotropy_skew_witnesses(act: PartialAction, per: Mapping[int, bool],
     actions and their product rings are cached, so this re-derivation is a
     lookup."""
     G = act.groupoid
-    out = []
+    out: List[Dict] = []
     for e, prime in sorted(per.items()):
-        if prime:
-            continue
-        sub = build_skew_ring(restrict_to_isotropy(act, e), bound)
-        res = is_prime_bruteforce(sub.ring)
-        if res.witness is not None:
-            out.append(_pair_witness(f"isotropy-skew:{G.objects[e]}", "ideal",
-                                     sub.ring, res.witness.a, res.witness.b))
+        if not prime:
+            sub = build_skew_ring(restrict_to_isotropy(act, e), bound)
+            _oracle(sub.ring, bound, out, f"isotropy-skew:{G.objects[e]}")
     return out
 
 
@@ -752,20 +760,14 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        grading = build_skew_ring(act, bound)
-        res = is_prime_bruteforce(grading.ring, bound=max(bound, grading.ring.size))
+        res = _oracle(build_skew_ring(act, bound).ring, bound, witnesses)
         doc.update(verdict=res.prime, method="oracle")
-        if res.witness is not None:
-            witnesses.append(_pair_witness("carrier", "ideal", grading.ring,
-                                           res.witness.a, res.witness.b))
     elif method == "theorem":
         transport = is_group_type(act)
         if not transport.holds:
             raise MalformedInput("the isotropy reduction needs a transport "
                                  f"family: {transport.reason}")
-        per = {e: is_prime_bruteforce(
-                   build_skew_ring(restrict_to_isotropy(act, e), bound).ring).prime
-               for e in act.support_objects()}
+        per = isotropy_reduction(act, bound)
         doc.update(verdict=any(per.values()), method="theorem",
                    isotropy_prime={G.objects[e]: v for e, v in per.items()})
         witnesses.extend(_isotropy_skew_witnesses(act, per, bound))
@@ -810,27 +812,19 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
 def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
     doc: Dict = {}
     witnesses: List[Dict] = []
-    criterion = connell_check(built.base, built.groupoid)
-    crit_doc = {"holds": criterion.holds, "connected": criterion.connected,
-                "coefficients_prime": criterion.coefficients_prime,
-                "isotropy_ok": criterion.isotropy_ok,
-                "reasons": list(criterion.reasons)}
+    criterion = _criterion_section(built)
     if method == "theorem":
-        doc.update(verdict=criterion.holds, method="theorem", criterion=crit_doc)
+        doc.update(verdict=criterion["holds"], method="theorem", criterion=criterion)
     else:
-        grading = carrier_grading(built, bound)
-        res = is_prime_bruteforce(grading.ring, bound=max(bound, grading.ring.size))
-        if res.witness is not None:
-            witnesses.append(_pair_witness("carrier", "ideal", grading.ring,
-                                           res.witness.a, res.witness.b))
+        res = _oracle(carrier_grading(built, bound).ring, bound, witnesses)
         if method == "oracle":
             doc.update(verdict=res.prime, method="oracle")
         else:
-            if res.prime != criterion.holds:
+            if res.prime != criterion["holds"]:
                 raise InternalDisagreement(
                     "the three-part criterion disagrees with the oracle",
-                    details={"criterion": criterion.holds, "oracle": res.prime})
-            doc.update(verdict=res.prime, method="oracle", criterion=crit_doc)
+                    details={"criterion": criterion["holds"], "oracle": res.prime})
+            doc.update(verdict=res.prime, method="oracle", criterion=criterion)
     doc["witnesses"] = witnesses
     return doc
 
@@ -878,36 +872,32 @@ def replay_witness(built: BuiltInstance, witness: Mapping,
     a, b = witness["a"], witness["b"]
     if a == 0 or b == 0:
         return False
+    act = built.action
     if space == "ambient":
-        act = built.action
         if act is None or closure != "sigma":
             return False
         ring = act.ambient
         ia, ib = (sigma_invariant_closure(act, [a]),
                   sigma_invariant_closure(act, [b]))
-    elif space.startswith("isotropy-skew:"):
-        act = built.action
-        if act is None:
-            return False
-        e = act.groupoid.object_index(space.split(":", 1)[1])
-        ring = build_skew_ring(restrict_to_isotropy(act, e), bound).ring
-        ia, ib = principal_ideal(ring, a), principal_ideal(ring, b)
-    else:
+    elif space == "carrier" and closure == "invariant":
         grading = carrier_grading(built, bound)
-        if space.startswith("isotropy:"):
-            label = space.split(":", 1)[1]
-            e = grading.groupoid.object_index(label)
+        ring = grading.ring
+        ia, ib = invariant_closure(grading, [a]), invariant_closure(grading, [b])
+    else:
+        if space.startswith("isotropy-skew:"):
+            if act is None:
+                return False
+            e = act.groupoid.object_index(space.split(":", 1)[1])
+            ring = build_skew_ring(restrict_to_isotropy(act, e), bound).ring
+        elif space.startswith("isotropy:"):
+            grading = carrier_grading(built, bound)
+            e = grading.groupoid.object_index(space.split(":", 1)[1])
             ring = isotropy_component(grading, e).ring
-            ia, ib = principal_ideal(ring, a), principal_ideal(ring, b)
         elif space == "carrier":
-            ring = grading.ring
-            if closure == "invariant":
-                ia, ib = (invariant_closure(grading, [a]),
-                          invariant_closure(grading, [b]))
-            else:
-                ia, ib = principal_ideal(ring, a), principal_ideal(ring, b)
+            ring = carrier_grading(built, bound).ring
         else:
             return False
+        ia, ib = principal_ideal(ring, a), principal_ideal(ring, b)
     if witness.get("a_label") not in (None, ring.label(a)):
         return False
     if witness.get("b_label") not in (None, ring.label(b)):

@@ -19,9 +19,8 @@ implications raise the falsification alarm instead of being smoothed over.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
                      ChainViolation, DegenerateInstance, InternalDisagreement,
@@ -34,10 +33,10 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
                        isotropy, one_object_groupoid, orbit)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
-                    FiniteRing, Ideal, PrimeResult, _extend_span,
-                    additive_closure, is_maximal_commutative,
-                    is_prime_bruteforce, is_s_unital, is_zero_product,
-                    principal_ideal, validate_ring)
+                    FiniteRing, Ideal, PrimeResult, _memo, additive_closure, close,
+                    first_zero_pair, is_maximal_commutative,
+                    is_prime_bruteforce, is_s_unital, principal_ideal,
+                    validate_ring)
 
 __all__ = [
     "SKEW_RING_BOUND",
@@ -60,6 +59,7 @@ __all__ = [
     "group_type_chain",
     "restrict_to_isotropy",
     "SkewPrimeVerdict",
+    "isotropy_reduction",
     "skew_prime_verdict",
     "global_support_connectivity_check",
     "ConnellResult",
@@ -235,32 +235,29 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             continue
         tables[g] = table
 
-    for g in range(n):
-        for h in range(n):
-            if not G.composable(g, h):
+    for g, h in G.composable_pairs():
+        gh = G.compose(g, h)
+        if tables[g] is None or tables[h] is None or tables[gh] is None:
+            continue
+        inv_h = {v: k for k, v in tables[h].items()}
+        escape = next((y for y in sorted(ideals[G.inv[g]].elements & ideals[h].elements)
+                       if inv_h[y] not in ideals[G.inv[gh]].elements), None)
+        if escape is not None:
+            violations.append((
+                "domain",
+                f"the inverse of sigma_{G.morphisms[h]} pushes "
+                f"{ambient.label(escape)} outside A_{G.morphisms[G.inv[gh]]} "
+                f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})"))
+        for x in sorted(tables[h]):
+            y = tables[h][x]
+            if y not in ideals[G.inv[g]].elements:
                 continue
-            gh = G.compose(g, h)
-            if tables[g] is None or tables[h] is None or tables[gh] is None:
-                continue
-            inv_h = {v: k for k, v in tables[h].items()}
-            escape = next((y for y in sorted(ideals[G.inv[g]].elements & ideals[h].elements)
-                           if inv_h[y] not in ideals[G.inv[gh]].elements), None)
-            if escape is not None:
+            if tables[gh].get(x) != tables[g][y]:
                 violations.append((
-                    "domain",
-                    f"the inverse of sigma_{G.morphisms[h]} pushes "
-                    f"{ambient.label(escape)} outside A_{G.morphisms[G.inv[gh]]} "
-                    f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})"))
-            for x in sorted(tables[h]):
-                y = tables[h][x]
-                if y not in ideals[G.inv[g]].elements:
-                    continue
-                if tables[gh].get(x) != tables[g][y]:
-                    violations.append((
-                        "composition",
-                        f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
-                        f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}"))
-                    break
+                    "composition",
+                    f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
+                    f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}"))
+                break
 
     if violations:
         tag, message = violations[0]
@@ -581,7 +578,7 @@ def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal
     """The smallest ideal of the ambient sum containing ``seed`` and stable
     under every sigma_g.
 
-    Worklist closure: pushed generators are multiplied by the ambient's
+    ``rings.close``: pushed generators are multiplied by the ambient's
     additive generators (two-sided ideal closure) and, per morphism, pushed
     into the domain by right products against the generators of A_{g^{-1}}
     and then through sigma_g.  Right products suffice because the domain
@@ -591,37 +588,29 @@ def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal
     G = action.groupoid
     mul = amb.mul
     rgens = amb.additive_generators()
-    span = {0}
-    gens: List[int] = []
-    queue = deque(seed)
-    while queue:
-        x = queue.popleft()
+    transports = [(action.maps[g], action.ideals[G.inv[g]].gens)
+                  for g in range(G.n_morphisms) if not G.is_identity(g)]
+    seed = list(seed)
+    for x in seed:
         if not 0 <= x < amb.size:
             raise MalformedInput(f"seed element {x!r} is not an ambient element")
-        if x in span:
-            continue
-        _extend_span(amb, span, x)
-        gens.append(x)
+
+    def produce(x: int) -> Iterator[int]:
         for r in rgens:
-            queue.append(mul(r, x))
-            queue.append(mul(x, r))
-        for g in range(G.n_morphisms):
-            if G.is_identity(g):
-                continue
-            table = action.maps[g]
-            for u in action.ideals[G.inv[g]].gens:
+            yield mul(r, x)
+            yield mul(x, r)
+        for table, domain_gens in transports:
+            for u in domain_gens:
                 p = mul(x, u)
                 if p:
-                    queue.append(table[p])
-    return Ideal(amb, frozenset(span), tuple(gens))
+                    yield table[p]
+
+    span = close(amb, seed, produce)
+    return Ideal(amb, span.elements, span.gens)
 
 
 def _cached_sigma_closure(action: PartialAction, a: int) -> Ideal:
-    got = action._closure_cache.get(a)
-    if got is None:
-        got = sigma_invariant_closure(action, (a,))
-        action._closure_cache[a] = got
-    return got
+    return _memo(action._closure_cache, a, lambda x: sigma_invariant_closure(action, (x,)))
 
 
 def is_A_G_prime(action: PartialAction,
@@ -636,30 +625,9 @@ def is_A_G_prime(action: PartialAction,
     amb = action.ambient
     if amb.size > bound:
         raise BoundExceeded(f"ambient carrier {amb.size} exceeds {bound}")
-    members = range(1, amb.size)
-    rep: Dict[int, frozenset] = {}
-    distinct: Dict[frozenset, Ideal] = {}
-    for a in members:
-        closure = _cached_sigma_closure(action, a)
-        rep[a] = closure.elements
-        distinct.setdefault(closure.elements, closure)
-    zero_partners: Dict[frozenset, set] = {k: set() for k in distinct}
-    hit = False
-    for ka, ia in distinct.items():
-        for kb, ib in distinct.items():
-            if is_zero_product(ia, ib):
-                zero_partners[ka].add(kb)
-                hit = True
-    if not hit:
-        return PairCriterionResult(True, None)
-    for a in members:
-        partners = zero_partners[rep[a]]
-        if not partners:
-            continue
-        for b in members:
-            if rep[b] in partners:
-                return PairCriterionResult(False, (a, b, distinct[rep[a]], distinct[rep[b]]))
-    raise AssertionError("unreachable: zero pair recorded but not refound")
+    pair = first_zero_pair(range(1, amb.size),
+                           lambda a: _cached_sigma_closure(action, a))
+    return PairCriterionResult(pair is None, pair)
 
 
 @dataclass(frozen=True)
@@ -738,8 +706,8 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero component")
     mul = amb.mul
-    out_h = [h for h in range(G.n_morphisms) if G.src[h] == e]
-    in_k = [k for k in range(G.n_morphisms) if G.rng[k] == e]
+    out_h = G.morphisms_from(e)
+    in_k = G.morphisms_into(e)
     witnesses: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for g in range(G.n_morphisms):
         for a in action.ideals[g].sorted_elements():
@@ -782,7 +750,7 @@ def group_type_chain(action: PartialAction, e: int) -> ChainResult:
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero component")
     first = is_group_type(action).holds
-    into_e = [k for k in range(G.n_morphisms) if G.rng[k] == e]
+    into_e = G.morphisms_into(e)
     membership = True
     annihilation = True
     for g in range(G.n_morphisms):
@@ -860,6 +828,16 @@ class SkewPrimeVerdict:
     oracle: Optional[PrimeResult]
 
 
+def isotropy_reduction(action: PartialAction,
+                       bound: int = SKEW_RING_BOUND) -> Dict[int, bool]:
+    """Alive object -> primeness of its isotropy skew ring, built under
+    ``bound``; with a transport family the product is prime iff one is."""
+    return {e: is_prime_bruteforce(
+                build_skew_ring(restrict_to_isotropy(action, e), bound).ring,
+                bound).prime
+            for e in action.support_objects()}
+
+
 def skew_prime_verdict(action: PartialAction,
                        bound: int = SKEW_RING_BOUND) -> SkewPrimeVerdict:
     """Primeness of the skew product, by oracle when buildable and through
@@ -871,15 +849,7 @@ def skew_prime_verdict(action: PartialAction,
     the falsification alarm.  Without a transport family and above the bound,
     the verdict is refused.
     """
-    oracle_bound = max(bound, PRIME_ORACLE_BOUND)
     transport = is_group_type(action)
-
-    def reduction() -> Dict[int, bool]:
-        return {e: is_prime_bruteforce(
-                    build_skew_ring(restrict_to_isotropy(action, e), bound).ring,
-                    oracle_bound).prime
-                for e in action.support_objects()}
-
     try:
         grading = build_skew_ring(action, bound)
     except BoundExceeded:
@@ -887,12 +857,12 @@ def skew_prime_verdict(action: PartialAction,
             raise BoundExceeded(
                 "the carrier exceeds the bound and no transport family exists, "
                 "so no reduction to isotropy applies") from None
-        per = reduction()
+        per = isotropy_reduction(action, bound)
         return SkewPrimeVerdict(any(per.values()), "group-type", per, None)
-    res = is_prime_bruteforce(grading.ring, oracle_bound)
+    res = is_prime_bruteforce(grading.ring, bound)
     per: Dict[int, bool] = {}
     if transport.holds:
-        per = reduction()
+        per = isotropy_reduction(action, bound)
         if any(per.values()) != res.prime:
             raise InternalDisagreement(
                 "isotropy reduction disagrees with the oracle on a "

@@ -37,6 +37,13 @@ from .rings import PRIME_ORACLE_BOUND, PrimeResult, SubRing, is_prime_bruteforce
 #: the seven condition labels, in report order
 CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
+#: conditions ii-vii: the pair criterion each conjoins ("invariant" ideals of
+#: the identity-component ring, "graded" ideals, or None for the hub
+#: conditions) and the quantifier over the support objects
+_CONDITIONS = {"ii": ("invariant", all), "iii": ("invariant", any),
+               "iv": ("graded", all), "v": ("graded", any),
+               "vi": (None, all), "vii": (None, any)}
+
 
 @dataclass(frozen=True)
 class ObjectEvidence:
@@ -83,6 +90,20 @@ def _object_evidence(grading: Grading, e: int) -> ObjectEvidence:
     return ObjectEvidence(e, hub, prime, restricted.ring.size)
 
 
+def _flags(per_object: Dict[int, ObjectEvidence]) -> Dict[int, tuple]:
+    """Support object -> (is a hub, isotropy component is prime)."""
+    return {e: (ev.hub.is_hub, ev.isotropy_prime.prime) for e, ev in per_object.items()}
+
+
+def _condition(label: str, pairs: Dict, flags: Dict[int, tuple]) -> bool:
+    """Condition ``label`` (ii-vii) from the pair criterion it conjoins and
+    the (hub, isotropy prime) flags of the support objects."""
+    leg, quantifier = _CONDITIONS[label]
+    if leg is None:
+        return quantifier(hub and prime for hub, prime in flags.values())
+    return pairs[leg].holds and quantifier(prime for _, prime in flags.values())
+
+
 def evaluate_condition(grading: Grading, label: str,
                        oracle_bound: int = PRIME_ORACLE_BOUND):
     """One of the seven primeness conditions, from its own definition.
@@ -98,21 +119,15 @@ def evaluate_condition(grading: Grading, label: str,
     if label == "i":
         res = is_prime_oracle(grading, bound=oracle_bound)
         return res.prime, res
-    if label in ("ii", "iii"):
-        pair = is_G_prime_principal(grading)
-        iso = {e: is_prime_bruteforce(isotropy_component(grading, e).ring) for e in objs}
-        quantified = (all if label == "ii" else any)(r.prime for r in iso.values())
-        return pair.holds and quantified, {"pair": pair, "isotropy": iso}
-    if label in ("iv", "v"):
-        pair = is_graded_prime(grading)
-        iso = {e: is_prime_bruteforce(isotropy_component(grading, e).ring) for e in objs}
-        quantified = (all if label == "iv" else any)(r.prime for r in iso.values())
-        return pair.holds and quantified, {"pair": pair, "isotropy": iso}
-    evidence = {e: _object_evidence(grading, e) for e in objs}
-    quantifier = all if label == "vi" else any
-    value = quantifier(ev.hub.is_hub and ev.isotropy_prime.prime
-                       for ev in evidence.values())
-    return value, {"objects": evidence}
+    leg = _CONDITIONS[label][0]
+    if leg is None:
+        evidence = {e: _object_evidence(grading, e) for e in objs}
+        return _condition(label, {}, _flags(evidence)), {"objects": evidence}
+    pair = (is_G_prime_principal(grading) if leg == "invariant"
+            else is_graded_prime(grading))
+    iso = {e: is_prime_bruteforce(isotropy_component(grading, e).ring) for e in objs}
+    flags = {e: (None, r.prime) for e, r in iso.items()}
+    return _condition(label, {leg: pair}, flags), {"pair": pair, "isotropy": iso}
 
 
 def equivalence_report(grading: Grading,
@@ -156,19 +171,13 @@ def equivalence_report(grading: Grading,
     per_object = clocked("objects",
                          lambda: {e: _object_evidence(grading, e) for e in objs})
 
-    iso_all = all(ev.isotropy_prime.prime for ev in per_object.values())
-    iso_any = any(ev.isotropy_prime.prime for ev in per_object.values())
+    pairs = {"invariant": invariant_pairs, "graded": graded_pairs}
+    flags = _flags(per_object)
     conditions: Dict[str, bool] = {}
     if oracle is not None:
         conditions["i"] = oracle.prime
-    conditions["ii"] = invariant_pairs.holds and iso_all
-    conditions["iii"] = invariant_pairs.holds and iso_any
-    conditions["iv"] = graded_pairs.holds and iso_all
-    conditions["v"] = graded_pairs.holds and iso_any
-    conditions["vi"] = all(ev.hub.is_hub and ev.isotropy_prime.prime
-                           for ev in per_object.values())
-    conditions["vii"] = any(ev.hub.is_hub and ev.isotropy_prime.prime
-                            for ev in per_object.values())
+    for label in _CONDITIONS:
+        conditions[label] = _condition(label, pairs, flags)
 
     values = set(conditions.values())
     if len(values) > 1:
@@ -178,8 +187,7 @@ def equivalence_report(grading: Grading,
                      "oracle_witness": None if oracle is None else oracle.witness,
                      "invariant_pair": invariant_pairs.witness,
                      "graded_pair": graded_pairs.witness,
-                     "objects": {e: (ev.hub.is_hub, ev.isotropy_prime.prime)
-                                 for e, ev in per_object.items()}})
+                     "objects": flags})
     verdict = values.pop()
 
     witnesses: Dict[str, object] = {}

@@ -9,6 +9,10 @@ The workhorse throughout is bilinearity: any additive subgroup is the span of
 a short generator list, and a product of spans is zero iff all generator
 pair-products are zero.  Closure routines multiply only pushed generators, so
 ideal computations cost a handful of ring products per doubling of the span.
+
+Every primeness criterion in the package runs on two helpers: ``close``, the
+one worklist closure, and ``first_zero_pair``, the one search for two
+closures whose product is zero.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
                      RingMismatch)
@@ -38,6 +42,7 @@ __all__ = [
     "IdealEnumeration",
     "additive_closure",
     "set_product",
+    "close",
     "ideal_generated",
     "principal_ideal",
     "is_ideal",
@@ -45,6 +50,7 @@ __all__ = [
     "s_unit_for",
     "is_prime_bruteforce",
     "is_zero_product",
+    "first_zero_pair",
     "enumerate_ideals",
     "centralizer",
     "is_maximal_commutative",
@@ -277,6 +283,15 @@ class TableRing(FiniteRing):
         return self._labels[a] if self._labels is not None else str(a)
 
 
+def _scaled(base: FiniteRing, c: int, name: str) -> str:
+    """The term c*name for a nonzero base coefficient c; a coefficient whose
+    label is a sum is parenthesised, the base identity is left out."""
+    if c == base.one:
+        return name
+    lab = base.label(c)
+    return f"({lab})*{name}" if "+" in lab else f"{lab}*{name}"
+
+
 class _VectorRing(FiniteRing):
     """Shared machinery for carriers that are mixed-radix digit vectors."""
 
@@ -389,22 +404,9 @@ class MatrixRing(_VectorRing):
         return r
 
     def label(self, a: int) -> str:
-        digs = self.decode(a)
-        terms = []
-        for i in range(self.n):
-            for j in range(self.n):
-                c = digs[i * self.n + j]
-                if c == 0:
-                    continue
-                lab = self.base.label(c)
-                cell = f"e({i + 1},{j + 1})"
-                if c == self.base.one:
-                    terms.append(cell)
-                elif "+" in lab:
-                    terms.append(f"({lab})*{cell}")
-                else:
-                    terms.append(f"{lab}*{cell}")
-        return " + ".join(terms) if terms else "0"
+        n = self.n
+        return " + ".join(_scaled(self.base, c, f"e({k // n + 1},{k % n + 1})")
+                          for k, c in enumerate(self.decode(a)) if c != 0) or "0"
 
 
 class DirectSumRing(_VectorRing):
@@ -485,18 +487,8 @@ class GroupRing(_VectorRing):
         return r
 
     def label(self, a: int) -> str:
-        digs = self.decode(a)
-        terms = []
-        for i, c in enumerate(digs):
-            if c == 0:
-                continue
-            glab = self.group.labels[i]
-            if c == self.base.one:
-                terms.append(glab)
-            else:
-                lab = self.base.label(c)
-                terms.append(f"({lab})*{glab}" if "+" in lab else f"{lab}*{glab}")
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(_scaled(self.base, c, self.group.labels[i])
+                          for i, c in enumerate(self.decode(a)) if c != 0) or "0"
 
 
 class SubRing(FiniteRing):
@@ -587,43 +579,56 @@ def set_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> AdditiveSubgroup:
     return additive_closure(x.ring, (mul(a, b) for a in x.gens for b in y.gens))
 
 
-def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
-    """The two-sided ideal generated by ``seed``.
+def close(ring: FiniteRing, seed: Iterable[int],
+          produce: Callable[[int], Iterable[int]]) -> AdditiveSubgroup:
+    """The smallest additive subgroup containing ``seed`` and closed under
+    ``produce``, which by bilinearity only ever sees pushed generators.
 
-    Worklist closure: whenever an element enlarges the additive span it is
-    pushed and multiplied (both sides) by the ring's additive generators; by
-    bilinearity that already covers multiplication by every ring element.
-    The span always contains the additive multiples of the seed, so the result
-    is correct without any unitality assumption.
+    Worklist closure: each element that enlarges the span is pushed (it
+    becomes the next generator of the result) and its products are queued.
     """
     span = {0}
     pushed: List[int] = []
     work = deque(seed)
-    rgens = ring.additive_generators()
-    mul = ring.mul
     while work:
         x = work.popleft()
         if not _extend_span(ring, span, x):
             continue
         pushed.append(x)
-        for r in rgens:
-            for p in (mul(r, x), mul(x, r)):
-                if p not in span:
-                    work.append(p)
-    return Ideal(ring, frozenset(span), tuple(pushed))
+        for p in produce(x):
+            if p not in span:
+                work.append(p)
+    return AdditiveSubgroup(ring, frozenset(span), tuple(pushed))
+
+
+def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
+    """The two-sided ideal generated by ``seed``.
+
+    Closure under products (both sides) with the ring's additive generators;
+    by bilinearity that already covers multiplication by every ring element.
+    The span always contains the additive multiples of the seed, so the result
+    is correct without any unitality assumption.
+    """
+    rgens = ring.additive_generators()
+    mul = ring.mul
+    span = close(ring, seed, lambda x: [p for r in rgens
+                                        for p in (mul(r, x), mul(x, r))])
+    return Ideal(ring, span.elements, span.gens)
+
+
+def _memo(cache: Dict, key: int, compute: Callable[[int], AdditiveSubgroup]):
+    """``cache[key]``, computed as ``compute(key)`` on first use."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = compute(key)
+    return hit
 
 
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     """The ideal generated by one element, cached per ring."""
-    cache = getattr(ring, "_pid_cache", None)
-    if cache is None:
-        cache = {}
-        ring._pid_cache = cache
-    hit = cache.get(a)
-    if hit is None:
-        hit = ideal_generated(ring, [a])
-        cache[a] = hit
-    return hit
+    if not hasattr(ring, "_pid_cache"):
+        ring._pid_cache = {}
+    return _memo(ring._pid_cache, a, lambda x: ideal_generated(ring, [x]))
 
 
 def is_ideal(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:
@@ -639,6 +644,29 @@ def is_zero_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> bool:
         raise RingMismatch("operands live in different rings")
     mul = x.ring.mul
     return all(mul(a, b) == 0 for a in x.gens for b in y.gens)
+
+
+def first_zero_pair(members: Sequence[int],
+                    closure: Callable[[int], AdditiveSubgroup]
+                    ) -> Optional[Tuple[int, int, AdditiveSubgroup, AdditiveSubgroup]]:
+    """The first (a, b, closure(a), closure(b)) in ``members`` order with
+    closure(a) * closure(b) == {0}, or None.
+
+    Members with equal closures share their zero partners, so
+    ``is_zero_product`` runs once per ordered pair of distinct closures.
+    """
+    closures = [closure(m) for m in members]
+    distinct: Dict[frozenset, AdditiveSubgroup] = {}
+    for c in closures:
+        distinct.setdefault(c.elements, c)
+    zero_partners = {ka: {kb for kb, cb in distinct.items() if is_zero_product(ca, cb)}
+                     for ka, ca in distinct.items()}
+    for i, ca in enumerate(closures):
+        partners = zero_partners[ca.elements]
+        if partners:
+            j = next(j for j, cb in enumerate(closures) if cb.elements in partners)
+            return members[i], members[j], ca, closures[j]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -734,30 +762,10 @@ def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> Pr
     if ring.size == 1:
         return PrimeResult(False, None, degenerate=True)
 
-    rep: List[Optional[frozenset]] = [None] * ring.size
-    distinct: Dict[frozenset, Ideal] = {}
-    for a in range(1, ring.size):
-        ideal = principal_ideal(ring, a)
-        rep[a] = ideal.elements
-        distinct.setdefault(ideal.elements, ideal)
-
-    zero_partners: Dict[frozenset, set] = {key: set() for key in distinct}
-    found = False
-    for ka, ia in distinct.items():
-        for kb, ib in distinct.items():
-            if is_zero_product(ia, ib):
-                zero_partners[ka].add(kb)
-                found = True
-    if not found:
+    pair = first_zero_pair(range(1, ring.size), lambda a: principal_ideal(ring, a))
+    if pair is None:
         return PrimeResult(True, None)
-    for a in range(1, ring.size):
-        partners = zero_partners[rep[a]]
-        if not partners:
-            continue
-        for b in range(1, ring.size):
-            if rep[b] in partners:
-                return PrimeResult(False, PrimePairWitness(a, b, distinct[rep[a]], distinct[rep[b]]))
-    raise AssertionError("unreachable: a zero pair was recorded but not found again")
+    return PrimeResult(False, PrimePairWitness(*pair))
 
 
 # ---------------------------------------------------------------------------

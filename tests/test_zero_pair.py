@@ -1,0 +1,131 @@
+"""The shared zero-pair search against a naive reference.
+
+``first_zero_pair`` groups members by closure and tests each pair of distinct
+closures once.  The reference below tests every ordered member pair, with no
+grouping, and returns the first hit of the double loop; the two must report
+the same pair on any member list, in any order.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import (build_block_grading, build_disconnected_grading,
+                      build_group_ring_grading, build_m3_grading)
+from gprime.fuzz import _random_partial_action, generate_instance
+from gprime.grading import invariant_closure
+from gprime.groupoid import FiniteGroup
+from gprime.partial import sigma_invariant_closure
+from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
+                          MatrixRing, TableRing, first_zero_pair,
+                          is_zero_product, principal_ideal)
+
+COMMON = dict(deadline=None,
+              suppress_health_check=[HealthCheck.data_too_large,
+                                     HealthCheck.too_slow])
+
+
+def naive_first_zero_pair(members, closure):
+    """The first (a, b) of the double loop over ``members`` whose closures
+    multiply to zero."""
+    for a in members:
+        for b in members:
+            ia, ib = closure(a), closure(b)
+            if is_zero_product(ia, ib):
+                return a, b, ia, ib
+    return None
+
+
+def _zero_product_ring(n: int) -> TableRing:
+    return TableRing([[(a + b) % n for b in range(n)] for a in range(n)],
+                     [[0] * n for _ in range(n)])
+
+
+CARRIERS = (
+    lambda: CyclicRing(12),
+    lambda: GaloisField(2, 2),
+    lambda: MatrixRing(GaloisField(2), 2),
+    lambda: MatrixRing(CyclicRing(4), 2),
+    lambda: DirectSumRing([GaloisField(2), MatrixRing(GaloisField(2), 2)]),
+    lambda: DirectSumRing([CyclicRing(4), CyclicRing(6)]),
+    lambda: GroupRing(GaloisField(2), FiniteGroup.cyclic(4)),
+    lambda: GroupRing(GaloisField(3), FiniteGroup.cyclic(2)),
+    lambda: _zero_product_ring(6),
+)
+GRADINGS = (build_m3_grading, build_block_grading, build_group_ring_grading,
+            build_disconnected_grading)
+
+
+@lru_cache(maxsize=None)
+def carrier(index: int):
+    return CARRIERS[index]()
+
+
+@lru_cache(maxsize=None)
+def grading(index: int):
+    if index < len(GRADINGS):
+        return GRADINGS[index]()
+    return generate_instance(random.Random(f"zero-pair:{index}"), 128).grading
+
+
+@lru_cache(maxsize=None)
+def action(seed: int):
+    return _random_partial_action(random.Random(f"zero-pair-act:{seed}"), 64)
+
+
+def assert_same_pair(members, closure):
+    got = first_zero_pair(members, closure)
+    assert got == naive_first_zero_pair(members, closure)
+    if got is not None:
+        a, b, ia, ib = got
+        assert ia == closure(a) and ib == closure(b)
+
+
+class TestFirstZeroPair:
+
+    @settings(max_examples=40, **COMMON)
+    @given(st.integers(0, len(CARRIERS) - 1), st.data())
+    def test_random_members_of_random_carriers(self, index, data):
+        ring = carrier(index)
+        members = data.draw(st.lists(st.integers(1, ring.size - 1),
+                                     unique=True, max_size=ring.size - 1))
+        assert_same_pair(members, lambda a: principal_ideal(ring, a))
+
+    @settings(max_examples=10, **COMMON)
+    @given(st.integers(0, len(CARRIERS) - 1))
+    def test_every_nonzero_element_in_element_order(self, index):
+        ring = carrier(index)
+        assert_same_pair(range(1, ring.size), lambda a: principal_ideal(ring, a))
+
+    @settings(max_examples=20, **COMMON)
+    @given(st.integers(0, len(GRADINGS) + 40))
+    def test_graded_members_in_morphism_element_order(self, index):
+        g = grading(index)
+        members = [a for _, a in g.homogeneous()]
+        assert_same_pair(members, lambda a: principal_ideal(g.ring, a))
+
+    @settings(max_examples=15, **COMMON)
+    @given(st.integers(0, len(GRADINGS) + 40))
+    def test_invariant_closures(self, index):
+        g = grading(index)
+        members = [x for x in g.principal_part().sorted_elements() if x != 0]
+        assert_same_pair(members, lru_cache(None)(lambda a: invariant_closure(g, [a])))
+
+    @settings(max_examples=15, **COMMON)
+    @given(st.integers(0, 40))
+    def test_sigma_closures(self, seed):
+        act = action(seed)
+        assert_same_pair(range(1, act.ambient.size),
+                         lru_cache(None)(lambda a: sigma_invariant_closure(act, [a])))
+
+    def test_no_members_no_pair(self):
+        assert first_zero_pair([], lambda a: principal_ideal(carrier(0), a)) is None
+
+    def test_zero_multiplication_pairs_the_first_member_with_itself(self):
+        ring = carrier(len(CARRIERS) - 1)
+        a, b, _, _ = first_zero_pair([3, 1, 2], lambda x: principal_ideal(ring, x))
+        assert (a, b) == (3, 3)
