@@ -25,8 +25,8 @@ from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      ObjectNotInSupport)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _memo,
-                    additive_closure, close, first_zero_pair, ideal_generated,
-                    is_s_unital, principal_ideal, set_product)
+                    additive_closure, close, first_escape, first_zero_pair,
+                    ideal_generated, is_s_unital, principal_ideal, set_product)
 
 __all__ = [
     "Grading",
@@ -421,13 +421,10 @@ def phi(grading: Grading, ideal) -> AdditiveSubgroup:
     out = additive_closure(grading.ring, sorted(members))
     if out.elements != members:
         raise InternalDisagreement("graded-ideal intersection is not additively closed")
-    mul = grading.ring.mul
-    for x in out.gens:
-        for r in P.gens:
-            if mul(r, x) not in members or mul(x, r) not in members:
-                raise InternalDisagreement(
-                    "graded-ideal intersection fails to be an ideal of the "
-                    "identity-component ring")
+    if first_escape(grading.ring, P.gens, out.gens, members) is not None:
+        raise InternalDisagreement(
+            "graded-ideal intersection fails to be an ideal of the "
+            "identity-component ring")
     return out
 
 
@@ -443,11 +440,8 @@ def psi(grading: Grading, sub: AdditiveSubgroup) -> GradedIdeal:
     P = grading.principal_part()
     if not sub.elements <= P.elements:
         raise NotInvariant("the given set does not live in the identity-component ring")
-    mul = grading.ring.mul
-    for x in sub.gens:
-        for r in P.gens:
-            if mul(r, x) not in sub.elements or mul(x, r) not in sub.elements:
-                raise NotInvariant("not an ideal of the identity-component ring")
+    if first_escape(grading.ring, P.gens, sub.gens, sub.elements) is not None:
+        raise NotInvariant("not an ideal of the identity-component ring")
     ok, bad = is_invariant(grading, sub)
     if not ok:
         raise NotInvariant(

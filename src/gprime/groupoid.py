@@ -90,11 +90,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(self._mul[a][b] == self._mul[b][a]
-                   for a in range(self.order) for b in range(a + 1, self.order))
-
     @staticmethod
     def trivial(label: str = "1") -> "FiniteGroup":
         return FiniteGroup([label], [[0]], name="C1")
@@ -408,9 +403,6 @@ class Subgroupoid:
 
     parent: FiniteGroupoid
     members: frozenset = field(default_factory=frozenset)
-
-    def morphism_list(self) -> List[int]:
-        return sorted(self.members)
 
     def object_list(self) -> List[int]:
         return sorted({self.parent.src[g] for g in self.members}

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -493,6 +493,8 @@ class BuiltInstance:
     grading: Optional[Grading] = None
     action: Optional[PartialAction] = None
     base: Optional[FiniteRing] = None
+    #: the groupoid ring of ``base``, kept once built (not an argument)
+    carrier: Optional[Grading] = field(default=None, init=False)
 
     @property
     def kind(self) -> str:
@@ -590,12 +592,15 @@ def _groupoid_facts(G: FiniteGroupoid) -> Dict:
 
 
 def carrier_grading(built: BuiltInstance, bound: int) -> Grading:
-    """The graded product ring of the instance, built on demand."""
+    """The graded product ring of the instance, built on demand and reused
+    while it fits under ``bound``."""
     if built.grading is not None:
         return built.grading
     if built.action is not None:
         return build_skew_ring(built.action, bound)
-    return build_groupoid_ring(built.base, built.groupoid, bound)
+    if built.carrier is None or built.carrier.ring.size > bound:
+        built.carrier = build_groupoid_ring(built.base, built.groupoid, bound)
+    return built.carrier
 
 
 def _criterion_section(built: BuiltInstance) -> Dict:

@@ -18,7 +18,6 @@ implications raise the falsification alarm instead of being smoothed over.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,6 +33,7 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        isotropy, one_object_groupoid, orbit)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
                     FiniteRing, Ideal, PrimeResult, _memo, additive_closure, close,
+                    first_escape, first_hom_failure, first_identity,
                     first_zero_pair, is_maximal_commutative,
                     is_prime_bruteforce, is_s_unital, principal_ideal,
                     validate_ring)
@@ -119,11 +119,13 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     given for them must close to exactly that), and missing morphisms get the
     zero ideal.  ``maps`` supplies each sigma_g as an explicit element table;
     identity maps and tables on zero ideals are filled in automatically.
-    Checked: containment and ideal-ness in the range component, s-unitality
-    of every attached ideal, that each table is an additive and
-    multiplicative bijection onto its target, that inverse images respect
-    composite domains, and that composing tables agrees with the table of the
-    composite.  All violations found in one pass are reported together.
+    Checked: containment and ideal-ness in the range component (on
+    generators, ``rings.first_escape``), s-unitality of every attached ideal,
+    that each table is a bijection onto its target and, by
+    ``rings.first_hom_failure``, a ring homomorphism, that inverse images
+    respect composite domains, and that composing tables agrees with the
+    table of the composite.  All violations found in one pass are reported
+    together.
     """
     if not isinstance(ambient, DirectSumRing) or ambient.keys != groupoid.objects:
         raise MalformedInput(
@@ -157,7 +159,6 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         else:
             ideals.append(additive_closure(ambient, gens))
 
-    mul = ambient.mul
     for g in range(n):
         if G.is_identity(g):
             continue
@@ -170,14 +171,12 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
                 f"A_{G.morphisms[g]} is not contained in the component at "
                 f"{G.objects[G.rng[g]]!r} (witness {ambient.label(outside)})"))
             continue
-        escaped = next((p for u in comp.gens for m in ag.gens
-                        for p in (mul(u, m), mul(m, u))
-                        if p not in ag.elements), None)
+        escaped = first_escape(ambient, comp.gens, ag.gens, ag.elements)
         if escaped is not None:
             violations.append((
                 "ideal",
                 f"A_{G.morphisms[g]} is not an ideal of its component "
-                f"(witness {ambient.label(escaped)})"))
+                f"(witness {ambient.label(escaped[2])})"))
 
     for g in range(n):
         if not is_s_unital(ideals[g]):
@@ -187,16 +186,15 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     for g in range(n):
         dom = ideals[G.inv[g]]
         cod = ideals[g]
+        given = maps.get(g)
         if G.is_identity(g):
             table = {x: x for x in dom.elements}
-            given = maps.get(g)
             if given is not None and dict(given) != table:
                 violations.append((
                     "identity",
                     f"sigma_{G.morphisms[g]} must be the identity on its component"))
             tables[g] = table
             continue
-        given = maps.get(g)
         if given is None:
             if dom.is_zero() and cod.is_zero():
                 tables[g] = {0: 0}
@@ -216,22 +214,14 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
                 "map",
                 f"sigma_{G.morphisms[g]} is not a bijection onto A_{G.morphisms[g]}"))
             continue
-        bad = next(((x, y) for x in table for y in table
-                    if table[ambient.add(x, y)] != ambient.add(table[x], table[y])),
-                   None)
+        bad = first_hom_failure(ambient, ambient, table.get,
+                                dom.sorted_elements(), dom.gens)
         if bad is not None:
+            law, x, y = bad
             violations.append((
                 "map",
-                f"sigma_{G.morphisms[g]} is not additive at "
-                f"({ambient.label(bad[0])}, {ambient.label(bad[1])})"))
-            continue
-        bad = next(((x, y) for x in table for y in table
-                    if table[mul(x, y)] != mul(table[x], table[y])), None)
-        if bad is not None:
-            violations.append((
-                "map",
-                f"sigma_{G.morphisms[g]} is not multiplicative at "
-                f"({ambient.label(bad[0])}, {ambient.label(bad[1])})"))
+                f"sigma_{G.morphisms[g]} is not {law} at "
+                f"({ambient.label(x)}, {ambient.label(y)})"))
             continue
         tables[g] = table
 
@@ -322,6 +312,9 @@ class SkewGroupoidRing(FiniteRing):
                       if len(loc) <= 64 else None
                       for g, loc in enumerate(locs)]
         self._mul_memo: Dict[Tuple[int, int], int] = {}
+        # the cache FiniteRing.additive_generators reads
+        self._gens = tuple(self.inject(g, a) for g, ideal in enumerate(action.ideals)
+                           for a in ideal.gens)
         self.one = self._find_one()
 
     # -- encoding -----------------------------------------------------------
@@ -406,16 +399,6 @@ class SkewGroupoidRing(FiniteRing):
         self._mul_memo[key] = res
         return res
 
-    def additive_generators(self) -> Tuple[int, ...]:
-        cached = getattr(self, "_gens", None)
-        if cached is None:
-            gens: List[int] = []
-            for g, ideal in enumerate(self.action.ideals):
-                gens.extend(self.inject(g, a) for a in ideal.gens)
-            cached = tuple(gens)
-            self._gens = cached
-        return cached
-
     def label(self, x: int) -> str:
         G = self.action.groupoid
         amb = self.action.ambient
@@ -424,18 +407,14 @@ class SkewGroupoidRing(FiniteRing):
         return " + ".join(terms) if terms else "0"
 
     def _find_one(self) -> Optional[int]:
-        act = self.action
-        G = act.groupoid
-        amb = act.ambient
+        G = self.action.groupoid
+        amb = self.action.ambient
         if any(part.one is None for part in amb.parts):
             return None
         coeffs = [0] * len(self._locals)
         for e in range(G.n_objects):
             coeffs[G.identity(e)] = amb.inject(e, amb.parts[e].one)
-        c = self.encode(coeffs)
-        if all(self.mul(c, x) == x == self.mul(x, c) for x in range(self.size)):
-            return c
-        return None
+        return first_identity(self, [self.encode(coeffs)], self.additive_generators())
 
 
 def build_skew_ring(action: PartialAction, bound: int = SKEW_RING_BOUND) -> Grading:
@@ -640,25 +619,24 @@ class PsiCheckResult:
     mismatch: Optional[str]
 
 
-def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND,
-              samples: int = 500, seed: int = 0) -> PsiCheckResult:
+def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND) -> PsiCheckResult:
     """Check that collecting object components onto the identity morphisms
     embeds the ambient sum isomorphically into the skew product, and that the
     ambient pair criterion agrees with the identity-part criterion there.
 
-    Additivity and multiplicativity are exhaustive up to 64 ambient elements
-    and sampled deterministically beyond; bijectivity onto the identity part
-    and the criterion comparison are always exact.  Mismatches are reported,
-    not raised: a false return flags an implementation bug, not bad input.
+    Every check is exact: additivity, then multiplicativity (False whenever
+    additivity fails), by ``rings.first_hom_failure`` on the ambient's
+    additive generators; bijectivity onto the identity part; the criterion
+    comparison.  Mismatches are reported, not raised: a false return flags an
+    implementation bug, not bad input.
     """
     grading = build_skew_ring(action, bound)
     ring = grading.ring
     amb = action.ambient
     G = action.groupoid
-    n = G.n_morphisms
 
     def image(a: int) -> int:
-        coeffs = [0] * n
+        coeffs = [0] * G.n_morphisms
         for e in range(G.n_objects):
             coeffs[G.identity(e)] = amb.inject(e, amb.component(G.objects[e], a))
         return ring.encode(coeffs)
@@ -667,16 +645,10 @@ def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND,
     principal = grading.principal_part()
     bijective = (len(set(images)) == amb.size
                  and set(images) == set(principal.elements))
-    if amb.size <= 64:
-        pairs = [(a, b) for a in amb.elements() for b in amb.elements()]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(amb.size), rng.randrange(amb.size))
-                 for _ in range(samples)]
-    additive = all(images[amb.add(a, b)] == ring.add(images[a], images[b])
-                   for a, b in pairs)
-    multiplicative = all(images[amb.mul(a, b)] == ring.mul(images[a], images[b])
-                         for a, b in pairs)
+    bad = first_hom_failure(amb, ring, images.__getitem__, amb.elements(),
+                            amb.additive_generators())
+    additive = bad is None or bad[0] != "additive"
+    multiplicative = bad is None
     primeness_match = (is_A_G_prime(action).holds
                        == is_G_prime_principal(grading).holds)
     checks = {"additive": additive, "multiplicative": multiplicative,

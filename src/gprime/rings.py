@@ -12,7 +12,9 @@ ideal computations cost a handful of ring products per doubling of the span.
 
 Every primeness criterion in the package runs on two helpers: ``close``, the
 one worklist closure, and ``first_zero_pair``, the one search for two
-closures whose product is zero.
+closures whose product is zero.  Absorption, homomorphism and identity
+checks run on ``first_escape``, ``first_hom_failure`` and ``first_identity``,
+each exact on additive generators.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
                      RingMismatch)
@@ -45,7 +47,9 @@ __all__ = [
     "close",
     "ideal_generated",
     "principal_ideal",
-    "is_ideal",
+    "first_escape",
+    "first_hom_failure",
+    "first_identity",
     "is_s_unital",
     "s_unit_for",
     "is_prime_bruteforce",
@@ -62,6 +66,9 @@ __all__ = [
 PRIME_ORACLE_BOUND = 4096
 IDEAL_ENUMERATION_BOUND = 256
 TABLE_RING_BOUND = 256
+VALIDATE_EXHAUSTIVE_LIMIT = 64
+VALIDATE_SAMPLES = 2000
+VALIDATE_SEED = 0
 
 # Fixed irreducibles x^2 + c1*x + c0 over GF(p) used for the degree-2 fields
 # (the standard published choices; see docs/instance-format.md).
@@ -93,15 +100,6 @@ class FiniteRing:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
-
-    def scalar(self, k: int, a: int) -> int:
-        """The k-fold sum of ``a`` (k may be negative)."""
-        if k < 0:
-            return self.scalar(-k, self.neg(a))
-        out = 0
-        for _ in range(k):
-            out = self.add(out, a)
-        return out
 
     def elements(self) -> range:
         return range(self.size)
@@ -248,7 +246,7 @@ class TableRing(FiniteRing):
     """A ring given by explicit addition and multiplication tables."""
 
     def __init__(self, add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None, validate: bool = True):
+                 labels: Optional[Sequence[str]] = None):
         n = len(add_table)
         if n == 0 or n > TABLE_RING_BOUND:
             raise MalformedInput(f"explicit tables must have 1..{TABLE_RING_BOUND} elements, got {n}")
@@ -265,10 +263,8 @@ class TableRing(FiniteRing):
             if 0 not in row:
                 raise AxiomViolation("additive-inverse", f"element {a} has no additive inverse")
             self._neg[a] = row.index(0)
-        if validate:
-            validate_ring(self)
-        self.one = next((u for u in range(n)
-                         if all(self._mul[u][a] == a == self._mul[a][u] for a in range(n))), None)
+        validate_ring(self)
+        self.one = first_identity(self, range(n), self.additive_generators())
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -492,9 +488,11 @@ class GroupRing(_VectorRing):
 
 
 class SubRing(FiniteRing):
-    """A multiplicatively closed additive subgroup of a parent, re-indexed densely."""
+    """A multiplicatively closed additive subgroup of a parent, re-indexed
+    densely; closure and the identity are decided on the generators of its
+    ``additive_closure`` by ``first_escape`` and ``first_identity``."""
 
-    def __init__(self, parent: FiniteRing, elements: Iterable[int], check: bool = True):
+    def __init__(self, parent: FiniteRing, elements: Iterable[int]):
         elems = sorted(set(elements))
         if not elems or elems[0] != 0:
             raise MalformedInput("a subring must contain 0")
@@ -503,18 +501,15 @@ class SubRing(FiniteRing):
         self.from_parent: Dict[int, int] = {p: i for i, p in enumerate(elems)}
         self.size = len(elems)
         self.tag = f"sub[{self.size}]({parent.tag})"
-        if check:
-            for x in elems:
-                if parent.neg(x) not in self.from_parent:
-                    raise MalformedInput(f"subset not closed under negation at {parent.label(x)}")
-                for y in elems:
-                    if parent.add(x, y) not in self.from_parent:
-                        raise MalformedInput("subset not additively closed")
-                    if parent.mul(x, y) not in self.from_parent:
-                        raise MalformedInput("subset not multiplicatively closed")
-        self.one = next((self.from_parent[u] for u in self.to_parent
-                         if all(parent.mul(u, x) == x == parent.mul(x, u) for x in self.to_parent)),
-                        None)
+        span = additive_closure(parent, elems)
+        if len(span) != self.size:
+            raise MalformedInput(f"subset not additively closed: it spans {len(span)} elements")
+        escape = first_escape(parent, span.gens, span.gens, self.from_parent)
+        if escape is not None:
+            a, b, p = (parent.label(x) for x in escape)
+            raise MalformedInput(f"subset not multiplicatively closed: ({a})*({b}) = {p}")
+        u = first_identity(parent, elems, span.gens)
+        self.one = None if u is None else self.from_parent[u]
 
     def add(self, a: int, b: int) -> int:
         return self.from_parent[self.parent.add(self.to_parent[a], self.to_parent[b])]
@@ -552,9 +547,6 @@ class AdditiveSubgroup:
 
     def is_zero(self) -> bool:
         return len(self.elements) == 1
-
-    def describe(self) -> str:
-        return "{" + ", ".join(self.ring.label(x) for x in self.sorted_elements()) + "}"
 
 
 class Ideal(AdditiveSubgroup):
@@ -631,13 +623,6 @@ def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     return _memo(ring._pid_cache, a, lambda x: ideal_generated(ring, [x]))
 
 
-def is_ideal(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:
-    """Whether ``sub`` absorbs ring multiplication on both sides."""
-    mul = ring.mul
-    return all(mul(r, x) in sub.elements and mul(x, r) in sub.elements
-               for x in sub.gens for r in ring.additive_generators())
-
-
 def is_zero_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> bool:
     """Whether the span XY is {0}; by bilinearity only generator pairs matter."""
     if x.ring is not y.ring:
@@ -667,6 +652,39 @@ def first_zero_pair(members: Sequence[int],
             j = next(j for j, cb in enumerate(closures) if cb.elements in partners)
             return members[i], members[j], ca, closures[j]
     return None
+
+
+def first_escape(ring: FiniteRing, xs: Sequence[int], ys: Sequence[int],
+                 target: Container[int]) -> Optional[Tuple[int, int, int]]:
+    """The first (a, b, a*b) outside ``target``, trying x*y then y*x for x in
+    ``xs`` and y in ``ys``, or None; for an additively closed ``target`` this
+    decides absorption of all products of their spans, by bilinearity."""
+    mul = ring.mul
+    pairs = ((a, b) for x in xs for y in ys for a, b in ((x, y), (y, x)))
+    return next(((a, b, mul(a, b)) for a, b in pairs if mul(a, b) not in target), None)
+
+
+def first_hom_failure(src: FiniteRing, dst: FiniteRing, f: Callable[[int], Optional[int]],
+                      domain: Iterable[int], gens: Sequence[int]
+                      ) -> Optional[Tuple[str, int, int]]:
+    """Where ``f`` (None off its domain) fails as a ring homomorphism from the
+    span ``domain`` of ``gens`` into ``dst``: ("additive", x, g) for the first
+    x and generator g with f(x+g) != f(x)+f(g), else ("multiplicative", g, h)
+    for the first generator pair with f(gh) != f(g)f(h), else None.  Exact by
+    induction on sums of generators, then by bilinearity."""
+    return (next((("additive", x, g) for x in domain for g in gens
+                  if f(src.add(x, g)) != dst.add(f(x), f(g))), None)
+            or next((("multiplicative", g, h) for g in gens for h in gens
+                     if f(src.mul(g, h)) != dst.mul(f(g), f(h))), None))
+
+
+def first_identity(ring: FiniteRing, candidates: Iterable[int],
+                   gens: Sequence[int]) -> Optional[int]:
+    """The first candidate u with u*g == g == g*u for every generator g, or
+    None; by bilinearity u is then a two-sided identity on their span."""
+    mul = ring.mul
+    return next((u for u in candidates
+                 if all(mul(u, g) == g == mul(g, u) for g in gens)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +738,9 @@ def s_unit_for(r, members: Iterable[int]) -> int:
     """
     ring, _, pool = _acting_pair(r)
     ms = list(members)
-    mul = ring.mul
-    for u in pool:
-        if all(mul(u, m) == m and mul(m, u) == m for m in ms):
-            return u
+    u = first_identity(ring, pool, ms)
+    if u is not None:
+        return u
     raise NotSUnital(f"no common local unit for {[ring.label(m) for m in ms]}")
 
 
@@ -836,14 +853,14 @@ def is_maximal_commutative(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:
 # defensive validation for explicit tables
 # ---------------------------------------------------------------------------
 
-def validate_ring(ring: FiniteRing, exhaustive_limit: int = 64,
-                  samples: int = 2000, seed: int = 0) -> None:
+def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms on an arbitrary carrier.
 
     Additive-group checks are exhaustive (they are quadratic).  The cubic
     laws -- associativity of multiplication and distributivity -- are checked
-    on all triples up to ``exhaustive_limit`` elements and on a deterministic
-    pseudo-random sample of triples beyond that.
+    on all triples up to ``VALIDATE_EXHAUSTIVE_LIMIT`` elements and on a
+    deterministic pseudo-random sample of ``VALIDATE_SAMPLES`` triples beyond
+    that; this is the one sampled check left in the package.
     """
     n = ring.size
     add, neg, mul = ring.add, ring.neg, ring.mul
@@ -855,11 +872,12 @@ def validate_ring(ring: FiniteRing, exhaustive_limit: int = 64,
         for b in range(n):
             if add(a, b) != add(b, a):
                 raise AxiomViolation("additive-commutativity", f"{a} + {b} != {b} + {a}")
-    if n <= exhaustive_limit:
+    if n <= VALIDATE_EXHAUSTIVE_LIMIT:
         triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
     else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples))
+        rng = random.Random(VALIDATE_SEED)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(VALIDATE_SAMPLES))
     for a, b, c in triples:
         if add(add(a, b), c) != add(a, add(b, c)):
             raise AxiomViolation("additive-associativity", f"({a}+{b})+{c} != {a}+({b}+{c})")

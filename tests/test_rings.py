@@ -103,7 +103,7 @@ class TestCarriers:
     def test_validate_ring_passes_structured_carriers(self):
         validate_ring(CyclicRing(9))
         validate_ring(GaloisField(3, 2))
-        validate_ring(MatrixRing(CyclicRing(4), 2), exhaustive_limit=0, samples=500)
+        validate_ring(MatrixRing(CyclicRing(4), 2))
 
 
 # =====================================================================
