@@ -125,4 +125,4 @@ class ChainViolation(InternalDisagreement):
 
 
 class AssociativityFailure(InternalDisagreement):
-    """A constructed product ring failed the ring axioms it must satisfy."""
+    """A constructed product ring is not associative, though it must be."""

@@ -12,16 +12,16 @@ ideal computations cost a handful of ring products per doubling of the span.
 
 Every primeness criterion in the package runs on two helpers: ``close``, the
 one worklist closure, and ``first_zero_pair``, the one search for two
-closures whose product is zero.  Absorption, homomorphism and identity
-checks run on ``first_escape``, ``first_hom_failure`` and ``first_identity``,
-each exact on additive generators.
+closures whose product is zero.  Absorption, homomorphism, identity and
+associativity checks, exact on additive generators, run on ``first_escape``,
+``first_hom_failure``, ``first_identity`` and ``first_nonassociative``.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
@@ -50,6 +50,7 @@ __all__ = [
     "first_escape",
     "first_hom_failure",
     "first_identity",
+    "first_nonassociative",
     "is_s_unital",
     "s_unit_for",
     "is_prime_bruteforce",
@@ -66,9 +67,6 @@ __all__ = [
 PRIME_ORACLE_BOUND = 4096
 IDEAL_ENUMERATION_BOUND = 256
 TABLE_RING_BOUND = 256
-VALIDATE_EXHAUSTIVE_LIMIT = 64
-VALIDATE_SAMPLES = 2000
-VALIDATE_SEED = 0
 
 # Fixed irreducibles x^2 + c1*x + c0 over GF(p) used for the degree-2 fields
 # (the standard published choices; see docs/instance-format.md).
@@ -687,6 +685,15 @@ def first_identity(ring: FiniteRing, candidates: Iterable[int],
                  if all(mul(u, g) == g == mul(g, u) for g in gens)), None)
 
 
+def first_nonassociative(ring: FiniteRing, gens: Sequence[int]
+                         ) -> Optional[Tuple[int, int, int]]:
+    """The first generator triple (a, b, c) with (ab)c != a(bc), or None;
+    exact for a distributive product on the span of ``gens``, by trilinearity."""
+    mul = ring.mul
+    return next(((a, b, c) for a in gens for b in gens for c in gens
+                 if mul(mul(a, b), c) != mul(a, mul(b, c))), None)
+
+
 # ---------------------------------------------------------------------------
 # s-unitality
 # ---------------------------------------------------------------------------
@@ -854,13 +861,14 @@ def is_maximal_commutative(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:
 # ---------------------------------------------------------------------------
 
 def validate_ring(ring: FiniteRing) -> None:
-    """Check the ring axioms on an arbitrary carrier.
-
-    Additive-group checks are exhaustive (they are quadratic).  The cubic
-    laws -- associativity of multiplication and distributivity -- are checked
-    on all triples up to ``VALIDATE_EXHAUSTIVE_LIMIT`` elements and on a
-    deterministic pseudo-random sample of ``VALIDATE_SAMPLES`` triples beyond
-    that; this is the one sampled check left in the package.
+    """Check the ring axioms exactly, in O(n^2 k) operations for k additive
+    generators.  Identity and inverses are checked per element, and the
+    multiples of each element must reach 0 within n steps (as in any group of
+    order n), so that the greedy generator search ends.  Every element is then
+    a bracketed sum of generators, so for all x, y and generators g,
+    (x+g)+y == x+(g+y) gives associativity (Light's test), x+g == g+x
+    commutativity, and y(x+g) == yx+yg, (x+g)y == xy+gy distributivity;
+    ``first_nonassociative`` then decides the product's associativity.
     """
     n = ring.size
     add, neg, mul = ring.add, ring.neg, ring.mul
@@ -869,21 +877,24 @@ def validate_ring(ring: FiniteRing) -> None:
             raise AxiomViolation("additive-identity", f"0 + {a} != {a}")
         if add(a, neg(a)) != 0:
             raise AxiomViolation("additive-inverse", f"{a} + (-{a}) != 0")
-        for b in range(n):
-            if add(a, b) != add(b, a):
-                raise AxiomViolation("additive-commutativity", f"{a} + {b} != {b} + {a}")
-    if n <= VALIDATE_EXHAUSTIVE_LIMIT:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        rng = random.Random(VALIDATE_SEED)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(VALIDATE_SAMPLES))
-    for a, b, c in triples:
-        if add(add(a, b), c) != add(a, add(b, c)):
-            raise AxiomViolation("additive-associativity", f"({a}+{b})+{c} != {a}+({b}+{c})")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            raise AxiomViolation("associativity", f"({a}*{b})*{c} != {a}*({b}*{c})")
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-            raise AxiomViolation("distributivity", f"{a}*({b}+{c}) != {a}*{b} + {a}*{c}")
-        if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
-            raise AxiomViolation("distributivity", f"({a}+{b})*{c} != {a}*{c} + {b}*{c}")
+        # a, 2a, ..., na
+        if 0 not in accumulate(range(n - 1), lambda y, _: add(y, a), initial=a):
+            raise AxiomViolation("additive-associativity",
+                                 f"the multiples of {a} do not reach 0 within {n} steps")
+    gens = ring.additive_generators()
+    for x in range(n):
+        for g in gens:
+            xg = add(x, g)
+            if xg != add(g, x):
+                raise AxiomViolation("additive-commutativity", f"{x} + {g} != {g} + {x}")
+            for y in range(n):
+                if add(xg, y) != add(x, add(g, y)):
+                    raise AxiomViolation("additive-associativity", f"({x}+{g})+{y} != {x}+({g}+{y})")
+                if mul(y, xg) != add(mul(y, x), mul(y, g)):
+                    raise AxiomViolation("distributivity", f"{y}*({x}+{g}) != {y}*{x} + {y}*{g}")
+                if mul(xg, y) != add(mul(x, y), mul(g, y)):
+                    raise AxiomViolation("distributivity", f"({x}+{g})*{y} != {x}*{y} + {g}*{y}")
+    bad = first_nonassociative(ring, gens)
+    if bad is not None:
+        a, b, c = bad
+        raise AxiomViolation("associativity", f"({a}*{b})*{c} != {a}*({b}*{c})")

@@ -1,30 +1,40 @@
-"""The three generator-level validation helpers against naive references.
+"""The generator-level validation helpers against naive references.
 
-``first_escape``, ``first_hom_failure`` and ``first_identity`` decide
-absorption, the homomorphism laws and identities on additive generators
-only.  The references below sweep every pair (or every element) of the
-spans involved; the two must agree on random small carriers, random maps
-and random subsets, including corrupted sigma tables and subsets that are
-not closed.
+``first_escape``, ``first_hom_failure``, ``first_identity`` and
+``first_nonassociative`` decide absorption, the homomorphism laws, identities
+and associativity on additive generators only, and ``validate_ring`` builds
+the exact ring-axiom check on them.  The references below sweep every pair,
+triple or element of the spans involved; the two must agree on random small
+carriers, random maps, random subsets and random tables, including corrupted
+sigma tables and ring tables, and subsets that are not closed.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 import random
 from functools import lru_cache
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gprime.errors import AxiomViolation, MalformedInput
-from gprime.fuzz import _random_partial_action
+import gprime
+from gprime import cli
+from gprime.errors import AssociativityFailure, AxiomViolation, MalformedInput
+from gprime.fuzz import _random_partial_action, run_fuzz
 from gprime.groupoid import FiniteGroup, one_object_groupoid, pair_groupoid
-from gprime.partial import validate_partial_action
-from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
+from gprime.partial import (SkewGroupoidRing, build_skew_ring, groupoid_ring_action,
+                            validate_partial_action)
+from gprime.rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField, GroupRing,
                           MatrixRing, SubRing, TableRing, additive_closure,
                           first_escape, first_hom_failure, first_identity,
-                          principal_ideal)
+                          principal_ideal, validate_ring)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.data_too_large,
@@ -108,6 +118,56 @@ def naive_is_subring(ring, subset) -> bool:
                for x in subset)
 
 
+def reference_validate_ring(ring) -> None:
+    """The ring axioms on every element, pair and triple of the carrier."""
+    n = ring.size
+    add, neg, mul = ring.add, ring.neg, ring.mul
+    for a in range(n):
+        if add(0, a) != a or add(a, 0) != a:
+            raise AxiomViolation("additive-identity", f"0 + {a} != {a}")
+        if add(a, neg(a)) != 0:
+            raise AxiomViolation("additive-inverse", f"{a} + (-{a}) != 0")
+        for b in range(n):
+            if add(a, b) != add(b, a):
+                raise AxiomViolation("additive-commutativity", f"{a} + {b} != {b} + {a}")
+    for a, b, c in product(range(n), repeat=3):
+        if add(add(a, b), c) != add(a, add(b, c)):
+            raise AxiomViolation("additive-associativity", f"({a}+{b})+{c} != {a}+({b}+{c})")
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            raise AxiomViolation("associativity", f"({a}*{b})*{c} != {a}*({b}*{c})")
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            raise AxiomViolation("distributivity", f"{a}*({b}+{c}) != {a}*{b} + {a}*{c}")
+        if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
+            raise AxiomViolation("distributivity", f"({a}+{b})*{c} != {a}*{c} + {b}*{c}")
+
+
+def rejects(check, ring) -> bool:
+    try:
+        check(ring)
+    except AxiomViolation:
+        return True
+    return False
+
+
+class RawTables(FiniteRing):
+    """Addition and multiplication tables taken as given, with no check; the
+    negative of an element whose row has no 0 is taken to be 0."""
+
+    def __init__(self, add, mul):
+        self.size = len(add)
+        self._add, self._mul = add, mul
+        self._neg = [row.index(0) if 0 in row else 0 for row in add]
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a][b]
+
+
 def _law(failure):
     return None if failure is None else failure[0]
 
@@ -145,6 +205,77 @@ def _random_map(ring, data):
     if data.draw(st.booleans()):
         values[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
     return values
+
+
+S3 = sorted(permutations(range(3)))  # the identity comes first
+
+
+def _s3_table():
+    """The non-abelian group S3 written additively."""
+    return [[S3.index(tuple(p[i] for i in q)) for q in S3] for p in S3]
+
+
+def _bilinear_tables(data):
+    """(Z/m)^k with a product given by random structure constants on the unit
+    vectors: distributive by construction, rarely associative."""
+    m, k = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]))
+    n = m ** k
+    digits = [[x // m ** i % m for i in range(k)] for x in range(n)]
+    unit = [[data.draw(st.integers(0, n - 1)) for _ in range(k)] for _ in range(k)]
+    add = [[sum((a + b) % m * m ** i for i, (a, b) in enumerate(zip(digits[x], digits[y])))
+            for y in range(n)] for x in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for x, y in product(range(n), repeat=2):
+        for i, j in product(range(k), repeat=2):
+            for _ in range(digits[x][i] * digits[y][j]):
+                mul[x][y] = add[mul[x][y]][unit[i][j]]
+    return add, mul
+
+
+def _random_tables(data):
+    """Tables of at most 16 elements, then possibly one entry of either table
+    changed (an addition entry possibly together with its mirror).  Sources:
+    a carrier of the file relabelled with 0 kept fixed; a random magma pair
+    with 0 as additive identity and absorbing element; a random bilinear
+    product; S3 as addition with the zero product; Z/n with the associative
+    product x*y = x for y != 0, which is right but not left distributive, or
+    its mirror."""
+    source = data.draw(st.sampled_from(["carrier", "magma", "bilinear", "s3", "one-sided"]))
+    if source == "carrier":
+        ring = carrier(data.draw(st.integers(0, len(CARRIERS) - 1)))
+        n = ring.size
+        perm = [0] + data.draw(st.permutations(range(1, n)))
+        add = [[0] * n for _ in range(n)]
+        mul = [[0] * n for _ in range(n)]
+        for a, b in product(range(n), repeat=2):
+            add[perm[a]][perm[b]] = perm[ring.add(a, b)]
+            mul[perm[a]][perm[b]] = perm[ring.mul(a, b)]
+    elif source == "magma":
+        n = data.draw(st.integers(1, 4))
+        entry = st.integers(0, n - 1)
+        add = [[a if b == 0 else b if a == 0 else data.draw(entry) for b in range(n)]
+               for a in range(n)]
+        mul = [[0 if 0 in (a, b) else data.draw(entry) for b in range(n)] for a in range(n)]
+    elif source == "bilinear":
+        add, mul = _bilinear_tables(data)
+        n = len(add)
+    elif source == "s3":
+        add, n = _s3_table(), 6
+        mul = [[0] * n for _ in range(n)]
+    else:
+        n = data.draw(st.integers(2, 8))
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        mul = [[a if b else 0 for b in range(n)] for a in range(n)]
+        if data.draw(st.booleans()):
+            mul = [list(col) for col in zip(*mul)]
+    kind = data.draw(st.sampled_from(["none", "add", "add+mirror", "mul"]))
+    if kind != "none":
+        a, b, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table = mul if kind == "mul" else add
+        table[a][b] = v
+        if kind == "add+mirror":
+            table[b][a] = v
+    return add, mul
 
 
 def _random_subset(ring, data):
@@ -333,3 +464,91 @@ class TestFirstIdentity:
             members = list(ring.elements())
             assert (first_identity(ring, members, ring.additive_generators())
                     == naive_identity(ring, members, members) == ring.one)
+
+
+class TestValidateRing:
+
+    @settings(max_examples=300, **COMMON)
+    @given(st.data())
+    def test_rejects_exactly_when_the_all_triples_reference_does(self, data):
+        ring = RawTables(*_random_tables(data))
+        assert rejects(validate_ring, ring) == rejects(reference_validate_ring, ring)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corrupted_z128_products_are_rejected(self, seed):
+        rng = random.Random(seed)
+        a, b = rng.randrange(128), rng.randrange(128)
+        add = [[(x + y) % 128 for y in range(128)] for x in range(128)]
+        mul = [[x * y % 128 for y in range(128)] for x in range(128)]
+        mul[a][b] = (mul[a][b] + 1) % 128
+        with pytest.raises(AxiomViolation):
+            TableRing(add, mul)
+
+    @staticmethod
+    def _cycling_addition(n):
+        """Z/n addition with 3 + 1 = 1 + 3 = 2: the multiples of 1 run
+        1, 2, 3, 2, 3, ... and never return to 0."""
+        add = [[(x + y) % n for y in range(n)] for x in range(n)]
+        add[3][1] = add[1][3] = 2
+        return add
+
+    @pytest.mark.parametrize("n", [160, 200, 256])
+    def test_addition_whose_multiples_cycle_is_rejected(self, n):
+        with pytest.raises(AxiomViolation, match="multiples of 1"):
+            TableRing(self._cycling_addition(n), [[0] * n for _ in range(n)])
+
+    def test_validate_exits_1_on_addition_whose_multiples_cycle(self, tmp_path, capsys):
+        n = 160
+        instance = {
+            "groupoid": {"objects": ["e"], "morphisms": [], "inverse": {}, "compose": []},
+            "groupoid_ring": {"base": {"table": {
+                "add": self._cycling_addition(n), "mul": [[0] * n for _ in range(n)]}}},
+        }
+        path = tmp_path / "cycling.json"
+        path.write_text(json.dumps(instance))
+        assert cli.main(["validate", str(path)]) == 1
+        assert "multiples of 1" in capsys.readouterr().err
+
+    def test_small_skew_rings_pass_the_all_triples_reference(self, monkeypatch, capsys):
+        built = {}
+        init = SkewGroupoidRing.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[id(self)] = self
+
+        monkeypatch.setattr(SkewGroupoidRing, "__init__", recording_init)
+        for path in sorted((ROOT / "fixtures").glob("*.json")):
+            for command in ("prime", "equivalence"):
+                cli.main([command, str(path)])
+        capsys.readouterr()
+        run_fuzz(2, 8)
+        small = [ring for ring in built.values() if ring.size <= 64]
+        assert {ring.size for ring in small} == {2, 4, 16, 64}
+        for ring in small:
+            reference_validate_ring(ring)
+
+    def test_broken_skew_product_raises_associativity_failure(self, monkeypatch):
+        # GF(2)[C2] with the product u*t of its two generators u = 1*d(e),
+        # t = 1*d(t) sent to 0: then (u*t)*t = 0 but u*(t*t) = u
+        action = groupoid_ring_action(GaloisField(2),
+                                      one_object_groupoid(FiniteGroup.cyclic(2), "e"))
+        mul = SkewGroupoidRing.mul
+
+        def broken(self, a, b):
+            return 0 if (a, b) == self.additive_generators() else mul(self, a, b)
+
+        monkeypatch.setattr(SkewGroupoidRing, "mul", broken)
+        with pytest.raises(AssociativityFailure, match="not associative"):
+            build_skew_ring(action)
+
+
+def test_only_the_fuzzer_imports_random():
+    importers = set()
+    for path in Path(gprime.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "random" for name in names):
+                importers.add(path.name)
+    assert importers == {"fuzz.py"}
