@@ -370,7 +370,8 @@ def invariant_closure(grading: Grading, seed: Iterable[int]) -> AdditiveSubgroup
     products with the identity-component ring's additive generators (ideal
     closure) and sandwiches u*x*v over generator pairs of S_g^-1, S_g for
     every morphism g (conjugation closure).  Bilinearity makes generator
-    pairs sufficient on both rules.
+    pairs sufficient on both rules.  Closures cached on the grading are
+    reused.
     """
     P = grading.principal_part()
     ring = grading.ring
@@ -394,7 +395,7 @@ def invariant_closure(grading: Grading, seed: Iterable[int]) -> AdditiveSubgroup
                 for v in vgens:
                     yield mul(ux, v)
 
-    return close(ring, seed, produce)
+    return close(ring, seed, produce, grading._inv_cache)
 
 
 def _cached_invariant_closure(grading: Grading, a: int) -> AdditiveSubgroup:

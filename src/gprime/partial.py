@@ -20,6 +20,7 @@ falsification alarm instead of being smoothed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
@@ -86,8 +87,8 @@ class PartialAction:
         self.ideals: Tuple[AdditiveSubgroup, ...] = tuple(ideals)
         self.maps: Tuple[Dict[int, int], ...] = tuple(maps)
         self._closure_cache: Dict[int, Ideal] = {}
-        self._iso_cache: Dict[int, "PartialAction"] = {}
         self._skew: Optional[Grading] = None
+        self._derived: Dict[tuple, object] = {}
 
     def sigma(self, g: int, x: int) -> int:
         """Apply sigma_g to x; x must lie in A_{g^{-1}}."""
@@ -107,6 +108,18 @@ class PartialAction:
     def __repr__(self) -> str:
         return (f"PartialAction({self.ambient.tag}, "
                 f"{self.groupoid.n_morphisms} morphisms)")
+
+
+def _once_per_action(fn):
+    """Decorate ``fn(action, *args)`` to run once per action and argument
+    tuple, its result kept on the action."""
+    @wraps(fn)
+    def cached(action: PartialAction, *args):
+        key = (fn.__name__, *args)
+        if key not in action._derived:
+            action._derived[key] = fn(action, *args)
+        return action._derived[key]
+    return cached
 
 
 def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
@@ -265,6 +278,9 @@ class SkewGroupoidRing(FiniteRing):
 
     Elements are mixed-radix encodings of their coefficient tuples (morphism 0
     least significant, each digit indexing the sorted elements of its A_g).
+    Over an xor ambient each A_g is an F2-subspace, indexed additively by
+    its sorted elements (as in ``SubRing``) with a power-of-two radix, so
+    the encoding concatenates bits and the sum adds by xor.
     The product is the bilinear extension of
     (a delta_g)(b delta_h) = sigma_g(sigma_{g^{-1}}(a) b) delta_{gh} on
     composable pairs and zero otherwise.  Every computed coefficient is
@@ -286,6 +302,7 @@ class SkewGroupoidRing(FiniteRing):
                     f"refusing to build")
         self.size = size
         self.tag = f"skew({amb.tag}; {G.n_morphisms} morphisms)"
+        self._xor = amb._xor
         self._locals = locs
         self._pos = [{a: i for i, a in enumerate(loc)} for loc in locs]
         self._members = [frozenset(loc) for loc in locs]
@@ -341,6 +358,8 @@ class SkewGroupoidRing(FiniteRing):
     # -- ring operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self._xor:
+            return a ^ b
         amb = self.action.ambient
         out = 0
         for g, stride in enumerate(self._strides):
@@ -488,6 +507,7 @@ class GroupTypeResult:
     reason: Optional[str]
 
 
+@_once_per_action
 def is_group_type(action: PartialAction) -> GroupTypeResult:
     """Search for an anchor object with a transport family of morphisms.
 
@@ -557,6 +577,7 @@ def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal
     into the domain by right products against the generators of A_{g^{-1}}
     and then through sigma_g.  Right products suffice because the domain
     ideals are s-unital, making I ∩ A_{g^{-1}} equal to I·A_{g^{-1}}.
+    Closures cached on the action are reused.
     """
     amb = action.ambient
     G = action.groupoid
@@ -579,7 +600,7 @@ def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal
                 if p:
                     yield table[p]
 
-    span = close(amb, seed, produce)
+    span = close(amb, seed, produce, action._closure_cache)
     return Ideal(amb, span.elements, span.gens)
 
 
@@ -746,6 +767,7 @@ def group_type_chain(action: PartialAction, e: int) -> ChainResult:
     return result
 
 
+@_once_per_action
 def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     """The induced action of the loop group at ``e`` on the component there.
 
@@ -753,9 +775,6 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     one-object carrier; the result is re-validated from scratch rather than
     trusted, and cached per object.
     """
-    cached = action._iso_cache.get(e)
-    if cached is not None:
-        return cached
     G = action.groupoid
     if action.ideals[G.identity(e)].is_zero():
         raise ObjectNotInSupport(
@@ -776,9 +795,7 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
         gens[local] = [transfer(x) for x in action.ideals[parent].gens]
         tables[local] = {transfer(k): transfer(v)
                          for k, v in action.maps[parent].items()}
-    sub = validate_partial_action(sub_groupoid, new_amb, gens, tables)
-    action._iso_cache[e] = sub
-    return sub
+    return validate_partial_action(sub_groupoid, new_amb, gens, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +812,7 @@ class SkewPrimeVerdict:
     oracle: Optional[PrimeResult]
 
 
+@_once_per_action
 def isotropy_reduction(action: PartialAction,
                        bound: int = SKEW_RING_BOUND) -> Dict[int, bool]:
     """Alive object -> primeness of its isotropy skew ring, built under
@@ -805,6 +823,7 @@ def isotropy_reduction(action: PartialAction,
             for e in action.support_objects()}
 
 
+@_once_per_action
 def skew_prime_verdict(action: PartialAction,
                        bound: int = SKEW_RING_BOUND) -> SkewPrimeVerdict:
     """Primeness of the skew product, by oracle when buildable and through

@@ -9,6 +9,10 @@ The workhorse throughout is bilinearity: any additive subgroup is the span of
 a short generator list, and a product of spans is zero iff all generator
 pair-products are zero.  Closure routines multiply only pushed generators, so
 ideal computations cost a handful of ring products per doubling of the span.
+A closure reuses the closures cached before it: an element whose own closure
+is known contributes that closure's generators and is not multiplied again,
+and equal closures share one element set.  Carriers of characteristic 2 are
+indexed so that addition is the xor of indices (``FiniteRing._xor``).
 
 Every primeness criterion in the package runs on two helpers: ``close``, the
 one worklist closure, and ``first_zero_pair``, the one search for two
@@ -22,7 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Container, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
                      RingMismatch)
@@ -81,11 +86,17 @@ _QUADRATIC_IRREDUCIBLES: Dict[int, Tuple[int, int]] = {
 
 
 class FiniteRing:
-    """Base class; subclasses fill in add/neg/mul and a label scheme."""
+    """Base class; subclasses fill in add/neg/mul and a label scheme.
+
+    ``_xor`` marks a carrier whose addition is the xor of element indices:
+    a ring of characteristic 2 indexed by bit vectors (see ``_VectorRing``
+    and ``SubRing`` for why their indexings qualify).
+    """
 
     size: int = 0
     tag: str = "ring"
     one: Optional[int] = None
+    _xor: bool = False
 
     def add(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -95,9 +106,6 @@ class FiniteRing:
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def elements(self) -> range:
         return range(self.size)
@@ -128,9 +136,14 @@ def _greedy_generators(ring: FiniteRing) -> Tuple[int, ...]:
 
 
 def _extend_span(ring: FiniteRing, span: set, x: int) -> bool:
-    """Grow ``span`` (an additive subgroup) to include x; returns True if it grew."""
+    """Grow ``span`` (an additive subgroup) to include x; returns True if it grew.
+
+    On an xor carrier x has order 2, so x + span is the only new coset."""
     if x in span:
         return False
+    if ring._xor:
+        span.update([s ^ x for s in span])
+        return True
     cosets = []
     y = x
     while y not in span:
@@ -158,6 +171,7 @@ class CyclicRing(FiniteRing):
         self.size = n
         self.tag = f"Z{n}"
         self.one = 1 % n
+        self._xor = n == 2
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.size
@@ -189,6 +203,7 @@ class GaloisField(FiniteRing):
         self.size = p ** k
         self.tag = f"GF({self.size})"
         self.one = 1
+        self._xor = p == 2
         if k == 2:
             if p not in _QUADRATIC_IRREDUCIBLES:
                 raise MalformedInput(f"no quadratic irreducible on file for characteristic {p}")
@@ -254,6 +269,12 @@ class TableRing(FiniteRing):
         self.tag = f"table[{n}]"
         self._add = tuple(tuple(int(x) for x in row) for row in add_table)
         self._mul = tuple(tuple(int(x) for x in row) for row in mul_table)
+        bad = next(((name, a, b, x) for name, table in (("add", self._add), ("mul", self._mul))
+                    for a, row in enumerate(table) for b, x in enumerate(row)
+                    if not 0 <= x < n), None)
+        if bad is not None:
+            raise MalformedInput("table entry {}[{}][{}] = {} is not an element of "
+                                 "0..{}".format(*bad, n - 1))
         self._labels = tuple(labels) if labels is not None else None
         self._neg = [0] * n
         for a in range(n):
@@ -287,7 +308,11 @@ def _scaled(base: FiniteRing, c: int, name: str) -> str:
 
 
 class _VectorRing(FiniteRing):
-    """Shared machinery for carriers that are mixed-radix digit vectors."""
+    """Shared machinery for carriers that are mixed-radix digit vectors.
+
+    When every digit ring adds by xor, each radix is a power of two and the
+    index is the concatenation of the digits' bits, so the vector adds by xor.
+    """
 
     def __init__(self, digit_rings: Sequence[FiniteRing]):
         self._digits: Tuple[FiniteRing, ...] = tuple(digit_rings)
@@ -296,10 +321,7 @@ class _VectorRing(FiniteRing):
         self.size = 1
         for r in self._digits:
             self.size *= r.size
-        self._xor = all(getattr(r, "_is_xor", False) or
-                        (isinstance(r, (CyclicRing, GaloisField)) and getattr(r, "p", r.size) == 2)
-                        for r in self._digits)
-        self._is_xor = self._xor
+        self._xor = all(r._xor for r in self._digits)
         self._dec: Optional[List[Tuple[int, ...]]] = None
 
     def _decode_table(self) -> List[Tuple[int, ...]]:
@@ -488,7 +510,14 @@ class GroupRing(_VectorRing):
 class SubRing(FiniteRing):
     """A multiplicatively closed additive subgroup of a parent, re-indexed
     densely; closure and the identity are decided on the generators of its
-    ``additive_closure`` by ``first_escape`` and ``first_identity``."""
+    ``additive_closure`` by ``first_escape`` and ``first_identity``.
+
+    On an xor parent the subgroup is an F2-subspace of bit vectors.  Its
+    reduced echelon basis has distinct leading bits, each set in one basis
+    vector only, so sorting the elements orders them as the binary numbers
+    of their basis coordinates: the position of v ^ w is the xor of the
+    positions of v and w, and the subring adds by xor too.
+    """
 
     def __init__(self, parent: FiniteRing, elements: Iterable[int]):
         elems = sorted(set(elements))
@@ -499,6 +528,7 @@ class SubRing(FiniteRing):
         self.from_parent: Dict[int, int] = {p: i for i, p in enumerate(elems)}
         self.size = len(elems)
         self.tag = f"sub[{self.size}]({parent.tag})"
+        self._xor = parent._xor
         span = additive_closure(parent, elems)
         if len(span) != self.size:
             raise MalformedInput(f"subset not additively closed: it spans {len(span)} elements")
@@ -510,6 +540,8 @@ class SubRing(FiniteRing):
         self.one = None if u is None else self.from_parent[u]
 
     def add(self, a: int, b: int) -> int:
+        if self._xor:
+            return a ^ b
         return self.from_parent[self.parent.add(self.to_parent[a], self.to_parent[b])]
 
     def neg(self, a: int) -> int:
@@ -570,25 +602,54 @@ def set_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> AdditiveSubgroup:
 
 
 def close(ring: FiniteRing, seed: Iterable[int],
-          produce: Callable[[int], Iterable[int]]) -> AdditiveSubgroup:
+          produce: Callable[[int], Iterable[int]],
+          cache: Mapping[int, AdditiveSubgroup]) -> AdditiveSubgroup:
     """The smallest additive subgroup containing ``seed`` and closed under
     ``produce``, which by bilinearity only ever sees pushed generators.
 
     Worklist closure: each element that enlarges the span is pushed (it
     becomes the next generator of the result) and its products are queued.
+    ``cache`` maps elements to their own closures under the same rules.  An
+    element found there is absorbed instead: the generators of its closure
+    join the span and nothing is multiplied, since that closure is closed
+    already.  When the span ends no larger than the widest closure absorbed,
+    that cached object is returned, so equal closures share one element set.
+    Exact because every closure here is monotone and idempotent: for p in
+    C(S), C({p}) is contained in C(C(S)) = C(S), so absorbing C({p}) never
+    leaves C(S), and the result still contains S and is closed.
     """
     span = {0}
     pushed: List[int] = []
+    widest: Optional[AdditiveSubgroup] = None
     work = deque(seed)
     while work:
         x = work.popleft()
-        if not _extend_span(ring, span, x):
+        if x in span:
             continue
+        hit = cache.get(x)
+        if hit is not None:
+            pushed.extend(g for g in hit.gens if _extend_span(ring, span, g))
+            if widest is None or len(hit) > len(widest):
+                widest = hit
+            continue
+        _extend_span(ring, span, x)
         pushed.append(x)
         for p in produce(x):
             if p not in span:
                 work.append(p)
+    if widest is not None and len(widest) == len(span):
+        return widest
     return AdditiveSubgroup(ring, frozenset(span), tuple(pushed))
+
+
+def _pid_cache(ring: FiniteRing) -> Dict[int, Ideal]:
+    """The ring's cache of principal ideals, made on first use.  Set as an
+    attribute: materialising ``vars(ring)`` slows every later attribute
+    lookup on the ring under CPython 3.11."""
+    cache = getattr(ring, "_pid_cache", None)
+    if cache is None:
+        cache = ring._pid_cache = {}
+    return cache
 
 
 def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
@@ -597,12 +658,14 @@ def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
     Closure under products (both sides) with the ring's additive generators;
     by bilinearity that already covers multiplication by every ring element.
     The span always contains the additive multiples of the seed, so the result
-    is correct without any unitality assumption.
+    is correct without any unitality assumption.  Cached principal ideals are
+    reused (see ``close``).
     """
     rgens = ring.additive_generators()
     mul = ring.mul
     span = close(ring, seed, lambda x: [p for r in rgens
-                                        for p in (mul(r, x), mul(x, r))])
+                                        for p in (mul(r, x), mul(x, r))],
+                 _pid_cache(ring))
     return Ideal(ring, span.elements, span.gens)
 
 
@@ -616,9 +679,7 @@ def _memo(cache: Dict, key: int, compute: Callable[[int], AdditiveSubgroup]):
 
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     """The ideal generated by one element, cached per ring."""
-    if not hasattr(ring, "_pid_cache"):
-        ring._pid_cache = {}
-    return _memo(ring._pid_cache, a, lambda x: ideal_generated(ring, [x]))
+    return _memo(_pid_cache(ring), a, lambda x: ideal_generated(ring, [x]))
 
 
 def is_zero_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> bool:

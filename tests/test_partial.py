@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import gprime.partial
+from gprime import cli
 from conftest import (
     build_flip_partial_action,
     build_g8_frobenius_action,
@@ -27,6 +31,8 @@ from gprime.partial import (GroupTypeResult, build_groupoid_ring, build_skew_rin
                             validate_partial_action)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, MatrixRing,
                           SubRing, additive_closure, is_prime_bruteforce)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def two_point_setup():
@@ -377,6 +383,25 @@ class TestIsotropyReduction:
                             lambda action: GroupTypeResult(True, 0, {0: 0}, None))
         with pytest.raises(InternalDisagreement):
             skew_prime_verdict(zero_action)
+
+    def test_default_prime_derives_each_verdict_once(self, monkeypatch, capsys):
+        # count entries into the undecorated bodies, however they are reached
+        names = ("skew_prime_verdict", "isotropy_reduction", "is_group_type")
+        codes = {getattr(gprime.partial, n).__wrapped__.__code__: n for n in names}
+        counts = dict.fromkeys(names, 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                counts[codes[frame.f_code]] += 1
+
+        monkeypatch.chdir(ROOT)
+        sys.setprofile(profile)
+        try:
+            code = cli.main(["prime", "fixtures/global_flip_partial_action.json"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and "verdict: yes" in capsys.readouterr().out
+        assert counts == dict.fromkeys(names, 1)
 
 
 class TestGlobalConnectivity:

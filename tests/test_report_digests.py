@@ -5,6 +5,7 @@ output formats (108 reports); the exit code and the sha256 of stdout must
 match ``report_digests.json``.  The reports name their input file, so the
 fixtures are passed as paths relative to the repository root.  A change that
 is meant to alter a report must update the digest file in the same commit.
+The summary of ``run_fuzz(7, 30)`` is pinned the same way, in this file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from gprime import cli
+from gprime.fuzz import run_fuzz
+from gprime.instances import instance_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((ROOT / "tests" / "report_digests.json").read_text())
@@ -43,3 +46,12 @@ def test_report_bytes_and_exit_code(key, capsys, monkeypatch):
     code = cli.main([*COMMANDS[command], f"fixtures/{name}.json", "--output", fmt])
     out = capsys.readouterr().out
     assert [code, hashlib.sha256(out.encode()).hexdigest()] == DIGESTS[key]
+
+
+# sha256 of the canonical JSON of run_fuzz(7, 30).summary(): every instance's
+# kind, carrier, size, verdict and check count, pinned like the reports.
+FUZZ_7_30_SUMMARY_SHA256 = "a15f6dbbac220782917bbec3229eaaf8330c6531dbea83c2508d5be23e4c009a"
+
+
+def test_fuzz_summary_is_pinned():
+    assert instance_digest(run_fuzz(7, 30).summary()) == FUZZ_7_30_SUMMARY_SHA256

@@ -509,6 +509,21 @@ class TestValidateRing:
         assert cli.main(["validate", str(path)]) == 1
         assert "multiples of 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [7, -1])
+    def test_validate_exits_1_on_table_entry_out_of_range(self, entry, tmp_path, capsys):
+        add = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+        add[1][1] = entry
+        instance = {
+            "groupoid": {"objects": ["e"], "morphisms": [], "inverse": {}, "compose": []},
+            "groupoid_ring": {"base": {"table": {
+                "add": add, "mul": [[x * y % 3 for y in range(3)] for x in range(3)]}}},
+        }
+        path = tmp_path / "out_of_range.json"
+        path.write_text(json.dumps(instance))
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"gprime: error: table entry add[1][1] = {entry} is not an element of 0..2\n"
+
     def test_small_skew_rings_pass_the_all_triples_reference(self, monkeypatch, capsys):
         built = {}
         init = SkewGroupoidRing.__init__
