@@ -24,7 +24,7 @@ from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
                      ObjectNotInSupport)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
-from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _memo,
+from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Closures, _memo,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
 
@@ -66,7 +66,7 @@ class Grading:
         self._stage_maps = stage_maps
         self._principal: Optional[AdditiveSubgroup] = None
         self._principal_ring: Optional[SubRing] = None
-        self._inv_cache: Dict[int, AdditiveSubgroup] = {}
+        self._inv_cache = _Closures(AdditiveSubgroup)
 
     def component(self, g: int) -> AdditiveSubgroup:
         return self.components[g]
@@ -191,7 +191,7 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
                                 f"compatibility: S_{groupoid.morphisms[g]} * "
                                 f"S_{groupoid.morphisms[h]} is nonzero on a non-composable pair "
                                 f"(witness {ring.label(a)} * {ring.label(b)} = {ring.label(p)})")
-                    elif p not in target.elements:
+                    elif p not in target:
                         violations.append(
                             f"compatibility: {ring.label(a)} * {ring.label(b)} = {ring.label(p)} "
                             f"escapes S_{groupoid.morphisms[groupoid.compose(g, h)]}")
@@ -271,7 +271,7 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
         if not is_s_unital(x, x):
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 is not s-unital")
-        if set_product(x, sg).elements != sg.elements:
+        if set_product(x, sg).key != sg.key:
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 S_g != S_g")
         y = products[G.inv[g]]
@@ -357,7 +357,7 @@ def is_invariant(grading: Grading, sub: AdditiveSubgroup,
     """Whether conjugation by every morphism in ``hs`` (default: all) stays inside."""
     G = grading.groupoid
     for g in (range(G.n_morphisms) if hs is None else hs):
-        if not conjugate(grading, sub, g).elements <= sub.elements:
+        if not all(x in sub for x in conjugate(grading, sub, g).gens):
             return False, g
     return True, None
 
@@ -381,7 +381,7 @@ def invariant_closure(grading: Grading, seed: Iterable[int]) -> AdditiveSubgroup
                 for g in range(G.n_morphisms)]
     seed = list(seed)
     for x in seed:
-        if x not in P.elements:
+        if x not in P:
             raise MalformedInput(
                 f"{ring.label(x)} is not in the identity-component ring")
 
@@ -439,9 +439,9 @@ def psi(grading: Grading, sub: AdditiveSubgroup) -> GradedIdeal:
     re-checked and a failure raises through GradedIdeal.of.
     """
     P = grading.principal_part()
-    if not sub.elements <= P.elements:
+    if not all(x in P for x in sub.gens):
         raise NotInvariant("the given set does not live in the identity-component ring")
-    if first_escape(grading.ring, P.gens, sub.gens, sub.elements) is not None:
+    if first_escape(grading.ring, P.gens, sub.gens, sub) is not None:
         raise NotInvariant("not an ideal of the identity-component ring")
     ok, bad = is_invariant(grading, sub)
     if not ok:

@@ -45,6 +45,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from math import prod
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -290,6 +291,37 @@ def build_group(spec) -> FiniteGroup:
     if key == "cyclic":
         return FiniteGroup.cyclic(arg)
     return FiniteGroup.klein_four()
+
+
+def _spec_size(spec, cap: int) -> int:
+    """The element count of a ring spec, read off the spec alone, or ``cap``
+    if that count is at least ``cap``."""
+    key, arg = next(iter(spec.items()))
+    if key in ("cyclic", "field") and isinstance(arg, int):
+        return min(arg, cap)
+    if key == "table":
+        return min(len(arg["add"]), cap)
+    if key == "direct_sum":
+        return min(prod(_spec_size(part, cap) for part in arg["parts"]), cap)
+    if key == "field":
+        base, exponent = arg
+    elif key == "matrix":
+        base, exponent = _spec_size(arg["base"], cap), arg["n"] ** 2
+    else:
+        base, exponent = _spec_size(arg["base"], cap), _group_order(arg["group"])
+    return cap if base > 1 and exponent >= cap.bit_length() else min(base ** exponent, cap)
+
+
+def _group_order(spec) -> int:
+    if "labels" in spec:
+        return len(spec["labels"])
+    key, arg = next(iter(spec.items()))
+    return {"trivial": 1, "cyclic": arg}.get(key, 4)
+
+
+def _refuse_above(spec, bound: int, what: str) -> None:
+    if _spec_size(spec, bound + 1) > bound:
+        raise BoundExceeded(f"{what} has more than {bound} elements; refusing to build it")
 
 
 def build_ring(spec) -> FiniteRing:
@@ -542,11 +574,14 @@ def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltIns
     G = validate_groupoid(instance.raw["groupoid"])
     sec = instance.raw[instance.kind]
     if instance.kind == "grading":
+        _refuse_above(sec["ring"], bound, "the grading ring")
         ring = build_ring(sec["ring"])
         comps = {G.morphism_index(label): [parse_element(s, ring) for s in exprs]
                  for label, exprs in sec["components"].items()}
         return BuiltInstance(instance, G, grading=validate_grading(G, ring, comps))
     if instance.kind == "partial_action":
+        for obj in G.objects:
+            _refuse_above(sec["parts"][obj], bound, f"the ambient part at {obj!r}")
         amb = DirectSumRing([build_ring(sec["parts"][obj]) for obj in G.objects],
                             keys=G.objects)
         gens = {G.morphism_index(label): [parse_element(s, amb) for s in exprs]

@@ -34,7 +34,8 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
                        isotropy, one_object_groupoid, orbit)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
-                    FiniteRing, Ideal, PrimeResult, _memo, additive_closure, close,
+                    FiniteRing, Ideal, PrimeResult, _Closures, _Coordinates,
+                    _memo, _mixed_radix_table, additive_closure, close,
                     first_escape, first_hom_failure, first_identity,
                     first_nonassociative, first_zero_pair, is_maximal_commutative,
                     is_prime_bruteforce, is_s_unital, principal_ideal)
@@ -86,7 +87,7 @@ class PartialAction:
         self.ambient = ambient
         self.ideals: Tuple[AdditiveSubgroup, ...] = tuple(ideals)
         self.maps: Tuple[Dict[int, int], ...] = tuple(maps)
-        self._closure_cache: Dict[int, Ideal] = {}
+        self._closure_cache = _Closures(Ideal)
         self._skew: Optional[Grading] = None
         self._derived: Dict[tuple, object] = {}
 
@@ -163,7 +164,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             comp = ambient.component_subgroup(G.objects[g])
             if gens:
                 given = additive_closure(ambient, gens)
-                if given.elements != comp.elements:
+                if given.key != comp.key:
                     violations.append((
                         "object-sum",
                         f"generators for A_{G.morphisms[g]} span {len(given)} elements, "
@@ -177,14 +178,14 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             continue
         comp = ideals[G.identity(G.rng[g])]
         ag = ideals[g]
-        outside = next((x for x in ag.gens if x not in comp.elements), None)
+        outside = next((x for x in ag.gens if x not in comp), None)
         if outside is not None:
             violations.append((
                 "ideal",
                 f"A_{G.morphisms[g]} is not contained in the component at "
                 f"{G.objects[G.rng[g]]!r} (witness {ambient.label(outside)})"))
             continue
-        escaped = first_escape(ambient, comp.gens, ag.gens, ag.elements)
+        escaped = first_escape(ambient, comp.gens, ag.gens, ag)
         if escaped is not None:
             violations.append((
                 "ideal",
@@ -244,7 +245,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             continue
         inv_h = {v: k for k, v in tables[h].items()}
         escape = next((y for y in sorted(ideals[G.inv[g]].elements & ideals[h].elements)
-                       if inv_h[y] not in ideals[G.inv[gh]].elements), None)
+                       if inv_h[y] not in ideals[G.inv[gh]]), None)
         if escape is not None:
             violations.append((
                 "domain",
@@ -253,7 +254,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
                 f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})"))
         for x in sorted(tables[h]):
             y = tables[h][x]
-            if y not in ideals[G.inv[g]].elements:
+            if y not in ideals[G.inv[g]]:
                 continue
             if tables[gh].get(x) != tables[g][y]:
                 violations.append((
@@ -278,9 +279,8 @@ class SkewGroupoidRing(FiniteRing):
 
     Elements are mixed-radix encodings of their coefficient tuples (morphism 0
     least significant, each digit indexing the sorted elements of its A_g).
-    Over an xor ambient each A_g is an F2-subspace, indexed additively by
-    its sorted elements (as in ``SubRing``) with a power-of-two radix, so
-    the encoding concatenates bits and the sum adds by xor.
+    The coordinates of an element concatenate the ambient coordinates of its
+    coefficients, so the sum is coordinatewise in the ambient.
     The product is the bilinear extension of
     (a delta_g)(b delta_h) = sigma_g(sigma_{g^{-1}}(a) b) delta_{gh} on
     composable pairs and zero otherwise.  Every computed coefficient is
@@ -302,29 +302,14 @@ class SkewGroupoidRing(FiniteRing):
                     f"refusing to build")
         self.size = size
         self.tag = f"skew({amb.tag}; {G.n_morphisms} morphisms)"
-        self._xor = amb._xor
+        self.moduli = amb.moduli * G.n_morphisms
         self._locals = locs
-        self._pos = [{a: i for i, a in enumerate(loc)} for loc in locs]
         self._members = [frozenset(loc) for loc in locs]
-        strides = []
-        acc = 1
+        coeffs: List[Tuple[int, ...]] = [()]
         for loc in locs:
-            strides.append(acc)
-            acc *= len(loc)
-        self._strides = strides
-        coeffs: List[Tuple[int, ...]] = []
-        for x in range(size):
-            digs = []
-            y = x
-            for loc in locs:
-                y, r = divmod(y, len(loc))
-                digs.append(loc[r])
-            coeffs.append(tuple(digs))
+            coeffs = [c + (a,) for a in loc for c in coeffs]
         self._coeffs = coeffs
-        # small per-digit add tables keep the span closures over the carrier fast
-        self._ladd = [[[self._pos[g][amb.add(x, y)] for y in loc] for x in loc]
-                      if len(loc) <= 64 else None
-                      for g, loc in enumerate(locs)]
+        self._index = {c: x for x, c in enumerate(coeffs)}
         self._mul_memo: Dict[Tuple[int, int], int] = {}
         # the cache FiniteRing.additive_generators reads
         self._gens = tuple(self.inject(g, a) for g, ideal in enumerate(action.ideals)
@@ -333,16 +318,19 @@ class SkewGroupoidRing(FiniteRing):
 
     # -- encoding -----------------------------------------------------------
 
+    def _coordinate_table(self, c: _Coordinates) -> List[int]:
+        amb = self.action.ambient
+        return _mixed_radix_table(c, [[amb.coordinates(x) for x in loc]
+                                      for loc in self._locals])
+
     def encode(self, coeffs: Sequence[int]) -> int:
         """The element with the given ambient coefficient per morphism."""
-        x = 0
-        for g, stride in enumerate(self._strides):
-            try:
-                x += stride * self._pos[g][coeffs[g]]
-            except KeyError:
-                raise MalformedInput(
-                    f"coefficient {self.action.ambient.label(coeffs[g])} lies "
-                    f"outside A_{self.action.groupoid.morphisms[g]}") from None
+        x = self._index.get(tuple(coeffs))
+        if x is None:
+            g = next(g for g, a in enumerate(coeffs) if a not in self._members[g])
+            raise MalformedInput(
+                f"coefficient {self.action.ambient.label(coeffs[g])} lies "
+                f"outside A_{self.action.groupoid.morphisms[g]}")
         return x
 
     def coefficients(self, x: int) -> Tuple[int, ...]:
@@ -356,31 +344,6 @@ class SkewGroupoidRing(FiniteRing):
         return self.encode(coeffs)
 
     # -- ring operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._xor:
-            return a ^ b
-        amb = self.action.ambient
-        out = 0
-        for g, stride in enumerate(self._strides):
-            loc = self._locals[g]
-            radix = len(loc)
-            da = (a // stride) % radix
-            db = (b // stride) % radix
-            tbl = self._ladd[g]
-            if tbl is not None:
-                out += stride * tbl[da][db]
-            else:
-                out += stride * self._pos[g][amb.add(loc[da], loc[db])]
-        return out
-
-    def neg(self, a: int) -> int:
-        amb = self.action.ambient
-        out = 0
-        for g, stride in enumerate(self._strides):
-            loc = self._locals[g]
-            out += stride * self._pos[g][amb.neg(loc[(a // stride) % len(loc)])]
-        return out
 
     def mul(self, a: int, b: int) -> int:
         key = (a, b)
@@ -493,8 +456,7 @@ def build_groupoid_ring(base: FiniteRing, groupoid: FiniteGroupoid,
 def is_global(action: PartialAction) -> bool:
     """Whether every attached ideal is the full component at its range."""
     G = action.groupoid
-    return all(action.ideals[g].elements
-               == action.ideals[G.identity(G.rng[g])].elements
+    return all(action.ideals[g].key == action.ideals[G.identity(G.rng[g])].key
                for g in range(G.n_morphisms))
 
 
@@ -521,16 +483,16 @@ def is_group_type(action: PartialAction) -> GroupTypeResult:
     if not is_connected(G):
         return GroupTypeResult(False, None, {}, "the groupoid is not connected")
     for e in range(G.n_objects):
-        comp_e = action.ideals[G.identity(e)].elements
+        comp_e = action.ideals[G.identity(e)].key
         family = {e: G.identity(e)}
         for f in range(G.n_objects):
             if f == e:
                 continue
-            comp_f = action.ideals[G.identity(f)].elements
+            comp_f = action.ideals[G.identity(f)].key
             hit = next((h for h in range(G.n_morphisms)
                         if G.src[h] == e and G.rng[h] == f
-                        and action.ideals[G.inv[h]].elements == comp_e
-                        and action.ideals[h].elements == comp_f), None)
+                        and action.ideals[G.inv[h]].key == comp_e
+                        and action.ideals[h].key == comp_f), None)
             if hit is None:
                 break
             family[f] = hit
@@ -563,7 +525,7 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
     for g in morphs:
         table = action.maps[g]
         for x in action.ideals[G.inv[g]].elements & sub.elements:
-            if table[x] not in sub.elements:
+            if table[x] not in sub:
                 return False, g
     return True, None
 
@@ -600,8 +562,7 @@ def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal
                 if p:
                     yield table[p]
 
-    span = close(amb, seed, produce, action._closure_cache)
-    return Ideal(amb, span.elements, span.gens)
+    return close(amb, seed, produce, action._closure_cache)
 
 
 def _cached_sigma_closure(action: PartialAction, a: int) -> Ideal:
@@ -615,12 +576,18 @@ def is_A_G_prime(action: PartialAction,
     Pair form over nonzero ambient elements with sigma-invariant closures in
     place of arbitrary invariant ideals; the reduction is exact since any
     offending pair of ideals contains an offending pair of closures.  Witness
-    is the first failing pair in element order.
+    is the first failing pair in element order.  Ambients above ``bound``
+    are refused before the search, which runs once per action.
     """
     amb = action.ambient
     if amb.size > bound:
         raise BoundExceeded(f"ambient carrier {amb.size} exceeds {bound}")
-    pair = first_zero_pair(range(1, amb.size),
+    return _ambient_pair_search(action)
+
+
+@_once_per_action
+def _ambient_pair_search(action: PartialAction) -> PairCriterionResult:
+    pair = first_zero_pair(range(1, action.ambient.size),
                            lambda a: _cached_sigma_closure(action, a))
     return PairCriterionResult(pair is None, pair)
 
@@ -665,7 +632,7 @@ def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND) -> PsiCheckRe
                             amb.additive_generators())
     additive = bad is None or bad[0] != "additive"
     multiplicative = bad is None
-    primeness_match = (is_A_G_prime(action).holds
+    primeness_match = (is_A_G_prime(action, bound).holds
                        == is_G_prime_principal(grading).holds)
     checks = {"additive": additive, "multiplicative": multiplicative,
               "bijective": bijective, "primeness-comparison": primeness_match}
@@ -746,7 +713,7 @@ def group_type_chain(action: PartialAction, e: int) -> ChainResult:
         for a in action.ideals[g].sorted_elements():
             if a == 0:
                 continue
-            if not any(a in action.ideals[G.inv[k]].elements for k in ks):
+            if not any(a in action.ideals[G.inv[k]] for k in ks):
                 membership = False
             if not any(any(amb.mul(u, a) != 0 for u in action.ideals[G.inv[k]].gens)
                        for k in ks):
@@ -1036,7 +1003,7 @@ def sufficient_conditions_report(action: PartialAction,
     G = action.groupoid
     amb = action.ambient
     transport = is_group_type(action).holds
-    ambient_prime = is_A_G_prime(action).holds
+    ambient_prime = is_A_G_prime(action, bound).holds
     applicable = transport or ambient_prime
     agens = amb.additive_generators()
     commutative = all(amb.mul(a, b) == amb.mul(b, a)
@@ -1047,13 +1014,13 @@ def sufficient_conditions_report(action: PartialAction,
     for e in action.support_objects():
         group = isotropy(G, e)
         if trivial_at is None and group.order == 1 \
-                and is_prime_bruteforce(amb.parts[e]).prime:
+                and is_prime_bruteforce(amb.parts[e], bound).prime:
             trivial_at = e
         if intersection_at is not None and (maximal_at is not None or not commutative):
             continue
         sub = restrict_to_isotropy(action, e)
         sub_grading = build_skew_ring(sub, bound)
-        component_prime = is_A_G_prime(sub).holds
+        component_prime = is_A_G_prime(sub, bound).holds
         if intersection_at is None and component_prime \
                 and _meets_identity_part(sub_grading):
             intersection_at = e

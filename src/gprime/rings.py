@@ -5,14 +5,22 @@ Rings are not assumed unital or commutative.  Structured constructors
 multiplication table; products are computed digit-wise on demand, so e.g. the
 512-element ring of 3x3 matrices over the 2-element field stays cheap.
 
+Beside its element index every carrier has a coordinate map: (carrier, +)
+is carried into a product of cyclic groups Z/m_1 x ... x Z/m_k, where
+addition is coordinatewise, and each element's coordinates are packed into
+one int.  An additive subgroup is the canonical basis of its span in these
+coordinates (``_Basis``, the Hermite normal form modulo the relations
+m_i e_i), so membership is one reduction, the size follows from the pivots,
+and two subgroups are equal iff their bases are.  Element sets are built
+only for a caller that reads them.
+
 The workhorse throughout is bilinearity: any additive subgroup is the span of
 a short generator list, and a product of spans is zero iff all generator
 pair-products are zero.  Closure routines multiply only pushed generators, so
-ideal computations cost a handful of ring products per doubling of the span.
+ideal computations cost a handful of ring products per generator of the span.
 A closure reuses the closures cached before it: an element whose own closure
 is known contributes that closure's generators and is not multiplied again,
-and equal closures share one element set.  Carriers of characteristic 2 are
-indexed so that addition is the xor of indices (``FiniteRing._xor``).
+and equal closures are one object, found through their basis.
 
 Every primeness criterion in the package runs on two helpers: ``close``, the
 one worklist closure, and ``first_zero_pair``, the one search for two
@@ -26,8 +34,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import (Callable, Container, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from math import lcm, prod
+from operator import eq, xor
+from typing import (Callable, Container, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
                      RingMismatch)
@@ -86,26 +96,38 @@ _QUADRATIC_IRREDUCIBLES: Dict[int, Tuple[int, int]] = {
 
 
 class FiniteRing:
-    """Base class; subclasses fill in add/neg/mul and a label scheme.
+    """Base class; subclasses fill in mul, a label scheme and a coordinate map.
 
-    ``_xor`` marks a carrier whose addition is the xor of element indices:
-    a ring of characteristic 2 indexed by bit vectors (see ``_VectorRing``
-    and ``SubRing`` for why their indexings qualify).
+    The coordinate map carries element a to a vector of Z/m_1 x ... x Z/m_k
+    (``moduli``) so that addition is coordinatewise.  A carrier defines
+    either ``coordinates`` (one element) or ``_coordinate_table`` (every
+    element, packed); each default derives one from the other.  ``add`` and
+    ``neg`` run through the map unless a carrier has a rule of its own.
     """
 
     size: int = 0
     tag: str = "ring"
     one: Optional[int] = None
-    _xor: bool = False
+    moduli: Tuple[int, ...] = ()
+    _coordinate_map: Optional["_Coordinates"] = None
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        c = self._coordinate_map or _coordinates(self)
+        return c.index[c.add(c.of[a], c.of[b])]
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        c = self._coordinate_map or _coordinates(self)
+        return c.index[c.neg(c.of[a])]
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
+
+    def coordinates(self, a: int) -> Tuple[int, ...]:
+        c = _coordinates(self)
+        return tuple(c.unpack(c.of[a]))
+
+    def _coordinate_table(self, c: "_Coordinates") -> Sequence[int]:
+        return [c.pack(self.coordinates(a)) for a in range(self.size)]
 
     def elements(self) -> range:
         return range(self.size)
@@ -126,36 +148,202 @@ class FiniteRing:
 
 
 def _greedy_generators(ring: FiniteRing) -> Tuple[int, ...]:
+    """Each element in order that the earlier ones do not generate.  Found
+    on the addition alone, since ``validate_ring`` reads it before the ring
+    is known to be one (and so before coordinates exist): every element is
+    a left-bracketed sum of the result."""
     span = {0}
     gens: List[int] = []
     for x in range(ring.size):
         if x not in span:
             gens.append(x)
-            _extend_span(ring, span, x)
+            grown = set(span)
+            while grown:
+                grown = {ring.add(y, g) for y in grown for g in gens} - span
+                span |= grown
     return tuple(gens)
 
 
-def _extend_span(ring: FiniteRing, span: set, x: int) -> bool:
-    """Grow ``span`` (an additive subgroup) to include x; returns True if it grew.
+# ---------------------------------------------------------------------------
+# coordinates and canonical bases
+# ---------------------------------------------------------------------------
 
-    On an xor carrier x has order 2, so x + span is the only new coset."""
-    if x in span:
-        return False
-    if ring._xor:
-        span.update([s ^ x for s in span])
+class _Coordinates:
+    """A carrier's coordinate map, built on first use.  Coordinate i lies in
+    Z/moduli[i] and is packed into bits [i*w, (i+1)*w) of one int; ``of[a]``
+    is the vector of element a and ``index`` maps a normalized vector back
+    (one ``range`` where vectors and indices coincide).  When every modulus
+    is 2, w is 1 and vectors add by xor.  Otherwise w leaves room for k+2
+    multiples below the exponent E, so a reduction takes field remainders
+    only where it reads a field."""
+
+    def __init__(self, ring: FiniteRing):
+        ms = self.moduli = tuple(ring.moduli)
+        self.binary = all(m == 2 for m in ms)
+        self.exponent = lcm(*ms)
+        self.width = 1 if self.binary else (max(ms) * self.exponent * (len(ms) + 2)).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.fields = tuple((i * self.width, m) for i, m in enumerate(ms))
+        self.add = xor if self.binary else lambda u, v: self.normalize(u + v)
+        of = ring._coordinate_table(self)
+        if all(map(eq, of, range(ring.size))):
+            self.of = self.index = range(ring.size)
+        else:
+            self.of, self.index = of, {v: a for a, v in enumerate(of)}
+
+    def pack(self, coords: Iterable[int]) -> int:
+        return sum(c << s for c, (s, _) in zip(coords, self.fields))
+
+    def unpack(self, v: int) -> List[int]:
+        return [(v >> s & self.mask) % m for s, m in self.fields]
+
+    def normalize(self, v: int) -> int:
+        return v if self.binary else self.pack(self.unpack(v))
+
+    def neg(self, v: int) -> int:
+        return v if self.binary else self.pack(-c % m for c, m in zip(self.unpack(v), self.moduli))
+
+
+def _coordinates(ring: FiniteRing) -> _Coordinates:
+    c = ring._coordinate_map
+    if c is None:
+        c = ring._coordinate_map = _Coordinates(ring)
+    return c
+
+
+def _mixed_radix_table(c: _Coordinates, digits: Sequence[Sequence[Sequence[int]]]) -> List[int]:
+    """Packed vectors, in index order, of a mixed-radix carrier whose digit i
+    (least significant first) has coordinates ``digits[i][value]``; the
+    vector concatenates the digits' coordinates."""
+    table, at = [0], 0
+    for values in digits:
+        steps = [c.pack((0,) * at + tuple(v)) for v in values]
+        table = [x + s for s in steps for x in table]
+        at += len(values[0])
+    return table
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+class _Basis:
+    """The canonical basis of a subgroup of Z/m_1 x ... x Z/m_k.
+
+    ``rows`` maps a pivot column j to (d_j, row): the row has zeros before j
+    and d_j, a proper divisor of m_j, at j.  A column without a row stands
+    for the relation m_j e_j, so rows and relations form the Hermite normal
+    form of the subgroup's lattice in Z^k (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.2).  Rows are kept reduced (an entry at a
+    pivot column lies below that pivot) and (m_j/d_j) row_j lies in the span
+    of the later rows, so membership is one reduction down the columns, the
+    size is the product of the m_j/d_j, and equal subgroups have equal rows
+    (``key``).  Over GF(p) this is the reduced row echelon form.  When every
+    modulus is 2 a step of the reduction is (pivot bit, row), applied by
+    xor; otherwise it is (shift, m_j, d_j, row), in column order.
+    """
+
+    __slots__ = ("c", "rows", "_steps", "_free")
+
+    def __init__(self, coords: _Coordinates):
+        self.c = coords
+        self.rows: Dict[int, Tuple[int, int]] = {}
+        self._steps: List[tuple] = []
+        self._free = coords.fields
+
+    def key(self) -> frozenset:
+        return frozenset(step[-1] for step in self._steps)
+
+    def contains(self, v: int) -> bool:
+        if self.c.binary:
+            for bit, row in self._steps:
+                if v & bit:
+                    v ^= row
+            return not v
+        mask, e = self.c.mask, self.c.exponent
+        for s, m, d, row in self._steps:
+            a = (v >> s & mask) % m
+            if a:
+                if a % d:
+                    return False
+                v += (e - a // d) * row
+        for s, m in self._free:
+            if (v >> s & mask) % m:
+                return False
         return True
-    cosets = []
-    y = x
-    while y not in span:
-        cosets.append(y)
-        y = ring.add(y, x)
-    add = ring.add
-    base = list(span)
-    for c in cosets:
-        span.add(c)
-        for s in base:
-            span.add(add(s, c))
-    return True
+
+    def insert(self, v: int) -> bool:
+        """Extend the span by the packed vector v; False if it holds v.
+
+        At the first column j where v's entry a is not a multiple of the
+        pivot d (m_j without a row), the row becomes the gcd g of the two,
+        combined accordingly; v and the old row less multiples of it, and
+        (m_j/g) times it, are zero through j and are inserted in turn."""
+        c, steps = self.c, self._steps
+        if c.binary:
+            for bit, row in steps:
+                if v & bit:
+                    v ^= row
+            if not v:
+                return False
+            low = v & -v
+            self._steps = [(b, r ^ v if r & low else r) for b, r in steps] + [(low, v)]
+            return True
+        mask, e = c.mask, c.exponent
+        for j, (s, m) in enumerate(c.fields):
+            a = (v >> s & mask) % m
+            if not a:
+                continue
+            d, row = self.rows.get(j, (m, 0))
+            if a % d:
+                break
+            v += (e - a // d) * row
+        else:
+            return False
+        v = c.normalize(v)
+        g, x, y = _xgcd(d, a)
+        new = self._reduced(x % e * row + y % e * v, j)
+        self.rows[j] = (g, new)
+        for i, (di, ri) in list(self.rows.items()):
+            if i < j and ri >> s & mask >= g:
+                self.rows[i] = (di, self._reduced(ri, i))
+        self._steps = [(*c.fields[i], di, ri) for i, (di, ri) in sorted(self.rows.items())]
+        self._free = [f for i, f in enumerate(c.fields) if i not in self.rows]
+        for w in (v + (e - a // g) * new, row + (e - d // g) * new, m // g * new):
+            self.insert(w)
+        return True
+
+    def _reduced(self, row: int, after: int) -> int:
+        """``row`` normalized, with its entries at the pivot columns after
+        ``after`` brought below those pivots by the rows there."""
+        c = self.c
+        for j, (d, r) in sorted(self.rows.items()):
+            s, m = c.fields[j]
+            f = (row >> s & c.mask) % m
+            if j > after and f >= d:
+                row += (c.exponent - f // d) * r
+        return c.normalize(row)
+
+    def size(self) -> int:
+        if self.c.binary:
+            return 1 << len(self._steps)
+        return prod(m // d for _, m, d, _ in self._steps)
+
+    def vectors(self) -> List[int]:
+        """Every packed vector of the span, normalized."""
+        out = [0]
+        if self.c.binary:
+            for _, row in self._steps:
+                out += [x ^ row for x in out]
+            return out
+        for _, m, d, row in self._steps:
+            out = [x + k * row for k in range(m // d) for x in out]
+        return [self.c.normalize(x) for x in out]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +359,7 @@ class CyclicRing(FiniteRing):
         self.size = n
         self.tag = f"Z{n}"
         self.one = 1 % n
-        self._xor = n == 2
+        self.moduli = (n,) if n > 1 else ()
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.size
@@ -181,6 +369,9 @@ class CyclicRing(FiniteRing):
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.size
+
+    def coordinates(self, a: int) -> Tuple[int, ...]:
+        return (a,) if self.size > 1 else ()
 
     def additive_generators(self) -> Tuple[int, ...]:
         return (1,) if self.size > 1 else ()
@@ -203,7 +394,7 @@ class GaloisField(FiniteRing):
         self.size = p ** k
         self.tag = f"GF({self.size})"
         self.one = 1
-        self._xor = p == 2
+        self.moduli = (p,) * k
         if k == 2:
             if p not in _QUADRATIC_IRREDUCIBLES:
                 raise MalformedInput(f"no quadratic irreducible on file for characteristic {p}")
@@ -244,6 +435,9 @@ class GaloisField(FiniteRing):
             out = self.mul(out, a)
         return out
 
+    def coordinates(self, a: int) -> Tuple[int, ...]:
+        return (a,) if self.k == 1 else (a % self.p, a // self.p)
+
     def additive_generators(self) -> Tuple[int, ...]:
         return (1,) if self.k == 1 else (1, self.p)
 
@@ -256,7 +450,14 @@ class GaloisField(FiniteRing):
 
 
 class TableRing(FiniteRing):
-    """A ring given by explicit addition and multiplication tables."""
+    """A ring given by explicit addition and multiplication tables.
+
+    Its coordinates come from a cyclic decomposition of (carrier, +), made
+    once the tables are validated: summands x_1, x_2, ..., each of greatest
+    order modulo the sum of those before it.  Such a sum is a direct
+    summand, so x_i can be taken with exactly that order; the coordinates of
+    an element are its multiples of the x_i.
+    """
 
     def __init__(self, add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
                  labels: Optional[Sequence[str]] = None):
@@ -284,6 +485,35 @@ class TableRing(FiniteRing):
             self._neg[a] = row.index(0)
         validate_ring(self)
         self.one = first_identity(self, range(n), self.additive_generators())
+        self.moduli, self._coords = self._decompose()
+
+    def _decompose(self) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+        add, n = self.add, self.size
+        coords: Dict[int, Tuple[int, ...]] = {0: ()}
+        moduli: List[int] = []
+        while len(coords) < n:
+            o, y, z = 0, 0, 0    # greatest order modulo the sum, its element, o*y
+            for a in range(n):
+                b, k = a, 1
+                while b not in coords:
+                    b, k = add(b, a), k + 1
+                if k > o:
+                    o, y, z = k, a, b
+            for h in coords:     # some h in the sum has o*h == o*y
+                w = h
+                for _ in range(o - 1):
+                    w = add(w, h)
+                if w == z:
+                    break
+            x = add(y, self.neg(h))
+            multiples = list(accumulate(range(o - 1), lambda acc, _: add(acc, x), initial=0))
+            coords = {add(s, xc): t + (c,) for s, t in coords.items()
+                      for c, xc in enumerate(multiples)}
+            moduli.append(o)
+        return tuple(moduli), [coords[a] for a in range(n)]
+
+    def coordinates(self, a: int) -> Tuple[int, ...]:
+        return self._coords[a]
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -308,11 +538,8 @@ def _scaled(base: FiniteRing, c: int, name: str) -> str:
 
 
 class _VectorRing(FiniteRing):
-    """Shared machinery for carriers that are mixed-radix digit vectors.
-
-    When every digit ring adds by xor, each radix is a power of two and the
-    index is the concatenation of the digits' bits, so the vector adds by xor.
-    """
+    """Shared machinery for carriers that are mixed-radix digit vectors; the
+    coordinates concatenate the digits' coordinates."""
 
     def __init__(self, digit_rings: Sequence[FiniteRing]):
         self._digits: Tuple[FiniteRing, ...] = tuple(digit_rings)
@@ -321,8 +548,12 @@ class _VectorRing(FiniteRing):
         self.size = 1
         for r in self._digits:
             self.size *= r.size
-        self._xor = all(r._xor for r in self._digits)
+        self.moduli = tuple(m for r in self._digits for m in r.moduli)
         self._dec: Optional[List[Tuple[int, ...]]] = None
+
+    def _coordinate_table(self, c: _Coordinates) -> List[int]:
+        return _mixed_radix_table(c, [[r.coordinates(d) for d in range(r.size)]
+                                      for r in self._digits])
 
     def _decode_table(self) -> List[Tuple[int, ...]]:
         if self._dec is None:
@@ -345,17 +576,6 @@ class _VectorRing(FiniteRing):
         for r, d in zip(reversed(self._digits), reversed(tuple(digits))):
             out = out * r.size + d
         return out
-
-    def add(self, a: int, b: int) -> int:
-        if self._xor:
-            return a ^ b
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([r.add(x, y) for r, x, y in zip(self._digits, da, db)])
-
-    def neg(self, a: int) -> int:
-        if self._xor:
-            return a
-        return self.encode([r.neg(x) for r, x in zip(self._digits, self.decode(a))])
 
     def inject(self, pos: int, value: int) -> int:
         """The vector with ``value`` in digit ``pos`` and zeros elsewhere."""
@@ -456,10 +676,8 @@ class DirectSumRing(_VectorRing):
     def component_subgroup(self, key: str) -> "Ideal":
         """The component at ``key`` as an ideal of the sum."""
         pos = self.key_index(key)
-        part = self.parts[pos]
-        elems = frozenset(self.inject(pos, v) for v in range(part.size))
-        gens = tuple(self.inject(pos, g) for g in part.additive_generators())
-        return Ideal(self, elems, gens)
+        return Ideal(self, None, [self.inject(pos, g)
+                                  for g in self.parts[pos].additive_generators()])
 
     def mul(self, a: int, b: int) -> int:
         da, db = self.decode(a), self.decode(b)
@@ -509,14 +727,10 @@ class GroupRing(_VectorRing):
 
 class SubRing(FiniteRing):
     """A multiplicatively closed additive subgroup of a parent, re-indexed
-    densely; closure and the identity are decided on the generators of its
-    ``additive_closure`` by ``first_escape`` and ``first_identity``.
-
-    On an xor parent the subgroup is an F2-subspace of bit vectors.  Its
-    reduced echelon basis has distinct leading bits, each set in one basis
-    vector only, so sorting the elements orders them as the binary numbers
-    of their basis coordinates: the position of v ^ w is the xor of the
-    positions of v and w, and the subring adds by xor too.
+    densely in the parent's element order; its coordinates are the parent's.
+    Closure and the identity are decided on the generators of its
+    ``additive_closure`` by ``first_escape`` and ``first_identity``, and
+    those generators are the subring's greedy ones.
     """
 
     def __init__(self, parent: FiniteRing, elements: Iterable[int]):
@@ -528,10 +742,11 @@ class SubRing(FiniteRing):
         self.from_parent: Dict[int, int] = {p: i for i, p in enumerate(elems)}
         self.size = len(elems)
         self.tag = f"sub[{self.size}]({parent.tag})"
-        self._xor = parent._xor
+        self.moduli = parent.moduli
         span = additive_closure(parent, elems)
         if len(span) != self.size:
             raise MalformedInput(f"subset not additively closed: it spans {len(span)} elements")
+        self._gens = tuple(self.from_parent[g] for g in span.gens)
         escape = first_escape(parent, span.gens, span.gens, self.from_parent)
         if escape is not None:
             a, b, p = (parent.label(x) for x in escape)
@@ -539,13 +754,9 @@ class SubRing(FiniteRing):
         u = first_identity(parent, elems, span.gens)
         self.one = None if u is None else self.from_parent[u]
 
-    def add(self, a: int, b: int) -> int:
-        if self._xor:
-            return a ^ b
-        return self.from_parent[self.parent.add(self.to_parent[a], self.to_parent[b])]
-
-    def neg(self, a: int) -> int:
-        return self.from_parent[self.parent.neg(self.to_parent[a])]
+    def _coordinate_table(self, c: _Coordinates) -> List[int]:
+        of = _coordinates(self.parent).of
+        return [of[p] for p in self.to_parent]
 
     def mul(self, a: int, b: int) -> int:
         return self.from_parent[self.parent.mul(self.to_parent[a], self.to_parent[b])]
@@ -558,39 +769,65 @@ class SubRing(FiniteRing):
 # additive subgroups and ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AdditiveSubgroup:
-    """An additive subgroup, stored as its element set plus a generator list."""
+    """An additive subgroup, kept as the canonical basis of its span in the
+    carrier's coordinates.  The basis rows are its ``key``: two subgroups of
+    one carrier are equal iff their keys are.  ``gens`` are the given
+    elements that enlarged the span, in order; ``elements``, the element
+    set, is built on first read.
+    """
 
-    ring: FiniteRing
-    elements: frozenset
-    gens: Tuple[int, ...]
+    __slots__ = ("ring", "gens", "key", "_basis", "_elements")
+
+    def __init__(self, ring: FiniteRing, elements: Optional[Iterable[int]],
+                 gens: Iterable[int]):
+        """The span of ``gens``; ``elements``, if given, is taken as its element set."""
+        coords = _coordinates(ring)
+        basis = _Basis(coords)
+        self.ring = ring
+        self.gens: Tuple[int, ...] = tuple(g for g in gens if basis.insert(coords.of[g]))
+        self.key = basis.key()
+        self._basis = basis
+        self._elements = None if elements is None else frozenset(elements)
+
+    @property
+    def elements(self) -> frozenset:
+        if self._elements is None:
+            index = _coordinates(self.ring).index
+            self._elements = frozenset([index[v] for v in self._basis.vectors()])
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._basis.size()
 
-    def contains(self, x: int) -> bool:
-        return x in self.elements
+    def __contains__(self, x: int) -> bool:
+        return 0 <= x < self.ring.size and self._basis.contains(_coordinates(self.ring).of[x])
+
+    contains = __contains__
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other.ring is self.ring
+                and other.key == self.key)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def sorted_elements(self) -> List[int]:
         return sorted(self.elements)
 
     def is_zero(self) -> bool:
-        return len(self.elements) == 1
+        return not self.key
 
 
 class Ideal(AdditiveSubgroup):
     """An additive subgroup known to be a two-sided ideal of its ring."""
 
+    __slots__ = ()
+
 
 def additive_closure(ring: FiniteRing, seed: Iterable[int]) -> AdditiveSubgroup:
     """The additive subgroup generated by ``seed``."""
-    span = {0}
-    gens: List[int] = []
-    for x in seed:
-        if _extend_span(ring, span, x):
-            gens.append(x)
-    return AdditiveSubgroup(ring, frozenset(span), tuple(gens))
+    return AdditiveSubgroup(ring, None, seed)
 
 
 def set_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> AdditiveSubgroup:
@@ -601,9 +838,20 @@ def set_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> AdditiveSubgroup:
     return additive_closure(x.ring, (mul(a, b) for a in x.gens for b in y.gens))
 
 
+class _Closures(dict):
+    """An owner's closures for ``close``: element -> the closure of that
+    element, and ``shared``, basis key -> the one ``kind`` object holding
+    that span."""
+
+    def __init__(self, kind: type):
+        super().__init__()
+        self.kind = kind
+        self.shared: Dict[frozenset, AdditiveSubgroup] = {}
+
+
 def close(ring: FiniteRing, seed: Iterable[int],
           produce: Callable[[int], Iterable[int]],
-          cache: Mapping[int, AdditiveSubgroup]) -> AdditiveSubgroup:
+          cache: _Closures) -> AdditiveSubgroup:
     """The smallest additive subgroup containing ``seed`` and closed under
     ``produce``, which by bilinearity only ever sees pushed generators.
 
@@ -612,43 +860,45 @@ def close(ring: FiniteRing, seed: Iterable[int],
     ``cache`` maps elements to their own closures under the same rules.  An
     element found there is absorbed instead: the generators of its closure
     join the span and nothing is multiplied, since that closure is closed
-    already.  When the span ends no larger than the widest closure absorbed,
-    that cached object is returned, so equal closures share one element set.
-    Exact because every closure here is monotone and idempotent: for p in
-    C(S), C({p}) is contained in C(C(S)) = C(S), so absorbing C({p}) never
-    leaves C(S), and the result still contains S and is closed.
+    already.  Exact because every closure here is monotone and idempotent:
+    for p in C(S), C({p}) is contained in C(C(S)) = C(S), so absorbing
+    C({p}) never leaves C(S), and the result still contains S and is closed.
+    A span that fills the carrier is closed, so the queue is dropped.  The
+    result is the cache's one object with its basis: equal closures are
+    shared.
     """
-    span = {0}
+    coords = _coordinates(ring)
+    of = coords.of
+    span = _Basis(coords)
     pushed: List[int] = []
-    widest: Optional[AdditiveSubgroup] = None
     work = deque(seed)
     while work:
         x = work.popleft()
-        if x in span:
+        if span.contains(of[x]):
             continue
         hit = cache.get(x)
         if hit is not None:
-            pushed.extend(g for g in hit.gens if _extend_span(ring, span, g))
-            if widest is None or len(hit) > len(widest):
-                widest = hit
-            continue
-        _extend_span(ring, span, x)
-        pushed.append(x)
-        for p in produce(x):
-            if p not in span:
-                work.append(p)
-    if widest is not None and len(widest) == len(span):
-        return widest
-    return AdditiveSubgroup(ring, frozenset(span), tuple(pushed))
+            pushed.extend(g for g in hit.gens if span.insert(of[g]))
+        else:
+            span.insert(of[x])
+            pushed.append(x)
+            work.extend(produce(x))
+        if span.size() == ring.size:
+            break
+    key = span.key()
+    shared = cache.shared.get(key)
+    if shared is None:
+        shared = cache.shared[key] = cache.kind(ring, None, pushed)
+    return shared
 
 
-def _pid_cache(ring: FiniteRing) -> Dict[int, Ideal]:
+def _pid_cache(ring: FiniteRing) -> _Closures:
     """The ring's cache of principal ideals, made on first use.  Set as an
     attribute: materialising ``vars(ring)`` slows every later attribute
     lookup on the ring under CPython 3.11."""
     cache = getattr(ring, "_pid_cache", None)
     if cache is None:
-        cache = ring._pid_cache = {}
+        cache = ring._pid_cache = _Closures(Ideal)
     return cache
 
 
@@ -663,10 +913,9 @@ def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
     """
     rgens = ring.additive_generators()
     mul = ring.mul
-    span = close(ring, seed, lambda x: [p for r in rgens
+    return close(ring, seed, lambda x: [p for r in rgens
                                         for p in (mul(r, x), mul(x, r))],
                  _pid_cache(ring))
-    return Ideal(ring, span.elements, span.gens)
 
 
 def _memo(cache: Dict, key: int, compute: Callable[[int], AdditiveSubgroup]):
@@ -696,19 +945,19 @@ def first_zero_pair(members: Sequence[int],
     """The first (a, b, closure(a), closure(b)) in ``members`` order with
     closure(a) * closure(b) == {0}, or None.
 
-    Members with equal closures share their zero partners, so
+    Members with equal closures (equal keys) share their zero partners, so
     ``is_zero_product`` runs once per ordered pair of distinct closures.
     """
     closures = [closure(m) for m in members]
     distinct: Dict[frozenset, AdditiveSubgroup] = {}
     for c in closures:
-        distinct.setdefault(c.elements, c)
+        distinct.setdefault(c.key, c)
     zero_partners = {ka: {kb for kb, cb in distinct.items() if is_zero_product(ca, cb)}
                      for ka, ca in distinct.items()}
     for i, ca in enumerate(closures):
-        partners = zero_partners[ca.elements]
+        partners = zero_partners[ca.key]
         if partners:
-            j = next(j for j, cb in enumerate(closures) if cb.elements in partners)
+            j = next(j for j, cb in enumerate(closures) if cb.key in partners)
             return members[i], members[j], ca, closures[j]
     return None
 
@@ -773,7 +1022,7 @@ def is_s_unital(x, r=None) -> bool:
     ``x`` is an additive subgroup (or a ring, meaning the whole carrier) and
     ``r`` the acting subring (defaults to ``x`` itself, the usual "s-unital
     ring" reading).  Spans are taken additively, so membership in Rm is
-    decided against the span of {g*m : g generates R}.
+    one reduction against the basis of {g*m : g generates R}.
     """
     if r is None:
         r = x
@@ -788,11 +1037,8 @@ def is_s_unital(x, r=None) -> bool:
         members = x.sorted_elements()
     mul = ring.mul
     for m in members:
-        left = additive_closure(ring, (mul(g, m) for g in rgens))
-        if m not in left.elements:
-            return False
-        right = additive_closure(ring, (mul(m, g) for g in rgens))
-        if m not in right.elements:
+        if m not in additive_closure(ring, (mul(g, m) for g in rgens)) \
+                or m not in additive_closure(ring, (mul(m, g) for g in rgens)):
             return False
     return True
 
@@ -873,13 +1119,13 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256,
     """
     if ring.size > size_bound:
         raise BoundExceeded(f"ideal enumeration bounded at {size_bound} elements, got {ring.size}")
-    zero = Ideal(ring, frozenset({0}), ())
+    zero = Ideal(ring, None, ())
     ideals: List[Ideal] = [zero]
-    keys = {zero.elements}
+    keys = {zero.key}
     for a in range(1, ring.size):
         ideal = principal_ideal(ring, a)
-        if ideal.elements not in keys:
-            keys.add(ideal.elements)
+        if ideal.key not in keys:
+            keys.add(ideal.key)
             ideals.append(ideal)
             if len(ideals) > cap:
                 return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
@@ -887,10 +1133,10 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256,
     while i < len(ideals):
         j = 0
         while j < len(ideals):
-            merged = additive_closure(ring, ideals[i].gens + ideals[j].gens)
-            if merged.elements not in keys:
-                keys.add(merged.elements)
-                ideals.append(Ideal(ring, merged.elements, merged.gens))
+            merged = Ideal(ring, None, ideals[i].gens + ideals[j].gens)
+            if merged.key not in keys:
+                keys.add(merged.key)
+                ideals.append(merged)
                 if len(ideals) > cap:
                     return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
             j += 1
@@ -907,14 +1153,13 @@ def centralizer(ring: FiniteRing, sub: AdditiveSubgroup) -> AdditiveSubgroup:
     if sub.ring is not ring:
         raise RingMismatch("subgroup lives in a different ring")
     mul = ring.mul
-    members = [t for t in ring.elements()
-               if all(mul(t, s) == mul(s, t) for s in sub.gens)]
-    return AdditiveSubgroup(ring, frozenset(members), tuple(additive_closure(ring, members).gens))
+    return AdditiveSubgroup(ring, None, [t for t in ring.elements()
+                                         if all(mul(t, s) == mul(s, t) for s in sub.gens)])
 
 
 def is_maximal_commutative(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:
     """Whether ``sub`` equals its own centralizer in ``ring``."""
-    return centralizer(ring, sub).elements == sub.elements
+    return centralizer(ring, sub).key == sub.key
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +1170,8 @@ def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms exactly, in O(n^2 k) operations for k additive
     generators.  Identity and inverses are checked per element, and the
     multiples of each element must reach 0 within n steps (as in any group of
-    order n), so that the greedy generator search ends.  Every element is then
-    a bracketed sum of generators, so for all x, y and generators g,
+    order n).  Every element is a bracketed sum of the greedy generators, so
+    for all x, y and generators g,
     (x+g)+y == x+(g+y) gives associativity (Light's test), x+g == g+x
     commutativity, and y(x+g) == yx+yg, (x+g)y == xy+gy distributivity;
     ``first_nonassociative`` then decides the product's associativity.

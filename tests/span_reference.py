@@ -1,0 +1,50 @@
+"""Reference span arithmetic for checking the canonical-basis engine.
+
+``reference_span`` is the frozenset algorithm the engine replaced: a span
+grows coset by coset through the carrier's addition.  ``reference_add`` is
+that addition computed without coordinates: digit by digit for vector
+carriers, through the parent for a subring, coefficient by coefficient in
+the ambient for a skew product, and by a carrier's own rule otherwise.
+"""
+
+from __future__ import annotations
+
+from gprime.partial import SkewGroupoidRing
+from gprime.rings import DirectSumRing, GroupRing, MatrixRing, SubRing
+
+
+def reference_add(ring):
+    if isinstance(ring, SkewGroupoidRing):
+        add = reference_add(ring.action.ambient)
+        return lambda a, b: ring.encode([add(x, y) for x, y in
+                                         zip(ring.coefficients(a), ring.coefficients(b))])
+    if isinstance(ring, SubRing):
+        add = reference_add(ring.parent)
+        return lambda a, b: ring.from_parent[add(ring.to_parent[a], ring.to_parent[b])]
+    if isinstance(ring, (MatrixRing, DirectSumRing, GroupRing)):
+        adds = [reference_add(r) for r in ring._digits]
+        return lambda a, b: ring.encode([add(x, y) for add, x, y in
+                                         zip(adds, ring.decode(a), ring.decode(b))])
+    return ring.add
+
+
+def reference_span(ring, seed, add=None):
+    """(element set, generators) of the span of ``seed``: each element not
+    yet in the span is a generator, and the span grows by its cosets."""
+    add = add or reference_add(ring)
+    span = {0}
+    gens = []
+    for x in seed:
+        if x in span:
+            continue
+        cosets = []
+        y = x
+        while y not in span:
+            cosets.append(y)
+            y = add(y, x)
+        base = list(span)
+        for c in cosets:
+            span.add(c)
+            span.update(add(s, c) for s in base)
+        gens.append(x)
+    return frozenset(span), tuple(gens)

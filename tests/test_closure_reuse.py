@@ -1,12 +1,12 @@
-"""Closure reuse and xor addition on characteristic-2 carriers.
+"""Closure reuse, shared closures and addition through coordinates.
 
-``rings.close`` absorbs the cached closure of any element it meets and
-returns that cached object when nothing more was added; carriers of
-characteristic 2 add element indices by xor.  Both are exact rewrites, so
-the tests compare each against the plain computation: a closure taken with
-a warm cache against one taken with an empty cache, and xor against the
-coefficient-wise (or parent) addition of every carrier the fixtures and a
-fuzz run build.
+``rings.close`` absorbs the cached closure of any element it meets, and
+closures with one basis are one object; subrings and skew products add
+through their coordinate maps.  Each is an exact rewrite, so the tests
+compare it against the plain computation: a closure taken with a warm cache
+against one taken with an empty cache, and the addition of every subring
+and skew product the fixtures and a fuzz run build against the reference
+addition, taken coefficient by coefficient or through the parent.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from gprime.partial import (SkewGroupoidRing, _cached_sigma_closure,
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
                           MatrixRing, SubRing, additive_closure, ideal_generated,
                           is_prime_bruteforce, principal_ideal)
+from span_reference import reference_add
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMON = dict(deadline=None,
@@ -101,19 +103,20 @@ def test_equal_principal_ideals_share_one_element_set():
     assert len({id(ideal.elements) for ideal in ideals}) == 1
 
 
-def _base_and_reference_add(ring):
-    """The carrier a skew product or subring is built on, and the addition
-    xor replaces: coefficient-wise in the ambient for a skew product,
-    through the parent for a subring."""
-    if isinstance(ring, SkewGroupoidRing):
-        amb = ring.action.ambient
-        return amb, lambda a, b: ring.encode(
-            [amb.add(x, y) for x, y in zip(ring.coefficients(a), ring.coefficients(b))])
-    return ring.parent, lambda a, b: ring.from_parent[
-        ring.parent.add(ring.to_parent[a], ring.to_parent[b])]
+@pytest.mark.parametrize("base, order, distinct", [(GaloisField(2), 7, 7),
+                                                   (GaloisField(2), 6, None),
+                                                   (GaloisField(3), 4, None)])
+def test_equal_principal_ideals_are_one_object(base, order, distinct):
+    ring = GroupRing(base, FiniteGroup.cyclic(order))
+    is_prime_bruteforce(ring)
+    ideals = list(ring._pid_cache.values())
+    assert len(ideals) == ring.size - 1
+    objects = {id(ideal) for ideal in ideals}
+    assert len(objects) == len({ideal.elements for ideal in ideals})
+    assert distinct is None or len(objects) == distinct
 
 
-def test_xor_flag_is_inherited_and_adds_right(monkeypatch, capsys):
+def test_subrings_and_skew_rings_add_like_their_reference(monkeypatch, capsys):
     built = {}
     for cls in (SubRing, SkewGroupoidRing):
         def recording_init(self, *args, _init=cls.__init__, **kwargs):
@@ -130,24 +133,13 @@ def test_xor_flag_is_inherited_and_adds_right(monkeypatch, capsys):
     for ring in built.values():
         if ring.size > 256:
             continue
-        base, add = _base_and_reference_add(ring)
-        assert ring._xor == base._xor, ring.tag
+        add = reference_add(ring)
         elements = range(ring.size)
-        if ring._xor:
-            assert all(a ^ b == add(a, b) for a in elements for b in elements), ring.tag
-        characteristic_2 = all(add(a, a) == 0 for a in elements)
-        seen.add((type(ring), ring._xor, characteristic_2))
-    # flagged carriers of both kinds, and unflagged ones over Z/4 or GF(3)
-    assert {(SubRing, True, True), (SkewGroupoidRing, True, True),
-            (SubRing, False, False), (SkewGroupoidRing, False, False)} <= seen
-    assert (SubRing, True, False) not in seen and (SkewGroupoidRing, True, False) not in seen
-
-
-def test_xor_flag_on_base_carriers():
-    assert [r._xor for r in (CyclicRing(2), GaloisField(2), GaloisField(2, 2))] == [True] * 3
-    assert [r._xor for r in (CyclicRing(4), GaloisField(3), GaloisField(3, 2))] == [False] * 3
-    assert MatrixRing(GaloisField(2, 2), 2)._xor
-    assert not DirectSumRing([GaloisField(2), CyclicRing(4)])._xor
+        assert all(ring.add(a, b) == add(a, b) for a in elements for b in elements), ring.tag
+        seen.add((type(ring), all(add(a, a) == 0 for a in elements)))
+    # both kinds, in characteristic 2 and over Z/4 or GF(3)
+    assert {(SubRing, True), (SkewGroupoidRing, True),
+            (SubRing, False), (SkewGroupoidRing, False)} <= seen
 
 
 # The GF(2) groupoid ring of the pair groupoid on two objects with C3
