@@ -282,61 +282,70 @@ def parse(path) -> Instance:
 # constructors
 # ---------------------------------------------------------------------------
 
-def build_group(spec) -> FiniteGroup:
-    if "labels" in spec:
-        return FiniteGroup(spec["labels"], spec["table"])
-    key, arg = next(iter(spec.items()))
-    if key == "trivial":
-        return FiniteGroup.trivial()
-    if key == "cyclic":
-        return FiniteGroup.cyclic(arg)
-    return FiniteGroup.klein_four()
+def _group_key(spec) -> Tuple[str, object]:
+    return ("labels", spec) if "labels" in spec else next(iter(spec.items()))
 
 
-def _spec_size(spec, cap: int) -> int:
-    """The element count of a ring spec, read off the spec alone, or ``cap``
-    if that count is at least ``cap``."""
-    key, arg = next(iter(spec.items()))
-    if key in ("cyclic", "field") and isinstance(arg, int):
-        return min(arg, cap)
-    if key == "table":
-        return min(len(arg["add"]), cap)
-    if key == "direct_sum":
-        return min(prod(_spec_size(part, cap) for part in arg["parts"]), cap)
-    if key == "field":
-        base, exponent = arg
-    elif key == "matrix":
-        base, exponent = _spec_size(arg["base"], cap), arg["n"] ** 2
-    else:
-        base, exponent = _spec_size(arg["base"], cap), _group_order(arg["group"])
+def _field(arg) -> Tuple[int, int]:
+    return (arg, 1) if isinstance(arg, int) else (arg[0], arg[1])
+
+
+def _power(base: int, exponent: int, cap: int) -> int:
+    """min(base ** exponent, cap), without computing a huge power."""
     return cap if base > 1 and exponent >= cap.bit_length() else min(base ** exponent, cap)
 
 
+# Spec key -> (constructor, size), both of the key's argument; a group's size
+# is its order, a ring's is its element count capped at ``cap``.  Every
+# size is read off the spec alone, so a carrier is refused before it is built.
+_GROUPS = {
+    "trivial": (lambda arg: FiniteGroup.trivial(), lambda arg: 1),
+    "cyclic": (FiniteGroup.cyclic, lambda arg: arg),
+    "klein_four": (lambda arg: FiniteGroup.klein_four(), lambda arg: 4),
+    "labels": (lambda spec: FiniteGroup(spec["labels"], spec["table"]),
+               lambda spec: len(spec["labels"])),
+}
+_RINGS = {
+    "cyclic": (CyclicRing, lambda arg, cap: min(arg, cap)),
+    "field": (lambda arg: GaloisField(*_field(arg)),
+              lambda arg, cap: _power(*_field(arg), cap)),
+    "matrix": (lambda arg: MatrixRing(build_ring(arg["base"]), arg["n"]),
+               lambda arg, cap: _power(_spec_size(arg["base"], cap), arg["n"] ** 2, cap)),
+    "direct_sum": (lambda arg: DirectSumRing([build_ring(p) for p in arg["parts"]],
+                                             keys=arg.get("keys")),
+                   lambda arg, cap: min(prod(_spec_size(p, cap) for p in arg["parts"]), cap)),
+    "group_ring": (lambda arg: GroupRing(build_ring(arg["base"]), build_group(arg["group"])),
+                   lambda arg, cap: _power(_spec_size(arg["base"], cap),
+                                           _group_order(arg["group"]), cap)),
+    "table": (lambda arg: TableRing(arg["add"], arg["mul"], labels=arg.get("labels")),
+              lambda arg, cap: min(len(arg["add"]), cap)),
+}
+
+
+def build_group(spec) -> FiniteGroup:
+    key, arg = _group_key(spec)
+    return _GROUPS[key][0](arg)
+
+
 def _group_order(spec) -> int:
-    if "labels" in spec:
-        return len(spec["labels"])
+    key, arg = _group_key(spec)
+    return _GROUPS[key][1](arg)
+
+
+def build_ring(spec) -> FiniteRing:
     key, arg = next(iter(spec.items()))
-    return {"trivial": 1, "cyclic": arg}.get(key, 4)
+    return _RINGS[key][0](arg)
+
+
+def _spec_size(spec, cap: int) -> int:
+    """The element count of a ring spec, or ``cap`` if that is at least ``cap``."""
+    key, arg = next(iter(spec.items()))
+    return _RINGS[key][1](arg, cap)
 
 
 def _refuse_above(spec, bound: int, what: str) -> None:
     if _spec_size(spec, bound + 1) > bound:
         raise BoundExceeded(f"{what} has more than {bound} elements; refusing to build it")
-
-
-def build_ring(spec) -> FiniteRing:
-    key, arg = next(iter(spec.items()))
-    if key == "cyclic":
-        return CyclicRing(arg)
-    if key == "field":
-        return GaloisField(arg) if isinstance(arg, int) else GaloisField(arg[0], arg[1])
-    if key == "matrix":
-        return MatrixRing(build_ring(arg["base"]), arg["n"])
-    if key == "direct_sum":
-        return DirectSumRing([build_ring(p) for p in arg["parts"]], keys=arg.get("keys"))
-    if key == "group_ring":
-        return GroupRing(build_ring(arg["base"]), build_group(arg["group"]))
-    return TableRing(arg["add"], arg["mul"], labels=arg.get("labels"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import gprime.partial as partial
-from gprime import cli
+from gprime import cli, instances
 
 ROOT = Path(__file__).resolve().parents[1]
 FLIP = "fixtures/global_flip_partial_action.json"
@@ -83,3 +83,27 @@ def test_sufficient_conditions_respect_the_bound(monkeypatch, capsys):
         "witness_verification": {"ok": True, "replayed": 0},
         "witnesses": [],
     }
+
+
+def _ring_specs(doc):
+    """The top-level ring specs of an instance document."""
+    for kind, key in (("grading", "ring"), ("groupoid_ring", "base")):
+        if kind in doc:
+            yield doc[kind][key]
+    yield from doc.get("partial_action", {}).get("parts", {}).values()
+
+
+def test_spec_size_matches_the_built_ring():
+    specs = [spec for path in sorted((ROOT / "fixtures").glob("*.json"))
+             for spec in _ring_specs(json.loads(path.read_text()))]
+    specs += [{"field": [3, 2]}, {"cyclic": 6},
+              {"matrix": {"base": {"cyclic": 4}, "n": 2}},
+              {"direct_sum": {"parts": [{"cyclic": 4}, {"field": 3}]}},
+              {"group_ring": {"base": {"field": 2}, "group": {"klein_four": {}}}},
+              {"group_ring": {"base": {"cyclic": 3}, "group": {"trivial": {}}}},
+              {"table": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}}]
+    for spec in specs:
+        assert instances._spec_size(spec, 10 ** 6) == instances.build_ring(spec).size, spec
+    assert {next(iter(spec)) for spec in specs} == set(instances._RINGS)
+    with pytest.raises(KeyError):
+        instances._spec_size({"quaternions": 2}, 64)
