@@ -18,10 +18,12 @@ The product-ring carrier bound resolves in order: ``--max-ring`` flag, the
 section, then the built-in default of 4096.
 
 Exit codes: 0 success, 1 invalid input (bad file, bad schema, bad flags),
-2 a carrier bound was exceeded, 3 internal disagreement.  Exit 3 means two
-routes that must agree returned different answers or a reported witness
-failed to replay; it signals a bug in the tool, never a property of the
-instance, and a green build must never produce it.
+2 a carrier bound was exceeded, 3 internal disagreement, 4 resources
+exhausted (MemoryError or RecursionError).  Exit 3 means two routes that
+must agree returned different answers or a reported witness failed to
+replay; it signals a bug in the tool, never a property of the instance,
+and a green build must never produce it.  Exit 4 says nothing about the
+input's validity: the run needed more memory or stack than it had.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GprimeError, OSError) as exc:
         _report_error(exc)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        print(f"gprime: error: resources exhausted ({type(exc).__name__})",
+              file=sys.stderr)
+        return 4
     sys.stdout.write(render_report(doc, args.output))
     return 0
 

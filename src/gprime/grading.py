@@ -268,7 +268,7 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
     for g in range(G.n_morphisms):
         sg = grading.components[g]
         x = products[g]
-        if not is_s_unital(x, x):
+        if not is_s_unital(x):
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 is not s-unital")
         if set_product(x, sg).key != sg.key:

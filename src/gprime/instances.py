@@ -599,6 +599,7 @@ def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltIns
                 for label, spec in sec.get("maps", {}).items()}
         return BuiltInstance(instance, G,
                              action=validate_partial_action(G, amb, gens, maps))
+    _refuse_above(sec["base"], bound, "the coefficient ring")
     return BuiltInstance(instance, G, base=build_ring(sec["base"]))
 
 

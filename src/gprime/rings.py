@@ -169,15 +169,22 @@ def _greedy_generators(ring: FiniteRing) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class _Coordinates:
-    """A carrier's coordinate map, built on first use.  Coordinate i lies in
-    Z/moduli[i] and is packed into bits [i*w, (i+1)*w) of one int; ``of[a]``
-    is the vector of element a and ``index`` maps a normalized vector back.
-    The width w leaves room for k+2 multiples below the exponent E, so a
-    reduction takes field remainders only where it reads a field.  When
-    every modulus is 2 (``binary``), w is 1 and vectors add by xor."""
+    """Packed vectors of Z/m_1 x ... x Z/m_k, for the given moduli.
+    Coordinate i lies in Z/moduli[i] and is packed into bits
+    [i*w, (i+1)*w) of one int.  The width w leaves room for k+2 multiples
+    below the exponent E, so a reduction takes field remainders only where
+    it reads a field.  When every modulus is 2 (``binary``), w is 1 and
+    vectors add by xor.
 
-    def __init__(self, ring: FiniteRing):
-        ms = self.moduli = tuple(ring.moduli)
+    A carrier's coordinate map (``_coordinates``) is one of these with
+    ``of[a]``, the vector of element a, and ``index``, which maps a
+    normalized vector back."""
+
+    of: Sequence[int]
+    index: Dict[int, int]
+
+    def __init__(self, moduli: Sequence[int]):
+        ms = self.moduli = tuple(moduli)
         self.binary = all(m == 2 for m in ms)
         self.exponent = lcm(*ms)
         self.width = 1 if self.binary else (max(ms) * self.exponent * (len(ms) + 2)).bit_length()
@@ -185,8 +192,6 @@ class _Coordinates:
             self.add, self.neg = xor, pos
         self.mask = (1 << self.width) - 1
         self.fields = tuple((i * self.width, m) for i, m in enumerate(ms))
-        self.of = ring._coordinate_table(self)
-        self.index = {v: a for a, v in enumerate(self.of)}
 
     def pack(self, coords: Iterable[int]) -> int:
         return sum(c << s for c, (s, _) in zip(coords, self.fields))
@@ -205,9 +210,13 @@ class _Coordinates:
 
 
 def _coordinates(ring: FiniteRing) -> _Coordinates:
+    """The carrier's coordinate map, built on first use."""
     c = ring._coordinate_map
     if c is None:
-        c = ring._coordinate_map = _Coordinates(ring)
+        c = _Coordinates(ring.moduli)
+        c.of = ring._coordinate_table(c)
+        c.index = {v: a for a, v in enumerate(c.of)}
+        ring._coordinate_map = c
     return c
 
 
@@ -1027,37 +1036,55 @@ def first_nonassociative(ring: FiniteRing, gens: Sequence[int]
 # s-unitality
 # ---------------------------------------------------------------------------
 
-def _acting_pair(r) -> Tuple[FiniteRing, Sequence[int], Sequence[int]]:
-    if isinstance(r, AdditiveSubgroup):
-        return r.ring, r.gens, r.sorted_elements()
-    if isinstance(r, FiniteRing):
-        return r, r.additive_generators(), list(r.elements())
-    raise MalformedInput(f"cannot interpret {r!r} as a ring or subgroup")
+def is_s_unital(x) -> bool:
+    """Whether X is s-unital: every m in X lies in Xm and in mX.
 
+    ``x`` is an additive subgroup closed under products, or a ring (its
+    whole carrier).  Decided on the generators g_1..g_k of X (Tominaga,
+    "On s-unital rings", Math. J. Okayama Univ. 18 (1976)): X is left
+    s-unital iff one u in X has u*g_i == g_i for every i.
 
-def is_s_unital(x, r=None) -> bool:
-    """Whether every m in X satisfies m in RmR-style spans: m in Rm and m in mR.
+    (<=) Each m in X is a sum of multiples of the g_i, so u*m == m and m
+    lies in Xm.  (=>) By induction on a finite set: given u with
+    u*x_1 == x_1, and v with v*x_2' == x_2' for x_2' = x_2 - u*x_2 in X,
+    w = u + v - v*u lies in X and fixes x_1 and x_2.  The induction needs
+    XX in X, which is checked on the generator products first; a subgroup
+    that is not closed under products raises AxiomViolation.
 
-    ``x`` is an additive subgroup (or a ring, meaning the whole carrier) and
-    ``r`` the acting subring (defaults to ``x`` itself, the usual "s-unital
-    ring" reading).  Spans are taken additively, so membership in Rm is
-    one reduction against the basis of {g*m : g generates R}.
+    With phi(u) = (u*g_1, ..., u*g_k) in the k-fold product of the
+    carrier's coordinates, and phi additive, such a u exists iff
+    (g_1, ..., g_k) lies in the span of the phi(g_j): one basis of k
+    rows and one membership test.  The right side is the same with
+    g_i*u.  Both sides read the k*k generator products g_j*g_i.
     """
-    if r is None:
-        r = x
-    ring, rgens, _ = _acting_pair(r)
     if isinstance(x, FiniteRing):
-        members: Iterable[int] = x.elements()
-        if x is not ring:
-            raise RingMismatch("module and acting ring disagree")
+        ring, gens = x, x.additive_generators()
+    elif isinstance(x, AdditiveSubgroup):
+        ring, gens = x.ring, x.gens
     else:
-        if x.ring is not ring:
-            raise RingMismatch("module and acting ring disagree")
-        members = x.sorted_elements()
+        raise MalformedInput(f"cannot interpret {x!r} as a ring or subgroup")
     mul = ring.mul
-    for m in members:
-        if m not in additive_closure(ring, (mul(g, m) for g in rgens)) \
-                or m not in additive_closure(ring, (mul(m, g) for g in rgens)):
+    products = [[mul(a, b) for b in gens] for a in gens]
+    if isinstance(x, AdditiveSubgroup):
+        escape = next(((a, b, p) for a, row in zip(gens, products)
+                       for b, p in zip(gens, row) if p not in x), None)
+        if escape is not None:
+            a, b, p = (ring.label(y) for y in escape)
+            raise AxiomViolation("multiplicative-closure",
+                                 f"s-unitality asked of a subgroup not closed under "
+                                 f"products: ({a})*({b}) = {p}")
+    c = _coordinates(ring)
+    k_fold = _Coordinates(c.moduli * len(gens))
+
+    def packed(elements: Iterable[int]) -> int:
+        return k_fold.pack(v for e in elements for v in c.unpack(c.of[e]))
+
+    target = packed(gens)
+    for rows in (products, zip(*products)):     # phi(g_j) = g_j*g_i, then g_i*g_j
+        span = _basis(k_fold)
+        for row in rows:
+            span.insert(packed(row))
+        if not span.contains(target):
             return False
     return True
 
@@ -1065,11 +1092,17 @@ def is_s_unital(x, r=None) -> bool:
 def s_unit_for(r, members: Iterable[int]) -> int:
     """A common two-sided local unit: u with u*m == m*u == m for all members.
 
-    Searches the acting set in element order and raises NotSUnital when no
-    element works.  (For an s-unital ring one always exists for a finite set;
-    the property tests lean on that as a cross-check of is_s_unital.)
+    Searches the acting set (a subgroup, or a ring's whole carrier) in
+    element order and raises NotSUnital when no element works.  (For an
+    s-unital ring one always exists for a finite set; the property tests
+    lean on that as a cross-check of is_s_unital.)
     """
-    ring, _, pool = _acting_pair(r)
+    if isinstance(r, AdditiveSubgroup):
+        ring, pool = r.ring, r.sorted_elements()
+    elif isinstance(r, FiniteRing):
+        ring, pool = r, r.elements()
+    else:
+        raise MalformedInput(f"cannot interpret {r!r} as a ring or subgroup")
     ms = list(members)
     u = first_identity(ring, pool, ms)
     if u is not None:

@@ -5,12 +5,14 @@ grows coset by coset through the carrier's addition.  ``reference_add`` is
 that addition computed without coordinates: digit by digit for vector
 carriers, through the parent for a subring, coefficient by coefficient in
 the ambient for a skew product, and by a carrier's own rule otherwise.
+``reference_s_unital_sides`` is the per-member s-unitality test that the
+generator criterion of ``rings.is_s_unital`` replaced, on these spans.
 """
 
 from __future__ import annotations
 
 from gprime.partial import SkewGroupoidRing
-from gprime.rings import DirectSumRing, GroupRing, MatrixRing, SubRing
+from gprime.rings import DirectSumRing, FiniteRing, GroupRing, MatrixRing, SubRing
 
 
 def reference_add(ring):
@@ -48,3 +50,19 @@ def reference_span(ring, seed, add=None):
             span.update(add(s, c) for s in base)
         gens.append(x)
     return frozenset(span), tuple(gens)
+
+
+def reference_s_unital_sides(x):
+    """(left, right) for a ring or an additive subgroup X: whether every
+    member m of X lies in the span of the g*m, and of the m*g, for g over
+    the generators of X."""
+    if isinstance(x, FiniteRing):
+        ring, gens, members = x, x.additive_generators(), range(x.size)
+    else:
+        ring, gens, members = x.ring, x.gens, x.sorted_elements()
+    mul, add = ring.mul, reference_add(ring)
+    left = right = True
+    for m in members:
+        left = left and m in reference_span(ring, [mul(g, m) for g in gens], add)[0]
+        right = right and m in reference_span(ring, [mul(m, g) for g in gens], add)[0]
+    return left, right

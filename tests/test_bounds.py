@@ -1,10 +1,11 @@
 """The carrier bound: enforced from the ring spec before anything is built,
 and passed through to every pair search of a partial action.
 
-The two probe inputs under ``tests/inputs`` describe carriers of about 10^10
-elements (M3(GF(13))): a grading ring, and a partial action whose two parts
-are that ring.  Each must be refused with exit 2 and one line on stderr,
-inside a 512 MB address space, where building it would run out of memory.
+The three probe inputs under ``tests/inputs`` describe carriers of about
+10^10 elements (M3(GF(13))): a grading ring, a partial action whose two
+parts are that ring, and a groupoid ring with that coefficient ring.  Each
+must be refused with exit 2 and one line on stderr, inside a 512 MB
+address space, where building it would run out of memory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("probe", ["m3_gf13_grading.json", "m3_gf13_partial_action.json"])
+@pytest.mark.parametrize("probe", ["m3_gf13_grading.json", "m3_gf13_partial_action.json",
+                                   "m3_gf13_groupoid_ring.json"])
 @pytest.mark.parametrize("argv", [("validate", "--max-ring", "64"), ("prime",)])
 def test_oversized_spec_is_refused_before_building(probe, argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

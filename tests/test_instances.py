@@ -414,6 +414,17 @@ class TestCLI:
                         "--method", "oracle") == 2
         assert "exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_exhaustion_exits_4(self, error, capsys, monkeypatch):
+        def exhausted(*args):
+            raise error()
+        monkeypatch.setattr(cli, "build_instance", exhausted)
+        assert self.run("prime", str(fixture("m3_pair_groupoid.json"))) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"gprime: error: resources exhausted ({error.__name__})"]
+
     def test_max_ring_flag(self, capsys):
         assert self.run("prime", str(fixture("g8_groupoid_ring.json")),
                         "--method", "oracle", "--max-ring", "10") == 2
