@@ -63,7 +63,7 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       sigma_invariant_closure, skew_prime_verdict,
                       skew_support_hub, sufficient_conditions_report,
                       validate_partial_action)
-from .primeness import equivalence_report, evaluate_condition
+from .primeness import StageClock, equivalence_report, evaluate_condition
 from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
                     GroupRing, MatrixRing, PrimeResult, TableRing,
                     additive_closure, is_prime_bruteforce, is_zero_product,
@@ -749,20 +749,23 @@ def _objects_section(grading: Grading, per_object: Mapping,
 
 
 def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
-                       bound: int, with_timings: bool) -> Dict:
+                       bound: int, clock: StageClock) -> Dict:
     G = grading.groupoid
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        res = _oracle(grading.ring, bound, witnesses)
+        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
         doc.update(verdict=res.prime, method="oracle", degenerate=res.degenerate)
     elif method == "theorem":
-        value, evidence = evaluate_condition(grading, "vii", oracle_bound=bound)
+        value, evidence = clock("criterion", lambda: evaluate_condition(
+            grading, "vii", oracle_bound=bound))
         doc.update(verdict=value, method="theorem")
         doc["objects"] = _objects_section(grading, evidence["objects"], witnesses)
     else:
         rep = equivalence_report(grading, oracle_bound=bound,
-                                 with_timings=with_timings)
+                                 with_timings=clock.timings is not None)
+        if rep.timings is not None:
+            clock.timings.update(rep.timings)
         doc.update(verdict=rep.verdict, method=rep.method,
                    conditions=dict(rep.conditions), degenerate=rep.degenerate)
         w = rep.witnesses
@@ -775,8 +778,6 @@ def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
                 witnesses.append(_pair_witness("carrier", closure, grading.ring,
                                                w[key][0], w[key][1]))
         doc["objects"] = _objects_section(grading, rep.per_object, witnesses)
-        if rep.timings is not None:
-            doc["timings"] = {k: round(v, 6) for k, v in rep.timings.items()}
         if "support_hub" in w:
             doc["evidence"] = {"support_hub": G.objects[w["support_hub"]]}
         if "non_hub_objects" in w:
@@ -804,25 +805,37 @@ def _isotropy_skew_witnesses(act: PartialAction, per: Mapping[int, bool],
     return out
 
 
-def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
+def _partial_primeness(built: BuiltInstance, method: str, bound: int,
+                       clock: StageClock) -> Dict:
     act = built.action
     G = act.groupoid
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        res = _oracle(build_skew_ring(act, bound).ring, bound, witnesses)
+        grading = clock("carrier", lambda: build_skew_ring(act, bound))
+        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
         doc.update(verdict=res.prime, method="oracle")
     elif method == "theorem":
         transport = is_group_type(act)
         if not transport.holds:
             raise MalformedInput("the isotropy reduction needs a transport "
                                  f"family: {transport.reason}")
-        per = isotropy_reduction(act, bound)
+        per = clock("isotropy_reduction", lambda: isotropy_reduction(act, bound))
         doc.update(verdict=any(per.values()), method="theorem",
                    isotropy_prime={G.objects[e]: v for e, v in per.items()})
         witnesses.extend(_isotropy_skew_witnesses(act, per, bound))
     else:
-        verdict = skew_prime_verdict(act, bound)
+        # skew_prime_verdict builds the carrier, runs the oracle and, given a
+        # transport family, the isotropy reduction; the first and last are
+        # cached per action, so running them first clocks each stage apart
+        try:
+            clock("carrier", lambda: build_skew_ring(act, bound))
+            stage = "oracle"
+        except BoundExceeded:
+            stage = "verdict"   # the isotropy reduction's, or a refusal
+        if is_group_type(act).holds:
+            clock("isotropy_reduction", lambda: isotropy_reduction(act, bound))
+        verdict = clock(stage, lambda: skew_prime_verdict(act, bound))
         doc.update(verdict=verdict.prime, method=verdict.method,
                    isotropy_prime={G.objects[e]: v
                                    for e, v in verdict.isotropy_prime.items()})
@@ -835,7 +848,7 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
                                            verdict.oracle.witness.a,
                                            verdict.oracle.witness.b))
         try:
-            pair = is_A_G_prime(act, bound)
+            pair = clock("coefficients_G_prime", lambda: is_A_G_prime(act, bound))
             doc["coefficients_G_prime"] = pair.holds
             if pair.witness is not None:
                 witnesses.append(_pair_witness("ambient", "sigma", act.ambient,
@@ -843,7 +856,8 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
         except BoundExceeded:
             doc["coefficients_G_prime"] = None
         try:
-            rep = sufficient_conditions_report(act, bound)
+            rep = clock("sufficient_conditions",
+                        lambda: sufficient_conditions_report(act, bound))
             doc["sufficient_conditions"] = {
                 "applicable": rep.applicable,
                 "trivial_isotropy_at": None if rep.trivial_isotropy_at is None
@@ -859,14 +873,16 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
     return doc
 
 
-def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int) -> Dict:
+def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
+                             clock: StageClock) -> Dict:
     doc: Dict = {}
     witnesses: List[Dict] = []
-    criterion = _criterion_section(built)
+    criterion = clock("criterion", lambda: _criterion_section(built))
     if method == "theorem":
         doc.update(verdict=criterion["holds"], method="theorem", criterion=criterion)
     else:
-        res = _oracle(carrier_grading(built, bound).ring, bound, witnesses)
+        grading = clock("carrier", lambda: carrier_grading(built, bound))
+        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
         if method == "oracle":
             doc.update(verdict=res.prime, method="oracle")
         else:
@@ -887,23 +903,32 @@ def primeness_document(built: BuiltInstance, method: str = "all",
     if method not in ("oracle", "theorem", "all"):
         raise MalformedInput(f"unknown method {method!r}; "
                              "expected oracle, theorem or all")
+    clock = StageClock(with_timings)
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
     if built.kind == "grading":
-        doc.update(_grading_primeness(built, built.grading, method, bound,
-                                      with_timings))
+        doc.update(_grading_primeness(built, built.grading, method, bound, clock))
     elif built.kind == "partial_action":
-        doc.update(_partial_primeness(built, method, bound))
+        doc.update(_partial_primeness(built, method, bound, clock))
     else:
-        doc.update(_groupoid_ring_primeness(built, method, bound))
-    return doc
+        doc.update(_groupoid_ring_primeness(built, method, bound, clock))
+    return _with_timings(doc, clock)
 
 
 def equivalence_document(built: BuiltInstance, bound: int = SKEW_RING_BOUND,
                          with_timings: bool = False) -> Dict:
     """The seven-way harness over the instance's product ring."""
-    grading = carrier_grading(built, bound)
+    clock = StageClock(with_timings)
+    grading = clock("carrier", lambda: carrier_grading(built, bound))
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
-    doc.update(_grading_primeness(built, grading, "all", bound, with_timings))
+    doc.update(_grading_primeness(built, grading, "all", bound, clock))
+    return _with_timings(doc, clock)
+
+
+def _with_timings(doc: Dict, clock: StageClock) -> Dict:
+    """``doc`` with the clock's stages in seconds, when it was on."""
+    timings = clock.stop()
+    if timings is not None:
+        doc["timings"] = {k: round(v, 6) for k, v in timings.items()}
     return doc
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, TypeVar
 
 from .errors import (
     BoundExceeded,
@@ -43,6 +43,31 @@ CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 _CONDITIONS = {"ii": ("invariant", all), "iii": ("invariant", any),
                "iv": ("graded", all), "v": ("graded", any),
                "vi": (None, all), "vii": (None, any)}
+
+
+T = TypeVar("T")
+
+
+class StageClock:
+    """Wall-clock seconds per named stage, and ``total`` since the clock was
+    made.  With ``on`` false the stages run and nothing is recorded."""
+
+    def __init__(self, on: bool):
+        self.timings: Optional[Dict[str, float]] = {} if on else None
+        self._start = time.perf_counter()
+
+    def __call__(self, name: str, stage: Callable[[], T]) -> T:
+        t0 = time.perf_counter()
+        out = stage()
+        if self.timings is not None:
+            self.timings[name] = time.perf_counter() - t0
+        return out
+
+    def stop(self) -> Optional[Dict[str, float]]:
+        """The timings with ``total`` set, or None when off."""
+        if self.timings is not None:
+            self.timings["total"] = time.perf_counter() - self._start
+        return self.timings
 
 
 @dataclass(frozen=True)
@@ -141,16 +166,7 @@ def equivalence_report(grading: Grading,
     method is reported as "theorem"; everything else still runs, since the
     remaining conditions only touch components.
     """
-    t_start = time.perf_counter()
-    timings: Optional[Dict[str, float]] = {} if with_timings else None
-
-    def clocked(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        if timings is not None:
-            timings[name] = time.perf_counter() - t0
-        return out
-
+    clocked = StageClock(with_timings)
     nes = clocked("nearly_epsilon_strong", lambda: is_nearly_epsilon_strong(grading))
     if not nes.holds:
         raise MalformedInput(
@@ -210,8 +226,6 @@ def equivalence_report(grading: Grading,
         if bad_iso:
             witnesses["non_prime_isotropy"] = bad_iso
 
-    if timings is not None:
-        timings["total"] = time.perf_counter() - t_start
     return PrimenessReport(
         verdict=verdict,
         method="oracle" if oracle is not None else "theorem",
@@ -219,7 +233,7 @@ def equivalence_report(grading: Grading,
         witnesses=witnesses,
         degenerate=False if oracle is None else oracle.degenerate,
         per_object=per_object,
-        timings=timings,
+        timings=clocked.stop(),
     )
 
 

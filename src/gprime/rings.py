@@ -24,16 +24,19 @@ and equal closures are one object, found through their basis.
 
 Every primeness criterion in the package runs on two helpers: ``close``, the
 one worklist closure, and ``first_zero_pair``, the one search for two
-closures whose product is zero.  Absorption, homomorphism, identity and
-associativity checks, exact on additive generators, run on ``first_escape``,
-``first_hom_failure``, ``first_identity`` and ``first_nonassociative``.
+closures whose product is zero.  The exception is the carrier oracle
+``is_prime_bruteforce``: for principal ideals a zero partner is a nonzero
+element of a right annihilator, so it tests one annihilator per distinct
+ideal, in element order, and stops at the first nonzero one.  Absorption,
+homomorphism, identity and associativity checks, exact on additive
+generators, run on ``first_escape``, ``first_hom_failure``,
+``first_identity`` and ``first_nonassociative``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm, prod
 from operator import pos, xor
 from typing import (Callable, Container, Dict, Iterable, List, Optional, Sequence,
@@ -372,6 +375,16 @@ class _XorBasis(_Basis):
 def _basis(coords: _Coordinates) -> _Basis:
     """An empty basis in ``coords``, with xor steps for binary coordinates."""
     return (_XorBasis if coords.binary else _Basis)(coords)
+
+
+def _row_packer(ring: FiniteRing, d: int
+                ) -> Tuple[_Coordinates, Callable[[Iterable[int]], int]]:
+    """The d-fold product of the carrier's coordinates, and the map that
+    packs a row of d elements into it, the i-th element's coordinates in
+    the i-th block."""
+    c = _coordinates(ring)
+    fold = _Coordinates(c.moduli * d)
+    return fold, lambda row: fold.pack(v for e in row for v in c.unpack(c.of[e]))
 
 
 # ---------------------------------------------------------------------------
@@ -885,13 +898,17 @@ def close(ring: FiniteRing, seed: Iterable[int],
 
     Worklist closure: each element that enlarges the span is pushed (it
     becomes the next generator of the result) and its products are queued.
-    ``cache`` maps elements to their own closures under the same rules.  An
-    element found there is absorbed instead: the generators of its closure
-    join the span and nothing is multiplied, since that closure is closed
-    already.  Exact because every closure here is monotone and idempotent:
-    for p in C(S), C({p}) is contained in C(C(S)) = C(S), so absorbing
-    C({p}) never leaves C(S), and the result still contains S and is closed.
-    A span that fills the carrier is closed, so the queue is dropped.  The
+    The products are drawn one at a time, breadth first (the seed, then the
+    products of each pushed element in push order), so none is computed
+    after the answer is known.  ``cache`` maps elements to their own
+    closures under the same rules.  An element found there is absorbed
+    instead: the generators of its closure join the span and nothing is
+    multiplied, since that closure is closed already.  Exact because every
+    closure here is monotone and idempotent: for p in C(S), C({p}) is
+    contained in C(C(S)) = C(S), so absorbing C({p}) never leaves C(S), and
+    the result still contains S and is closed.  In particular a cached
+    C({p}) that fills the carrier is C(S) and is returned as it is, and a
+    span that fills the carrier is closed, so the queue is dropped.  The
     result is the cache's one object with its basis: equal closures are
     shared.
     """
@@ -899,18 +916,19 @@ def close(ring: FiniteRing, seed: Iterable[int],
     of = coords.of
     span = _basis(coords)
     pushed: List[int] = []
-    work = deque(seed)
-    while work:
-        x = work.popleft()
+    queued = [seed]
+    for x in chain.from_iterable(queued):     # sees the products queued below
         if span.contains(of[x]):
             continue
         hit = cache.get(x)
-        if hit is not None:
-            pushed.extend(g for g in hit.gens if span.insert(of[g]))
-        else:
+        if hit is None:
             span.insert(of[x])
             pushed.append(x)
-            work.extend(produce(x))
+            queued.append(produce(x))
+        elif len(hit) == ring.size:
+            return hit
+        else:
+            pushed.extend(g for g in hit.gens if span.insert(of[g]))
         if span.size() == ring.size:
             break
     key = span.key()
@@ -941,8 +959,8 @@ def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
     """
     rgens = ring.additive_generators()
     mul = ring.mul
-    return close(ring, seed, lambda x: [p for r in rgens
-                                        for p in (mul(r, x), mul(x, r))],
+    return close(ring, seed, lambda x: (p for r in rgens
+                                        for p in (mul(r, x), mul(x, r))),
                  _pid_cache(ring))
 
 
@@ -1073,12 +1091,7 @@ def is_s_unital(x) -> bool:
             raise AxiomViolation("multiplicative-closure",
                                  f"s-unitality asked of a subgroup not closed under "
                                  f"products: ({a})*({b}) = {p}")
-    c = _coordinates(ring)
-    k_fold = _Coordinates(c.moduli * len(gens))
-
-    def packed(elements: Iterable[int]) -> int:
-        return k_fold.pack(v for e in elements for v in c.unpack(c.of[e]))
-
+    k_fold, packed = _row_packer(ring, len(gens))
     target = packed(gens)
     for rows in (products, zip(*products)):     # phi(g_j) = g_j*g_i, then g_i*g_j
         span = _basis(k_fold)
@@ -1132,23 +1145,53 @@ class PrimeResult:
 
 
 def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> PrimeResult:
-    """Decide primeness by exhausting principal-ideal pairs.
+    """Decide primeness by the right annihilators of principal ideals.
 
     A ring is prime iff for all nonzero a, b the product of the ideals they
     generate is nonzero; it suffices to range over principal ideals because
-    any offending ideal pair contains an offending principal pair.  The
-    witness is the first failing (a, b) in element order.  The zero ring is
-    reported not prime and degenerate.  Refuses carriers above ``bound``.
+    any offending ideal pair contains an offending principal pair.  The zero
+    ring is reported not prime and degenerate.  Refuses carriers above
+    ``bound``.
+
+    Lemma: (a)(b) == 0 iff (a)b == 0.  (=>) b lies in (b).  (<=) (b) is
+    spanned by the nb, rb, br' and rbr' for integers n and r, r' in R, and
+    (a)R lies in (a).  So for x in (a), x*nb = n(xb) and x*rb = (xr)b lie
+    in (a)b, and x*br' = (xb)r' and x*rbr' = ((xr)b)r' in (a)b*R, all 0.
+    Hence a has a zero partner iff the right annihilator of (a) is nonzero.  With g_1..g_d the generators of
+    (a), that annihilator is the kernel of the additive map
+    psi(r) = (g_1*r, ..., g_d*r) into the d-fold product of the carrier's
+    coordinates, and it is 0 iff the image, spanned by psi of the additive
+    generators of R, has |R| elements: d*k products and one basis, once per
+    distinct ideal.
+
+    The walk goes over a in element order and stops at the first a whose
+    ideal has a nonzero annihilator; the witness b is the least nonzero
+    element of that annihilator.  By the lemma this is the first pair in
+    element order of the pair search over principal ideals: a is the first
+    element with a zero partner, and b its first zero partner.
     """
     if ring.size > bound:
         raise BoundExceeded(f"primeness oracle bounded at {bound} elements, got {ring.size}")
     if ring.size == 1:
         return PrimeResult(False, None, degenerate=True)
 
-    pair = first_zero_pair(range(1, ring.size), lambda a: principal_ideal(ring, a))
-    if pair is None:
-        return PrimeResult(True, None)
-    return PrimeResult(False, PrimePairWitness(*pair))
+    mul, rgens = ring.mul, ring.additive_generators()
+    faithful = set()        # keys of ideals with a zero right annihilator
+    for a in range(1, ring.size):
+        ideal = principal_ideal(ring, a)
+        if ideal.key in faithful:
+            continue
+        fold, packed = _row_packer(ring, len(ideal.gens))
+        image = _basis(fold)
+        for r in rgens:
+            image.insert(packed(mul(g, r) for g in ideal.gens))
+        if image.size() == ring.size:
+            faithful.add(ideal.key)
+            continue
+        b = next(b for b in range(1, ring.size)
+                 if all(mul(g, b) == 0 for g in ideal.gens))
+        return PrimeResult(False, PrimePairWitness(a, b, ideal, principal_ideal(ring, b)))
+    return PrimeResult(True, None)
 
 
 # ---------------------------------------------------------------------------

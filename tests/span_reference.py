@@ -7,12 +7,16 @@ carriers, through the parent for a subring, coefficient by coefficient in
 the ambient for a skew product, and by a carrier's own rule otherwise.
 ``reference_s_unital_sides`` is the per-member s-unitality test that the
 generator criterion of ``rings.is_s_unital`` replaced, on these spans.
+``reference_prime`` is the pairwise search over all principal ideals that
+the annihilator test of ``rings.is_prime_bruteforce`` replaced.
 """
 
 from __future__ import annotations
 
 from gprime.partial import SkewGroupoidRing
-from gprime.rings import DirectSumRing, FiniteRing, GroupRing, MatrixRing, SubRing
+from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
+                          PrimePairWitness, PrimeResult, SubRing, first_zero_pair,
+                          principal_ideal)
 
 
 def reference_add(ring):
@@ -66,3 +70,15 @@ def reference_s_unital_sides(x):
         left = left and m in reference_span(ring, [mul(g, m) for g in gens], add)[0]
         right = right and m in reference_span(ring, [mul(m, g) for g in gens], add)[0]
     return left, right
+
+
+def reference_prime(ring):
+    """Primeness of ``ring`` as a ``PrimeResult``: the principal ideal of
+    every nonzero element is closed, and the witness is the first (a, b) in
+    element order whose ideals multiply to zero."""
+    if ring.size == 1:
+        return PrimeResult(False, None, degenerate=True)
+    pair = first_zero_pair(range(1, ring.size), lambda a: principal_ideal(ring, a))
+    if pair is None:
+        return PrimeResult(True, None)
+    return PrimeResult(False, PrimePairWitness(*pair))

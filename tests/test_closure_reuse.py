@@ -108,7 +108,8 @@ def test_equal_principal_ideals_share_one_element_set():
                                                    (GaloisField(3), 4, None)])
 def test_equal_principal_ideals_are_one_object(base, order, distinct):
     ring = GroupRing(base, FiniteGroup.cyclic(order))
-    is_prime_bruteforce(ring)
+    for a in range(1, ring.size):
+        principal_ideal(ring, a)
     ideals = list(ring._pid_cache.values())
     assert len(ideals) == ring.size - 1
     objects = {id(ideal) for ideal in ideals}

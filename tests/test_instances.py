@@ -477,6 +477,30 @@ class TestCLI:
                         "--timings") == 0
         assert "timings" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("name, method, stages", [
+        ("g8_groupoid_ring.json", "all", {"criterion", "carrier", "oracle"}),
+        ("g8_groupoid_ring.json", "oracle", {"carrier", "oracle"}),
+        ("g8_groupoid_ring.json", "theorem", {"criterion"}),
+        ("global_flip_partial_action.json", "all",
+         {"carrier", "isotropy_reduction", "oracle", "coefficients_G_prime",
+          "sufficient_conditions"}),
+        ("global_flip_partial_action.json", "oracle", {"carrier", "oracle"}),
+        ("global_flip_partial_action.json", "theorem", {"isotropy_reduction"}),
+    ])
+    def test_prime_timings_on_groupoid_rings_and_partial_actions(
+            self, capsys, name, method, stages):
+        argv = ("prime", str(fixture(name)), "--method", method)
+        assert self.run(*argv) == 0
+        plain = capsys.readouterr().out
+        assert "timings" not in plain
+        assert self.run(*argv, "--timings") == 0
+        timed = capsys.readouterr().out
+        head, section = timed.split("timings:\n")
+        assert stages | {"total"} <= {line.split(":")[0].strip()
+                                      for line in section.splitlines()
+                                      if line.startswith("  ")}
+        assert plain.startswith(head)
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gprime.cli", "prime",
