@@ -31,17 +31,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from typing import Dict, Optional, Sequence
 
 from . import __version__
 from .errors import (BoundExceeded, GprimeError, InternalDisagreement,
                      MalformedInput)
 from .fuzz import run_fuzz
-from .instances import (_tool_section, analysis_document, build_instance,
-                        equivalence_document, parse, primeness_document,
-                        render_report, resolve_bound, validation_document,
-                        verify_witnesses)
+from .instances import (_tool_section, _with_timings, analysis_document,
+                        build_instance, carrier_grading, equivalence_document,
+                        parse, primeness_document, render_report, resolve_bound,
+                        validation_document, verify_witnesses)
 from .partial import SKEW_RING_BOUND
+from .primeness import StageClock
 
 __all__ = ["main"]
 
@@ -87,7 +89,7 @@ def _build_parser() -> _ArgumentParser:
     on_file["prime"].add_argument(
         "--method", choices=("oracle", "theorem", "all"), default="all",
         help="decision route; 'all' cross-checks both (default: all)")
-    for name in ("prime", "equivalence"):
+    for name in on_file:
         on_file[name].add_argument(
             "--timings", action="store_true",
             help="include wall-clock timings (breaks byte-identical output)")
@@ -122,14 +124,20 @@ def _carrier_bound(args, instance=None) -> int:
 def _cmd_instance(args) -> Dict:
     """validate, analyze, prime and equivalence: parse the file, resolve the
     bound, build the instance, then emit the command's document; prime and
-    equivalence reports are replayed before they are returned."""
-    instance = parse(args.file)
+    equivalence reports are replayed before they are returned.  validate and
+    analyze clock parse, validate and, for analyze, carrier and analysis."""
+    clock = StageClock(args.timings and args.command in ("validate", "analyze"))
+    instance = clock("parse", lambda: parse(args.file))
     bound = _carrier_bound(args, instance)
-    built = build_instance(instance, bound)
+    built = clock("validate", lambda: build_instance(instance, bound))
     if args.command == "validate":
-        return validation_document(built, bound)
+        return _with_timings(validation_document(built, bound), clock)
     if args.command == "analyze":
-        return analysis_document(built, bound)
+        if clock.timings is not None:
+            with suppress(BoundExceeded):
+                clock("carrier", lambda: carrier_grading(built, bound))
+        return _with_timings(clock("analysis", lambda: analysis_document(built, bound)),
+                             clock)
     if args.command == "prime":
         doc = primeness_document(built, args.method, bound,
                                  with_timings=args.timings)

@@ -274,12 +274,12 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
         if set_product(x, sg).key != sg.key:
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 S_g != S_g")
-        y = products[G.inv[g]]
+        lefts, rights = x.sorted_elements(), products[G.inv[g]].sorted_elements()
         for d in sg.sorted_elements():
             if d == 0:
                 continue
-            eps = next((u for u in x.sorted_elements() if mul(u, d) == d), None)
-            eps2 = next((v for v in y.sorted_elements() if mul(d, v) == d), None)
+            eps = next((u for u in lefts if mul(u, d) == d), None)
+            eps2 = next((v for v in rights if mul(d, v) == d), None)
             if eps is None or eps2 is None:
                 route_two = False
                 side = "left" if eps is None else "right"

@@ -791,17 +791,16 @@ def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
     return doc
 
 
-def _isotropy_skew_witnesses(act: PartialAction, per: Mapping[int, bool],
+def _isotropy_skew_witnesses(act: PartialAction, per: Mapping[int, PrimeResult],
                              bound: int) -> List[Dict]:
-    """Zero pairs backing each non-prime isotropy reduction; the restricted
-    actions and their product rings are cached, so this re-derivation is a
-    lookup."""
+    """The zero pairs the isotropy reduction found, on its cached rings."""
     G = act.groupoid
     out: List[Dict] = []
-    for e, prime in sorted(per.items()):
-        if not prime:
-            sub = build_skew_ring(restrict_to_isotropy(act, e), bound)
-            _oracle(sub.ring, bound, out, f"isotropy-skew:{G.objects[e]}")
+    for e, res in sorted(per.items()):
+        if res.witness is not None:
+            sub = build_skew_ring(restrict_to_isotropy(act, e), bound).ring
+            out.append(_pair_witness(f"isotropy-skew:{G.objects[e]}", "ideal", sub,
+                                     res.witness.a, res.witness.b))
     return out
 
 
@@ -821,8 +820,8 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
             raise MalformedInput("the isotropy reduction needs a transport "
                                  f"family: {transport.reason}")
         per = clock("isotropy_reduction", lambda: isotropy_reduction(act, bound))
-        doc.update(verdict=any(per.values()), method="theorem",
-                   isotropy_prime={G.objects[e]: v for e, v in per.items()})
+        doc.update(verdict=any(r.prime for r in per.values()), method="theorem",
+                   isotropy_prime={G.objects[e]: r.prime for e, r in per.items()})
         witnesses.extend(_isotropy_skew_witnesses(act, per, bound))
     else:
         # skew_prime_verdict builds the carrier, runs the oracle and, given a
@@ -840,8 +839,8 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
                    isotropy_prime={G.objects[e]: v
                                    for e, v in verdict.isotropy_prime.items()})
         if verdict.method == "group-type":
-            witnesses.extend(_isotropy_skew_witnesses(act, verdict.isotropy_prime,
-                                                      bound))
+            witnesses.extend(_isotropy_skew_witnesses(
+                act, isotropy_reduction(act, bound), bound))
         if verdict.oracle is not None and verdict.oracle.witness is not None:
             grading = build_skew_ring(act, bound)
             witnesses.append(_pair_witness("carrier", "ideal", grading.ring,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from math import prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
@@ -35,10 +36,11 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        isotropy, one_object_groupoid, orbit)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
                     FiniteRing, Ideal, PrimeResult, _Closures, _Coordinates,
-                    _memo, _mixed_radix_table, additive_closure, close,
-                    first_escape, first_hom_failure, first_identity,
-                    first_nonassociative, first_zero_pair, is_maximal_commutative,
-                    is_prime_bruteforce, is_s_unital, principal_ideal)
+                    _TermRing, _memo, _mixed_radix_table, _radix_tuples,
+                    additive_closure, close, first_escape, first_hom_failure,
+                    first_identity, first_nonassociative, first_zero_pair,
+                    is_maximal_commutative, is_prime_bruteforce, is_s_unital,
+                    principal_ideal)
 
 __all__ = [
     "SKEW_RING_BOUND",
@@ -279,43 +281,37 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
 # the skew product ring
 # ---------------------------------------------------------------------------
 
-class SkewGroupoidRing(FiniteRing):
+class SkewGroupoidRing(_TermRing):
     """Formal sums over the morphisms with coefficients in the attached ideals.
 
     Elements are mixed-radix encodings of their coefficient tuples (morphism 0
     least significant, each digit indexing the sorted elements of its A_g).
     The coordinates of an element concatenate the ambient coordinates of its
     coefficients, so the sum is coordinatewise in the ambient.
-    The product is the bilinear extension of
+    The product is the bilinear extension of the single-term rule
     (a delta_g)(b delta_h) = sigma_g(sigma_{g^{-1}}(a) b) delta_{gh} on
-    composable pairs and zero otherwise.  Every computed coefficient is
-    checked against its target ideal; a failure there is an internal error,
-    not an input error.
+    composable pairs and zero otherwise, summed by ``rings._TermRing``.
+    Every term is checked against its target ideal when it is first
+    computed; a failure there is an internal error, not an input error.
     """
 
     def __init__(self, action: PartialAction, bound: int = SKEW_RING_BOUND):
         G = action.groupoid
         amb = action.ambient
+        super().__init__([[h for h in range(G.n_morphisms) if G.composable(g, h)]
+                          for g in range(G.n_morphisms)])
         self.action = action
         locs = [action.ideals[g].sorted_elements() for g in range(G.n_morphisms)]
-        size = 1
-        for loc in locs:
-            size *= len(loc)
-            if size > bound:
-                raise BoundExceeded(
-                    f"skew product carrier would exceed {bound} elements; "
-                    f"refusing to build")
-        self.size = size
+        self.size = prod(len(loc) for loc in locs)
+        if self.size > bound:
+            raise BoundExceeded(f"skew product carrier would exceed {bound} elements; "
+                                f"refusing to build")
         self.tag = f"skew({amb.tag}; {G.n_morphisms} morphisms)"
         self.moduli = amb.moduli * G.n_morphisms
         self._locals = locs
         self._members = [frozenset(loc) for loc in locs]
-        coeffs: List[Tuple[int, ...]] = [()]
-        for loc in locs:
-            coeffs = [c + (a,) for a in loc for c in coeffs]
-        self._coeffs = coeffs
-        self._index = {c: x for x, c in enumerate(coeffs)}
-        self._mul_memo: Dict[Tuple[int, int], int] = {}
+        self._coeffs = _radix_tuples(locs)
+        self._index = {c: x for x, c in enumerate(self._coeffs)}
         # the cache FiniteRing.additive_generators reads
         self._gens = tuple(self.inject(g, a) for g, ideal in enumerate(action.ideals)
                            for a in ideal.gens)
@@ -327,6 +323,9 @@ class SkewGroupoidRing(FiniteRing):
         amb = self.action.ambient
         return _mixed_radix_table(c, [[amb.coordinates(x) for x in loc]
                                       for loc in self._locals])
+
+    def _coefficient_table(self) -> List[Tuple[int, ...]]:
+        return self._coeffs
 
     def encode(self, coeffs: Sequence[int]) -> int:
         """The element with the given ambient coefficient per morphism."""
@@ -350,33 +349,17 @@ class SkewGroupoidRing(FiniteRing):
 
     # -- ring operations ----------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        key = (a, b)
-        got = self._mul_memo.get(key)
-        if got is not None:
-            return got
+    def _term(self, g: int, a: int, h: int, b: int) -> Tuple[int, int]:
         act = self.action
         G = act.groupoid
-        amb = act.ambient
-        out = [0] * len(self._locals)
-        for g, ag in enumerate(self._coeffs[a]):
-            if ag == 0:
-                continue
-            pulled = act.sigma(G.inv[g], ag)
-            for h, bh in enumerate(self._coeffs[b]):
-                if bh == 0 or not G.composable(g, h):
-                    continue
-                term = act.sigma(g, amb.mul(pulled, bh))
-                gh = G.compose(g, h)
-                if term not in self._members[gh]:
-                    raise InternalDisagreement(
-                        f"product coefficient {amb.label(term)} escaped "
-                        f"A_{G.morphisms[gh]}; the action validator and the "
-                        f"product rule disagree")
-                out[gh] = amb.add(out[gh], term)
-        res = self.encode(out)
-        self._mul_memo[key] = res
-        return res
+        term = act.sigma(g, act.ambient.mul(act.sigma(G.inv[g], a), b))
+        gh = G.compose(g, h)
+        if term not in self._members[gh]:
+            raise InternalDisagreement(
+                f"product coefficient {act.ambient.label(term)} escaped "
+                f"A_{G.morphisms[gh]}; the action validator and the "
+                f"product rule disagree")
+        return gh, term
 
     def label(self, x: int) -> str:
         G = self.action.groupoid
@@ -786,12 +769,11 @@ class SkewPrimeVerdict:
 
 @_once_per_action
 def isotropy_reduction(action: PartialAction,
-                       bound: int = SKEW_RING_BOUND) -> Dict[int, bool]:
-    """Alive object -> primeness of its isotropy skew ring, built under
-    ``bound``; with a transport family the product is prime iff one is."""
+                       bound: int = SKEW_RING_BOUND) -> Dict[int, PrimeResult]:
+    """Alive object -> the oracle's result on its isotropy skew ring, built
+    under ``bound``; with a transport family the product is prime iff one is."""
     return {e: is_prime_bruteforce(
-                build_skew_ring(restrict_to_isotropy(action, e), bound).ring,
-                bound).prime
+                build_skew_ring(restrict_to_isotropy(action, e), bound).ring, bound)
             for e in action.support_objects()}
 
 
@@ -815,12 +797,12 @@ def skew_prime_verdict(action: PartialAction,
             raise BoundExceeded(
                 "the carrier exceeds the bound and no transport family exists, "
                 "so no reduction to isotropy applies") from None
-        per = isotropy_reduction(action, bound)
+        per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
         return SkewPrimeVerdict(any(per.values()), "group-type", per, None)
     res = is_prime_bruteforce(grading.ring, bound)
     per: Dict[int, bool] = {}
     if transport.holds:
-        per = isotropy_reduction(action, bound)
+        per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
         if any(per.values()) != res.prime:
             raise InternalDisagreement(
                 "isotropy reduction disagrees with the oracle on a "

@@ -1,9 +1,11 @@
 """Finite rings on dense integer carriers 0..n-1, with 0 the additive identity.
 
 Rings are not assumed unital or commutative.  Structured constructors
-(matrix rings, direct sums, group rings) never materialize a global
-multiplication table; products are computed digit-wise on demand, so e.g. the
-512-element ring of 3x3 matrices over the 2-element field stays cheap.
+(matrix rings, direct sums, group rings, and the skew groupoid rings of
+``partial``) never materialize a global multiplication table: one kernel,
+``_TermRing.mul``, extends each carrier's product of single terms
+bilinearly, summing the terms' packed coordinate vectors (below), so e.g.
+the 512-element ring of 3x3 matrices over the 2-element field stays cheap.
 
 Beside its element index every carrier has a coordinate map: (carrier, +)
 is carried into a product of cyclic groups Z/m_1 x ... x Z/m_k, where
@@ -36,6 +38,7 @@ generators, run on ``first_escape``, ``first_hom_failure``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
 from math import lcm, prod
 from operator import pos, xor
@@ -203,7 +206,14 @@ class _Coordinates:
         return [(v >> s & self.mask) % m for s, m in self.fields]
 
     def normalize(self, v: int) -> int:
-        return self.pack(self.unpack(v))
+        """``pack(unpack(v))`` field by field, for v with nonnegative fields
+        that fit the width."""
+        mask = self.mask
+        for s, m in self.fields:
+            f = v >> s & mask
+            if f >= m:
+                v -= f // m * m << s
+        return v
 
     def add(self, u: int, v: int) -> int:
         return self.normalize(u + v)
@@ -233,6 +243,15 @@ def _mixed_radix_table(c: _Coordinates, digits: Sequence[Sequence[Sequence[int]]
         table = [x + s for s in steps for x in table]
         at += len(values[0])
     return table
+
+
+def _radix_tuples(digits: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Every tuple with entry i in ``digits[i]``, in mixed-radix order
+    (entry 0 least significant)."""
+    out: List[Tuple[int, ...]] = [()]
+    for values in digits:
+        out = [t + (v,) for v in values for t in out]
+    return out
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -445,18 +464,6 @@ class GaloisField(FiniteRing):
                     raise MalformedInput(f"x^2+{c1}x+{c0} is reducible mod {p}")
             self._c0, self._c1 = c0, c1
 
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        return (a + b) % p + (a // p + b // p) % p * p
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        return (-a) % p + (-(a // p)) % p * p
-
     def mul(self, a: int, b: int) -> int:
         p = self.p
         if self.k == 1:
@@ -579,57 +586,98 @@ def _scaled(base: FiniteRing, c: int, name: str) -> str:
     return f"({lab})*{name}" if "+" in lab else f"{lab}*{name}"
 
 
-class _VectorRing(FiniteRing):
+class _Terms(dict):
+    """(i, x, j, y) -> the packed vector of a term product, on first use;
+    nothing is kept for a term whose rule raises."""
+
+    def __init__(self, ring: "_TermRing"):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, key: Tuple[int, int, int, int]) -> int:
+        ring = self.ring
+        v = self[key] = _coordinates(ring).of[ring.inject(*ring._term(*key))]
+        return v
+
+
+class _TermRing(FiniteRing):
+    """A carrier of coefficient tuples whose product is the bilinear
+    extension of a product on single terms: matrices, group rings, direct
+    sums and skew groupoid rings.
+
+    A carrier supplies ``_coefficient_table`` (each element's tuple),
+    ``_partners`` (for each position i, the positions j where x at i times
+    y at j can be nonzero), ``_term(i, x, j, y)``, the (position,
+    coefficient) of that product, and ``inject(position, coefficient)``.
+    ``mul`` sums the packed coordinate vectors of the term products of a
+    pair, each computed once per (i, x, j, y), by xor on binary coordinates
+    and otherwise by plain addition and one ``normalize``, and reads the
+    product off the coordinate index; each pair's product is kept too.  The
+    sum cannot overflow a field: by cancellation the target position
+    determines j given i ((r,k)(k,c) lands at (r,c); ij = k in a group;
+    j = i in a sum; gh determines h), so at most one term per left position
+    lands in a field, which stays below len(moduli)*m, inside the width
+    ``_Coordinates`` reserves.
+    """
+
+    def __init__(self, partners: Sequence[Sequence[int]]):
+        self._partners = partners
+        self._products: Dict[Tuple[int, int], int] = {}
+        self._terms = _Terms(self)
+
+    def mul(self, a: int, b: int) -> int:
+        key = (a, b)
+        hit = self._products.get(key)
+        if hit is not None:
+            return hit
+        coeffs = self._coefficient_table()
+        A, B = coeffs[a], coeffs[b]
+        partners, terms = self._partners, self._terms
+        vecs = [terms[i, x, j, y] for i, x in enumerate(A) if x
+                for j in partners[i] for y in (B[j],) if y]
+        c = self._coordinate_map or _coordinates(self)
+        v = reduce(xor, vecs, 0) if c.binary else c.normalize(sum(vecs))
+        hit = self._products[key] = c.index[v]
+        return hit
+
+
+class _VectorRing(_TermRing):
     """Shared machinery for carriers that are mixed-radix digit vectors; the
     coordinates concatenate the digits' coordinates."""
 
-    def __init__(self, digit_rings: Sequence[FiniteRing]):
+    def __init__(self, digit_rings: Sequence[FiniteRing],
+                 partners: Sequence[Sequence[int]]):
+        super().__init__(partners)
         self._digits: Tuple[FiniteRing, ...] = tuple(digit_rings)
         if not self._digits:
             raise MalformedInput("need at least one component")
-        self.size = 1
-        for r in self._digits:
-            self.size *= r.size
+        self._places = list(accumulate([r.size for r in self._digits],
+                                       lambda p, n: p * n, initial=1))
+        self.size = self._places.pop()
         self.moduli = tuple(m for r in self._digits for m in r.moduli)
         self._dec: Optional[List[Tuple[int, ...]]] = None
+        # the cache FiniteRing.additive_generators reads
+        self._gens = tuple(self.inject(pos, g) for pos, r in enumerate(self._digits)
+                           for g in r.additive_generators())
 
     def _coordinate_table(self, c: _Coordinates) -> List[int]:
         return _mixed_radix_table(c, [[r.coordinates(d) for d in range(r.size)]
                                       for r in self._digits])
 
-    def _decode_table(self) -> List[Tuple[int, ...]]:
+    def _coefficient_table(self) -> List[Tuple[int, ...]]:
         if self._dec is None:
-            table = []
-            for a in range(self.size):
-                digs = []
-                x = a
-                for r in self._digits:
-                    digs.append(x % r.size)
-                    x //= r.size
-                table.append(tuple(digs))
-            self._dec = table
+            self._dec = _radix_tuples([range(r.size) for r in self._digits])
         return self._dec
 
     def decode(self, a: int) -> Tuple[int, ...]:
-        return self._decode_table()[a]
+        return self._coefficient_table()[a]
 
     def encode(self, digits: Sequence[int]) -> int:
-        out = 0
-        for r, d in zip(reversed(self._digits), reversed(tuple(digits))):
-            out = out * r.size + d
-        return out
+        return sum(d * p for d, p in zip(digits, self._places))
 
     def inject(self, pos: int, value: int) -> int:
         """The vector with ``value`` in digit ``pos`` and zeros elsewhere."""
-        digs = [0] * len(self._digits)
-        digs[pos] = value
-        return self.encode(digs)
-
-    def additive_generators(self) -> Tuple[int, ...]:
-        out = []
-        for pos, r in enumerate(self._digits):
-            out.extend(self.inject(pos, g) for g in r.additive_generators())
-        return tuple(out)
+        return value * self._places[pos]
 
 
 class MatrixRing(_VectorRing):
@@ -638,14 +686,15 @@ class MatrixRing(_VectorRing):
     def __init__(self, base: FiniteRing, n: int):
         if n < 1:
             raise MalformedInput(f"matrix size must be positive, got {n}")
-        super().__init__([base] * (n * n))
+        # (r,k) meets (k,c) for every c
+        super().__init__([base] * (n * n), [range(i % n * n, i % n * n + n)
+                                            for i in range(n * n)])
         self.base = base
         self.n = n
         self.tag = f"M{n}({base.tag})"
         self.one = (self.encode([base.one if i == j else 0
                                  for i in range(n) for j in range(n)])
                     if base.one is not None else None)
-        self._memo: Dict[Tuple[int, int], int] = {}
 
     def unit(self, i: int, j: int, coeff: Optional[int] = None) -> int:
         """The matrix with ``coeff`` (default the base identity) at 0-based (i, j)."""
@@ -657,29 +706,8 @@ class MatrixRing(_VectorRing):
             raise MalformedInput(f"matrix unit ({i + 1},{j + 1}) out of range for n={self.n}")
         return self.inject(i * self.n + j, coeff)
 
-    def mul(self, a: int, b: int) -> int:
-        key = (a, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        A, B = self.decode(a), self.decode(b)
-        badd, bmul = self.base.add, self.base.mul
-        out = [0] * (n * n)
-        for i in range(n):
-            for k in range(n):
-                x = A[i * n + k]
-                if x == 0:
-                    continue
-                row = k * n
-                for j in range(n):
-                    y = B[row + j]
-                    if y == 0:
-                        continue
-                    out[i * n + j] = badd(out[i * n + j], bmul(x, y))
-        r = self.encode(out)
-        self._memo[key] = r
-        return r
+    def _term(self, i: int, x: int, j: int, y: int) -> Tuple[int, int]:
+        return i - i % self.n + j % self.n, self.base.mul(x, y)
 
     def label(self, a: int) -> str:
         n = self.n
@@ -695,7 +723,7 @@ class DirectSumRing(_VectorRing):
     """
 
     def __init__(self, parts: Sequence[FiniteRing], keys: Optional[Sequence[str]] = None):
-        super().__init__(parts)
+        super().__init__(parts, [(i,) for i in range(len(parts))])
         self.parts: Tuple[FiniteRing, ...] = tuple(parts)
         self.keys: Tuple[str, ...] = (tuple(keys) if keys is not None
                                       else tuple(str(i) for i in range(len(self.parts))))
@@ -721,9 +749,8 @@ class DirectSumRing(_VectorRing):
         return Ideal(self, None, [self.inject(pos, g)
                                   for g in self.parts[pos].additive_generators()])
 
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([p.mul(x, y) for p, x, y in zip(self.parts, da, db)])
+    def _term(self, i: int, x: int, j: int, y: int) -> Tuple[int, int]:
+        return i, self.parts[i].mul(x, y)
 
     def label(self, a: int) -> str:
         digs = self.decode(a)
@@ -735,32 +762,14 @@ class GroupRing(_VectorRing):
     """The group ring base[H]: one base digit per group element, convolution product."""
 
     def __init__(self, base: FiniteRing, group: FiniteGroup):
-        super().__init__([base] * group.order)
+        super().__init__([base] * group.order, [range(group.order)] * group.order)
         self.base = base
         self.group = group
         self.tag = f"{base.tag}[{group.name}]"
         self.one = (self.inject(0, base.one) if base.one is not None else None)
-        self._memo: Dict[Tuple[int, int], int] = {}
 
-    def mul(self, a: int, b: int) -> int:
-        key = (a, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        A, B = self.decode(a), self.decode(b)
-        badd, bmul, gmul = self.base.add, self.base.mul, self.group.mul
-        out = [0] * self.group.order
-        for i, x in enumerate(A):
-            if x == 0:
-                continue
-            for j, y in enumerate(B):
-                if y == 0:
-                    continue
-                k = gmul(i, j)
-                out[k] = badd(out[k], bmul(x, y))
-        r = self.encode(out)
-        self._memo[key] = r
-        return r
+    def _term(self, i: int, x: int, j: int, y: int) -> Tuple[int, int]:
+        return self.group.mul(i, j), self.base.mul(x, y)
 
     def label(self, a: int) -> str:
         return " + ".join(_scaled(self.base, c, self.group.labels[i])

@@ -9,10 +9,16 @@ the ambient for a skew product, and by a carrier's own rule otherwise.
 generator criterion of ``rings.is_s_unital`` replaced, on these spans.
 ``reference_prime`` is the pairwise search over all principal ideals that
 the annihilator test of ``rings.is_prime_bruteforce`` replaced.
+``reference_mul`` is the digit-wise product that the single-term kernel
+``rings._TermRing.mul`` replaced on matrices, group rings, direct sums and
+skew groupoid rings, on digits and coefficients read without coordinates.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from gprime.errors import InternalDisagreement
 from gprime.partial import SkewGroupoidRing
 from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
                           PrimePairWitness, PrimeResult, SubRing, first_zero_pair,
@@ -29,8 +35,8 @@ def reference_add(ring):
         return lambda a, b: ring.from_parent[add(ring.to_parent[a], ring.to_parent[b])]
     if isinstance(ring, (MatrixRing, DirectSumRing, GroupRing)):
         adds = [reference_add(r) for r in ring._digits]
-        return lambda a, b: ring.encode([add(x, y) for add, x, y in
-                                         zip(adds, ring.decode(a), ring.decode(b))])
+        return lambda a, b: _number(ring, [add(x, y) for add, x, y in
+                                           zip(adds, _digits(ring, a), _digits(ring, b))])
     return ring.add
 
 
@@ -82,3 +88,70 @@ def reference_prime(ring):
     if pair is None:
         return PrimeResult(True, None)
     return PrimeResult(False, PrimePairWitness(*pair))
+
+
+def _digits(ring, a):
+    """The digits of a vector-carrier element, least significant first."""
+    out = []
+    for r in ring._digits:
+        a, d = divmod(a, r.size)
+        out.append(d)
+    return out
+
+
+def _number(ring, digits):
+    out = 0
+    for r, d in zip(reversed(ring._digits), reversed(digits)):
+        out = out * r.size + d
+    return out
+
+
+def reference_mul(ring):
+    if isinstance(ring, SkewGroupoidRing):
+        act = ring.action
+        G = act.groupoid
+        mul = lru_cache(maxsize=None)(reference_mul(act.ambient))
+        add = lru_cache(maxsize=None)(reference_add(act.ambient))
+
+        def skew(a, b):
+            out = [0] * G.n_morphisms
+            for g, ag in enumerate(ring.coefficients(a)):
+                if ag == 0:
+                    continue
+                pulled = act.sigma(G.inv[g], ag)
+                for h, bh in enumerate(ring.coefficients(b)):
+                    if bh == 0 or not G.composable(g, h):
+                        continue
+                    term = act.sigma(g, mul(pulled, bh))
+                    gh = G.compose(g, h)
+                    if term not in act.ideals[gh]:
+                        raise InternalDisagreement("a term escaped its ideal")
+                    out[gh] = add(out[gh], term)
+            return ring.encode(out)
+        return skew
+    if isinstance(ring, SubRing):
+        mul = reference_mul(ring.parent)
+        return lambda a, b: ring.from_parent[mul(ring.to_parent[a], ring.to_parent[b])]
+    if isinstance(ring, DirectSumRing):
+        muls = [reference_mul(p) for p in ring.parts]
+        return lambda a, b: _number(ring, [mul(x, y) for mul, x, y in
+                                           zip(muls, _digits(ring, a), _digits(ring, b))])
+    if not isinstance(ring, (MatrixRing, GroupRing)):
+        return ring.mul
+    badd, bmul = reference_add(ring.base), reference_mul(ring.base)
+    if isinstance(ring, MatrixRing):
+        n = ring.n
+        cells = [(i * n + k, k * n + j, i * n + j)
+                 for i in range(n) for k in range(n) for j in range(n)]
+    else:
+        H = ring.group
+        cells = [(i, j, H.mul(i, j)) for i in range(H.order) for j in range(H.order)]
+
+    def convolve(a, b):
+        A, B = _digits(ring, a), _digits(ring, b)
+        out = [0] * len(A)
+        for i, j, k in cells:
+            if A[i] and B[j]:
+                out[k] = badd(out[k], bmul(A[i], B[j]))
+        return _number(ring, out)
+    return convolve

@@ -501,6 +501,27 @@ class TestCLI:
                                       if line.startswith("  ")}
         assert plain.startswith(head)
 
+    @pytest.mark.parametrize("argv, stages", [
+        (("validate", "m3_pair_groupoid.json"), {"parse", "validate"}),
+        (("validate", "global_flip_partial_action.json"), {"parse", "validate"}),
+        (("analyze", "g8_groupoid_ring.json"),
+         {"parse", "validate", "carrier", "analysis"}),
+        (("analyze", "global_flip_partial_action.json"),
+         {"parse", "validate", "carrier", "analysis"}),
+        # a refused carrier is no stage: the analysis reports the refusal
+        (("analyze", "g8_groupoid_ring.json", "--max-ring", "10"),
+         {"parse", "validate", "analysis"}),
+    ])
+    def test_validate_and_analyze_timings(self, capsys, argv, stages):
+        argv = [a if not a.endswith(".json") else str(fixture(a)) for a in argv]
+        assert self.run(*argv) == 0
+        plain = capsys.readouterr().out
+        assert self.run(*argv, "--timings") == 0
+        head, section = capsys.readouterr().out.split("timings:\n")
+        assert head == plain
+        assert {line.split(":")[0].strip() for line in section.splitlines()} == \
+            stages | {"total"}
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gprime.cli", "prime",
