@@ -15,7 +15,9 @@ of replayed witnesses is part of the report.
 
 The product-ring carrier bound resolves in order: ``--max-ring`` flag, the
 ``GPRIME_MAX_RING`` environment variable, the instance file's ``bounds``
-section, then the built-in default of 4096.
+section, then the built-in default of 4096.  The flag and the variable take
+positive integers, as ``bounds.max_ring`` does; ``fuzz --count`` takes a
+non-negative one.
 
 Exit codes: 0 success, 1 invalid input (bad file, bad schema, bad flags),
 2 a carrier bound was exceeded, 3 internal disagreement, 4 resources
@@ -24,15 +26,28 @@ must agree returned different answers or a reported witness failed to
 replay; it signals a bug in the tool, never a property of the instance,
 and a green build must never produce it.  Exit 4 says nothing about the
 input's validity: the run needed more memory or stack than it had.
+
+On exits 1 to 4 stdout stays empty.  In text mode stderr carries a
+``gprime: error:`` line, and a ``gprime: details:`` line when the error has
+details; with ``--output json`` it carries one JSON document instead, with
+``exit_code``, ``error`` (the exception's class name), ``message`` and
+``details`` (a JSON value, or null).  Usage errors are found by argparse
+before ``--output`` is read and stay plain text.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the same process; nothing in it varies between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import json
 import os
 import sys
 from contextlib import suppress
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from . import __version__
 from .errors import (BoundExceeded, GprimeError, InternalDisagreement,
@@ -44,6 +59,7 @@ from .instances import (_tool_section, _with_timings, analysis_document,
                         validation_document, verify_witnesses)
 from .partial import SKEW_RING_BOUND
 from .primeness import StageClock
+from .rings import AdditiveSubgroup
 
 __all__ = ["main"]
 
@@ -58,6 +74,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(least: int, what: str):
+    """An argparse ``type=`` reading an integer no smaller than ``least``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+
+
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="gprime",
@@ -69,7 +102,8 @@ def _build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "text"), default="text",
                         help="report format (default: text)")
-    common.add_argument("--max-ring", type=int, default=None, metavar="N",
+    common.add_argument("--max-ring", type=_positive_int, default=None,
+                        metavar="N",
                         help="largest product-ring carrier to build "
                              "(default: 4096, or GPRIME_MAX_RING)")
 
@@ -99,7 +133,8 @@ def _build_parser() -> _ArgumentParser:
                             "library invariant on them")
     p.add_argument("--seed", type=int, required=True,
                    help="generator seed; the whole run is reproducible")
-    p.add_argument("--count", type=int, required=True,
+    p.add_argument("--count", type=_int_at_least(0, "a non-negative integer"),
+                   required=True,
                    help="number of instances to generate")
 
     return parser
@@ -112,10 +147,9 @@ def _carrier_bound(args, instance=None) -> int:
     env = os.environ.get("GPRIME_MAX_RING")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise MalformedInput(
-                f"GPRIME_MAX_RING must be an integer, got {env!r}")
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise MalformedInput(f"GPRIME_MAX_RING {exc}") from None
     if instance is not None:
         return resolve_bound(instance)
     return SKEW_RING_BOUND
@@ -124,28 +158,29 @@ def _carrier_bound(args, instance=None) -> int:
 def _cmd_instance(args) -> Dict:
     """validate, analyze, prime and equivalence: parse the file, resolve the
     bound, build the instance, then emit the command's document; prime and
-    equivalence reports are replayed before they are returned.  validate and
-    analyze clock parse, validate and, for analyze, carrier and analysis."""
-    clock = StageClock(args.timings and args.command in ("validate", "analyze"))
+    equivalence reports are replayed before they are returned.  One clock
+    times parse and validate on every command, then each command's own
+    stages: carrier and analysis for analyze, the decision stages and the
+    witness replay for prime and equivalence."""
+    clock = StageClock(args.timings)
     instance = clock("parse", lambda: parse(args.file))
     bound = _carrier_bound(args, instance)
     built = clock("validate", lambda: build_instance(instance, bound))
     if args.command == "validate":
-        return _with_timings(validation_document(built, bound), clock)
-    if args.command == "analyze":
+        doc = validation_document(built, bound)
+    elif args.command == "analyze":
         if clock.timings is not None:
             with suppress(BoundExceeded):
                 clock("carrier", lambda: carrier_grading(built, bound))
-        return _with_timings(clock("analysis", lambda: analysis_document(built, bound)),
-                             clock)
-    if args.command == "prime":
-        doc = primeness_document(built, args.method, bound,
-                                 with_timings=args.timings)
+        doc = clock("analysis", lambda: analysis_document(built, bound))
     else:
-        doc = equivalence_document(built, bound, with_timings=args.timings)
-    replayed = verify_witnesses(built, doc, bound)
-    doc["witness_verification"] = {"replayed": replayed, "ok": True}
-    return doc
+        if args.command == "prime":
+            doc = primeness_document(built, args.method, bound, clock)
+        else:
+            doc = equivalence_document(built, bound, clock)
+        replayed = clock("replay", lambda: verify_witnesses(built, doc, bound))
+        doc["witness_verification"] = {"replayed": replayed, "ok": True}
+    return _with_timings(doc, clock)
 
 
 def _cmd_fuzz(args) -> Dict:
@@ -168,27 +203,52 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         doc = _cmd_fuzz(args) if args.command == "fuzz" else _cmd_instance(args)
     except InternalDisagreement as exc:
-        _report_error(exc)
-        return 3
+        return _report_error(args, exc, 3)
     except BoundExceeded as exc:
-        _report_error(exc)
-        return 2
+        return _report_error(args, exc, 2)
     except (GprimeError, OSError) as exc:
-        _report_error(exc)
-        return 1
+        return _report_error(args, exc, 1)
     except (MemoryError, RecursionError) as exc:
-        print(f"gprime: error: resources exhausted ({type(exc).__name__})",
-              file=sys.stderr)
-        return 4
+        return _report_error(args, exc, 4,
+                             f"resources exhausted ({type(exc).__name__})")
     sys.stdout.write(render_report(doc, args.output))
     return 0
 
 
-def _report_error(exc: Exception) -> None:
-    print(f"gprime: error: {exc}", file=sys.stderr)
+def _report_error(args, exc: BaseException, code: int,
+                  message: Optional[str] = None) -> int:
+    """Print ``exc`` on stderr, as text lines or as one JSON document, and
+    return the exit code."""
+    message = str(exc) if message is None else message
     details = getattr(exc, "details", None)
+    if args.output == "json":
+        print(json.dumps({"exit_code": code, "error": type(exc).__name__,
+                          "message": message, "details": _json_value(details)},
+                         sort_keys=True), file=sys.stderr)
+        return code
+    print(f"gprime: error: {message}", file=sys.stderr)
     if details is not None:
         print(f"gprime: details: {details}", file=sys.stderr)
+    return code
+
+
+def _json_value(value: Any) -> Any:
+    """``value`` as plain JSON data: dataclasses and dicts become objects
+    with string keys, lists and tuples become arrays, an additive subgroup
+    becomes its generators and size, and anything else that JSON has no
+    type for becomes its ``str``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, AdditiveSubgroup):
+        return {"generators": list(value.gens), "size": len(value)}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return str(value)
 
 
 if __name__ == "__main__":

@@ -764,8 +764,9 @@ def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
     else:
         rep = equivalence_report(grading, oracle_bound=bound,
                                  with_timings=clock.timings is not None)
-        if rep.timings is not None:
-            clock.timings.update(rep.timings)
+        if rep.timings is not None:   # its stages; total is the caller's
+            clock.timings.update((k, v) for k, v in rep.timings.items()
+                                 if k != "total")
         doc.update(verdict=rep.verdict, method=rep.method,
                    conditions=dict(rep.conditions), degenerate=rep.degenerate)
         w = rep.witnesses
@@ -896,13 +897,14 @@ def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
 
 def primeness_document(built: BuiltInstance, method: str = "all",
                        bound: int = SKEW_RING_BOUND,
-                       with_timings: bool = False) -> Dict:
+                       clock: Optional[StageClock] = None) -> Dict:
     """The primeness verdict by the requested route(s), with replayable
-    witnesses for every claimed zero product."""
+    witnesses for every claimed zero product.  The stages that run are
+    recorded on ``clock``; the caller stops it (see ``_with_timings``)."""
     if method not in ("oracle", "theorem", "all"):
         raise MalformedInput(f"unknown method {method!r}; "
                              "expected oracle, theorem or all")
-    clock = StageClock(with_timings)
+    clock = StageClock(False) if clock is None else clock
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
     if built.kind == "grading":
         doc.update(_grading_primeness(built, built.grading, method, bound, clock))
@@ -910,21 +912,23 @@ def primeness_document(built: BuiltInstance, method: str = "all",
         doc.update(_partial_primeness(built, method, bound, clock))
     else:
         doc.update(_groupoid_ring_primeness(built, method, bound, clock))
-    return _with_timings(doc, clock)
+    return doc
 
 
 def equivalence_document(built: BuiltInstance, bound: int = SKEW_RING_BOUND,
-                         with_timings: bool = False) -> Dict:
-    """The seven-way harness over the instance's product ring."""
-    clock = StageClock(with_timings)
+                         clock: Optional[StageClock] = None) -> Dict:
+    """The seven-way harness over the instance's product ring, its stages
+    recorded on ``clock`` as in ``primeness_document``."""
+    clock = StageClock(False) if clock is None else clock
     grading = clock("carrier", lambda: carrier_grading(built, bound))
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
     doc.update(_grading_primeness(built, grading, "all", bound, clock))
-    return _with_timings(doc, clock)
+    return doc
 
 
 def _with_timings(doc: Dict, clock: StageClock) -> Dict:
-    """``doc`` with the clock's stages in seconds, when it was on."""
+    """``doc`` with the clock's stages in seconds, when it was on; the
+    section goes last, after every stage the caller ran."""
     timings = clock.stop()
     if timings is not None:
         doc["timings"] = {k: round(v, 6) for k, v in timings.items()}

@@ -1,7 +1,8 @@
 """The eleven acceptance criteria, one test and one printed verdict each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines;
-criterion 1 alone fuzzes 200 instances and takes a few minutes.
+criterion 1 alone fuzzes 200 instances and takes about 5 s (2 cores,
+Python 3.11.7).
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ from gprime.instances import (analysis_document, build_instance,
                               parse_element, primeness_document,
                               render_report, replay_witness, resolve_bound,
                               validation_document, verify_witnesses)
-from gprime.rings import CyclicRing, DirectSumRing, GaloisField, GroupRing, MatrixRing
+from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
+                          MatrixRing, is_prime_bruteforce)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -522,6 +523,25 @@ class TestCLI:
         assert {line.split(":")[0].strip() for line in section.splitlines()} == \
             stages | {"total"}
 
+    @pytest.mark.parametrize("command", ["prime", "equivalence"])
+    def test_prime_and_equivalence_time_parse_validate_and_replay(
+            self, capsys, command):
+        assert self.run(command, str(fixture("block_diagonal.json")),
+                        "--timings", "--output", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"parse", "validate", "replay", "total"} <= set(doc["timings"])
+        assert doc["witness_verification"]["replayed"] >= 1
+
+    def test_replay_failure_text_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr("gprime.instances.replay_witness",
+                            lambda *args: False)
+        assert self.run("prime", str(fixture("block_diagonal.json"))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error, details = captured.err.splitlines()
+        assert error == "gprime: error: a reported witness does not replay"
+        assert details.startswith("gprime: details: {'witness': {'kind': ")
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gprime.cli", "prime",
@@ -568,3 +588,83 @@ class TestSchemas:
         assert cli.main([*argv, "--output", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(validators[1].iter_errors(doc)) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "m3_pair_groupoid.json"),
+        ("analyze", "global_flip_partial_action.json"),
+        ("prime", "global_flip_partial_action.json"),
+        ("prime", "g8_groupoid_ring.json", "--method", "theorem"),
+        ("equivalence", "block_diagonal.json"),
+    ])
+    def test_timed_reports_match_report_schema(self, validators, capsys, argv):
+        argv = [a if not a.endswith(".json") else str(fixture(a)) for a in argv]
+        assert cli.main([*argv, "--timings", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(validators[1].iter_errors(doc)) == []
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("prime", "missing"), 1, "FileNotFoundError"),
+        (("validate", "empty"), 1, "ParseError"),
+        (("prime", "gf4_frobenius_group_type.json", "--method", "oracle"),
+         2, "BoundExceeded"),
+        (("prime", "block_diagonal.json"), 3, "InternalDisagreement"),
+    ])
+    def test_failures_under_json_match_error_schema(
+            self, validators, capsys, monkeypatch, tmp_path, argv, code, error):
+        (tmp_path / "empty").write_text("")
+        argv = [str(fixture(a)) if a.endswith(".json") else
+                str(tmp_path / a) if a in ("missing", "empty") else a
+                for a in argv]
+        if code == 3:
+            monkeypatch.setattr("gprime.instances.replay_witness",
+                                lambda *args: False)
+        assert cli.main([*argv, "--output", "json"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        doc = json.loads(captured.err)
+        assert list(validators[1].iter_errors(doc)) == []
+        assert (doc["exit_code"], doc["error"]) == (code, error)
+        if code == 3:
+            assert doc["message"] == "a reported witness does not replay"
+            witness = doc["details"]["witness"]
+            assert witness["kind"] == "zero-ideal-pair"
+            assert isinstance(witness["a"], int) and isinstance(witness["b"], int)
+        else:
+            assert doc["details"] is None
+
+    def test_env_bound_failure_under_json(self, validators, capsys, monkeypatch):
+        monkeypatch.setenv("GPRIME_MAX_RING", "-1")
+        assert cli.main(["prime", str(fixture("m3_pair_groupoid.json")),
+                         "--output", "json"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert list(validators[1].iter_errors(doc)) == []
+        assert doc == {"exit_code": 1, "error": "MalformedInput",
+                       "message": "GPRIME_MAX_RING must be a positive integer, "
+                                  "got '-1'",
+                       "details": None}
+
+    def test_resource_exhaustion_under_json(self, validators, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "build_instance", exhausted)
+        assert cli.main(["prime", str(fixture("m3_pair_groupoid.json")),
+                         "--output", "json"]) == 4
+        doc = json.loads(capsys.readouterr().err)
+        assert list(validators[1].iter_errors(doc)) == []
+        assert doc == {"exit_code": 4, "error": "MemoryError",
+                       "message": "resources exhausted (MemoryError)",
+                       "details": None}
+
+    def test_error_details_become_json_values(self):
+        ring = CyclicRing(4)
+        oracle = is_prime_bruteforce(ring)
+        value = cli._json_value({"oracle": oracle, 0: {(1, 2): (3, None)},
+                                 "ring": ring})
+        assert json.loads(json.dumps(value)) == value
+        assert value["0"] == {"(1, 2)": [3, None]}
+        assert value["oracle"]["prime"] is False
+        assert value["oracle"]["witness"]["a"] == oracle.witness.a
+        assert value["oracle"]["witness"]["a_ideal"]["size"] == \
+            len(oracle.witness.a_ideal)
+        assert value["ring"] == repr(ring)
