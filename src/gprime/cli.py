@@ -41,17 +41,15 @@ later call in the same process; nothing in it varies between calls.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 from contextlib import suppress
-from typing import Any, Dict, Optional, Sequence
 
 from . import __version__
 from .errors import (BoundExceeded, GprimeError, InternalDisagreement,
-                     MalformedInput)
+                     MalformedInput, Record)
 from .fuzz import run_fuzz
 from .instances import (_tool_section, _with_timings, analysis_document,
                         build_instance, carrier_grading, equivalence_document,
@@ -60,6 +58,10 @@ from .instances import (_tool_section, _with_timings, analysis_document,
 from .partial import SKEW_RING_BOUND
 from .primeness import StageClock
 from .rings import AdditiveSubgroup
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Dict, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -233,7 +235,7 @@ def _report_error(args, exc: BaseException, code: int,
 
 
 def _json_value(value: Any) -> Any:
-    """``value`` as plain JSON data: dataclasses and dicts become objects
+    """``value`` as plain JSON data: records and dicts become objects
     with string keys, lists and tuples become arrays, an additive subgroup
     becomes its generators and size, and anything else that JSON has no
     type for becomes its ``str``."""
@@ -241,9 +243,8 @@ def _json_value(value: Any) -> Any:
         return value
     if isinstance(value, AdditiveSubgroup):
         return {"generators": list(value.gens), "size": len(value)}
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json_value(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    if isinstance(value, Record):
+        return {name: _json_value(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return {str(k): _json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -1,10 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the result-record base shared across the package."""
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, List, Optional
 
 __all__ = [
+    "Record",
     "GprimeError",
     "MalformedInput",
     "ParseError",
@@ -24,6 +27,66 @@ __all__ = [
     "ChainViolation",
     "AssociativityFailure",
 ]
+
+
+class Record:
+    """Base of the package's result records, in place of a frozen
+    ``dataclasses.dataclass``, whose import and generated methods cost a
+    process tens of milliseconds at start-up.
+
+    The fields are the annotated names, in order, after those of a record
+    base class; a class attribute of the same name is a default.  Records
+    take fields by position or keyword, equal only records of their own
+    class, hash and print by their fields, and are read-only unless declared
+    with ``frozen=False`` (then unhashable, and open to other attributes).
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", ())
+               if name not in cls._fields]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults,
+                         **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        given = dict(zip(cls._fields, args))
+        if len(args) > len(cls._fields) or given.keys() & kwargs.keys():
+            raise TypeError(f"{cls.__name__}() got too many or repeated arguments")
+        values = {**cls._defaults, **given, **kwargs}
+        wrong = values.keys() ^ set(cls._fields)
+        if wrong:
+            raise TypeError(f"{cls.__name__}() missing or unexpected fields: {sorted(wrong)}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class GprimeError(Exception):

@@ -16,10 +16,8 @@ are independent of each other and of evaluation order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InternalDisagreement
+from .errors import InternalDisagreement, Record
 from .grading import (GradedIdeal, Grading, invariant_closure,
                       is_G_prime_principal, is_graded_prime,
                       is_nearly_epsilon_strong, is_support_hub, phi, project,
@@ -36,6 +34,10 @@ from .rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, FiniteRing,
                     GaloisField, Ideal, MatrixRing, additive_closure,
                     enumerate_ideals, ideal_generated, is_s_unital,
                     is_zero_product, principal_ideal, set_product)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["FuzzRecord", "FuzzReport", "run_fuzz", "generate_instance",
            "check_instance", "FUZZ_TARGET_SIZE"]
@@ -314,8 +316,7 @@ def _random_partial_action(rng: random.Random, target: int) -> PartialAction:
         return validate_partial_action(G, amb, gens, maps)
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
+class GeneratedInstance(Record):
     kind: str
     groupoid: FiniteGroupoid
     grading: Optional[Grading]        # None when the carrier stayed unbuilt
@@ -633,8 +634,7 @@ def check_instance(rng: random.Random, inst: GeneratedInstance,
 # the run
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FuzzRecord:
+class FuzzRecord(Record):
     index: int
     kind: str
     carrier: str
@@ -643,8 +643,7 @@ class FuzzRecord:
     checks: int
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(Record):
     seed: int
     count: int
     max_ring: int

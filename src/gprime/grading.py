@@ -17,16 +17,18 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
-                     ObjectNotInSupport)
+                     ObjectNotInSupport, Record)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Closures, _memo,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Grading",
@@ -107,8 +109,7 @@ class Grading:
         return f"Grading({self.ring.tag} by {self.groupoid!r})"
 
 
-@dataclass(frozen=True)
-class GradedElement:
+class GradedElement(Record):
     """An element carried with its homogeneous parts."""
 
     grading: Grading
@@ -128,8 +129,7 @@ class GradedElement:
         return tuple(g for g, p in enumerate(self.parts) if p != 0)
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
+class GradedIdeal(Record):
     """An ideal equal to the sum of its homogeneous parts."""
 
     grading: Grading
@@ -235,8 +235,7 @@ def project(grading: Grading, hs: Iterable[int], x: int) -> int:
 # near epsilon-strongness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NESResult:
+class NESResult(Record):
     holds: bool
     #: (morphism, element) -> (left unit in S_g S_g^-1, right unit in S_g^-1 S_g)
     certificate: Dict[Tuple[int, int], Tuple[int, int]]
@@ -301,8 +300,7 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
 # support
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupportResult:
+class SupportResult(Record):
     subgroupoid: Subgroupoid
     support_objects: Tuple[int, ...]
 
@@ -455,8 +453,7 @@ def psi(grading: Grading, sub: AdditiveSubgroup) -> GradedIdeal:
 # support hubs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HubResult:
+class HubResult(Record):
     is_hub: bool
     #: (morphism, element) -> (outgoing h with a*S_h != 0, incoming k with S_k*a != 0)
     witnesses: Dict[Tuple[int, int], Tuple[int, int]]
@@ -495,8 +492,7 @@ def is_support_hub(grading: Grading, e: int) -> HubResult:
 # pair criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairCriterionResult:
+class PairCriterionResult(Record):
     holds: bool
     #: on failure: (a, b, ideal generated from a, ideal generated from b)
     witness: Optional[Tuple[int, int, AdditiveSubgroup, AdditiveSubgroup]]
@@ -534,8 +530,7 @@ def is_G_prime_principal(grading: Grading) -> PairCriterionResult:
 # restriction to subgroupoids and isotropy components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RestrictedGrading:
+class RestrictedGrading(Record):
     """A grading restricted to a subgroupoid, with translation tables."""
 
     grading: Grading                      # the restricted structure

@@ -9,10 +9,12 @@ returns the same witness for the same input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from .errors import (AxiomViolation, BoundExceeded, MalformedInput, Record, UnknownMorphism,
+                     UnknownObject)
 
-from .errors import AxiomViolation, BoundExceeded, MalformedInput, UnknownMorphism, UnknownObject
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FiniteGroup",
@@ -397,12 +399,11 @@ def disjoint_union(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
 # subgroupoids and structure queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subgroupoid:
+class Subgroupoid(Record):
     """A subset of morphisms closed under inverse and defined composition."""
 
     parent: FiniteGroupoid
-    members: frozenset = field(default_factory=frozenset)
+    members: frozenset = frozenset()
 
     def object_list(self) -> List[int]:
         return sorted({self.parent.src[g] for g in self.members}

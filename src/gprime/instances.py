@@ -44,14 +44,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from math import prod
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import (BoundExceeded, InternalDisagreement, MalformedInput,
-                     ParseError, SchemaError)
+                     ParseError, Record, SchemaError)
 from .grading import (Grading, invariant_closure, is_nearly_epsilon_strong,
                       is_support_hub, isotropy_component, support_groupoid,
                       validate_grading)
@@ -68,6 +67,10 @@ from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
                     GroupRing, MatrixRing, PrimeResult, TableRing,
                     additive_closure, is_prime_bruteforce, is_zero_product,
                     principal_ideal)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Instance", "BuiltInstance", "parse", "parse_data", "build_instance",
@@ -207,8 +210,7 @@ def _check_label_map(sec, where: str, names: Tuple[str, ...]) -> None:
         _expect(label in names, f"{where} references unknown morphism {label!r}")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A parsed (but not yet built) instance file."""
 
     name: str
@@ -527,15 +529,15 @@ def parse_element(text: str, ring: FiniteRing) -> int:
 # building
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BuiltInstance:
+class BuiltInstance(Record, frozen=False):
     instance: Instance
     groupoid: FiniteGroupoid
     grading: Optional[Grading] = None
     action: Optional[PartialAction] = None
     base: Optional[FiniteRing] = None
-    #: the groupoid ring of ``base``, kept once built (not an argument)
-    carrier: Optional[Grading] = field(default=None, init=False)
+    #: the groupoid ring of ``base`` (a Grading), kept once built: not a
+    #: field, so never an argument
+    carrier = None
 
     @property
     def kind(self) -> str:

@@ -19,15 +19,13 @@ falsification alarm instead of being smoothed over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from math import prod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
                      ChainViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotSUnital, ObjectNotInSupport,
-                     RingMismatch, UnknownObject)
+                     Record, RingMismatch, UnknownObject)
 from .grading import (Grading, HubResult, PairCriterionResult,
                       is_G_prime_principal, is_nearly_epsilon_strong,
                       validate_grading)
@@ -41,6 +39,10 @@ from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
                     first_identity, first_nonassociative, first_zero_pair,
                     is_maximal_commutative, is_prime_bruteforce, is_s_unital,
                     principal_ideal)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SKEW_RING_BOUND",
@@ -448,8 +450,7 @@ def is_global(action: PartialAction) -> bool:
                for g in range(G.n_morphisms))
 
 
-@dataclass(frozen=True)
-class GroupTypeResult:
+class GroupTypeResult(Record):
     holds: bool
     anchor: Optional[int]
     #: object -> transporting morphism from the anchor, identity at the anchor
@@ -580,8 +581,7 @@ def _ambient_pair_search(action: PartialAction) -> PairCriterionResult:
     return PairCriterionResult(pair is None, pair)
 
 
-@dataclass(frozen=True)
-class PsiCheckResult:
+class PsiCheckResult(Record):
     ok: bool
     additive: bool
     multiplicative: bool
@@ -669,8 +669,7 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     return HubResult(True, witnesses, None)
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(Record):
     group_type: bool
     coefficient_membership: bool
     nonzero_annihilation: bool
@@ -757,8 +756,7 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
 # primeness verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SkewPrimeVerdict:
+class SkewPrimeVerdict(Record):
     prime: bool
     #: "oracle" when the product ring was built, "group-type" for the reduction
     method: str
@@ -835,8 +833,7 @@ def global_support_connectivity_check(action: PartialAction) -> bool:
     return connected
 
 
-@dataclass(frozen=True)
-class ConnellResult:
+class ConnellResult(Record):
     holds: bool
     connected: bool
     coefficients_prime: bool
@@ -883,8 +880,7 @@ def connell_check(base: FiniteRing, groupoid: FiniteGroupoid) -> ConnellResult:
 # density of object sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Record):
     dense: bool
     #: a nonzero groupoid-ring element supported away from the set, if any
     witness: Optional[int]
@@ -960,8 +956,7 @@ def has_intersection_property(action: PartialAction, e: int,
     return _meets_identity_part(build_skew_ring(restrict_to_isotropy(action, e), bound))
 
 
-@dataclass(frozen=True)
-class SufficientReport:
+class SufficientReport(Record):
     group_type: bool
     coefficients_G_prime: bool
     #: the two hypotheses above, at least one of which must hold to conclude

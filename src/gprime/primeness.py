@@ -12,14 +12,13 @@ never reconciles it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TypeVar
 
 from .errors import (
     BoundExceeded,
     InternalDisagreement,
     MalformedInput,
     ObjectNotInSupport,
+    Record,
 )
 from .grading import (
     Grading,
@@ -34,6 +33,11 @@ from .grading import (
 from .groupoid import isotropy
 from .rings import PRIME_ORACLE_BOUND, PrimeResult, SubRing, is_prime_bruteforce
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Dict, Optional, TypeVar
+    T = TypeVar("T")
+
 #: the seven condition labels, in report order
 CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
@@ -43,9 +47,6 @@ CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 _CONDITIONS = {"ii": ("invariant", all), "iii": ("invariant", any),
                "iv": ("graded", all), "v": ("graded", any),
                "vi": (None, all), "vii": (None, any)}
-
-
-T = TypeVar("T")
 
 
 class StageClock:
@@ -70,8 +71,7 @@ class StageClock:
         return self.timings
 
 
-@dataclass(frozen=True)
-class ObjectEvidence:
+class ObjectEvidence(Record):
     """Per-object ingredients: hub status and primeness of the isotropy component."""
 
     obj: int
@@ -80,8 +80,7 @@ class ObjectEvidence:
     isotropy_size: int
 
 
-@dataclass(frozen=True)
-class PrimenessReport:
+class PrimenessReport(Record):
     verdict: bool
     method: str                      # "oracle" or "theorem" (oracle skipped)
     conditions: Dict[str, bool]      # labels i..vii; "i" absent when skipped

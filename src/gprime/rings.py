@@ -37,17 +37,18 @@ generators, run on ``first_escape``, ``first_hom_failure``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from math import lcm, prod
 from operator import pos, xor
-from typing import (Callable, Container, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
 
-from .errors import (AxiomViolation, BoundExceeded, MalformedInput, NotSUnital,
-                     RingMismatch)
+from .errors import AxiomViolation, BoundExceeded, MalformedInput, Record, RingMismatch
 from .groupoid import FiniteGroup
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import (Callable, Container, Dict, Iterable, List, Optional, Sequence,
+                        Tuple)
 
 __all__ = [
     "FiniteRing",
@@ -73,7 +74,6 @@ __all__ = [
     "first_identity",
     "first_nonassociative",
     "is_s_unital",
-    "s_unit_for",
     "is_prime_bruteforce",
     "is_zero_product",
     "first_zero_pair",
@@ -862,6 +862,9 @@ class AdditiveSubgroup:
     def __hash__(self) -> int:
         return hash(self.key)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(generators={list(self.gens)}, size={len(self)})"
+
     def sorted_elements(self) -> List[int]:
         return sorted(self.elements)
 
@@ -1111,33 +1114,11 @@ def is_s_unital(x) -> bool:
     return True
 
 
-def s_unit_for(r, members: Iterable[int]) -> int:
-    """A common two-sided local unit: u with u*m == m*u == m for all members.
-
-    Searches the acting set (a subgroup, or a ring's whole carrier) in
-    element order and raises NotSUnital when no element works.  (For an
-    s-unital ring one always exists for a finite set; the property tests
-    lean on that as a cross-check of is_s_unital.)
-    """
-    if isinstance(r, AdditiveSubgroup):
-        ring, pool = r.ring, r.sorted_elements()
-    elif isinstance(r, FiniteRing):
-        ring, pool = r, r.elements()
-    else:
-        raise MalformedInput(f"cannot interpret {r!r} as a ring or subgroup")
-    ms = list(members)
-    u = first_identity(ring, pool, ms)
-    if u is not None:
-        return u
-    raise NotSUnital(f"no common local unit for {[ring.label(m) for m in ms]}")
-
-
 # ---------------------------------------------------------------------------
 # primeness oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimePairWitness:
+class PrimePairWitness(Record):
     """Two nonzero elements whose generated ideals multiply to zero."""
 
     a: int
@@ -1146,8 +1127,7 @@ class PrimePairWitness:
     b_ideal: Ideal
 
 
-@dataclass(frozen=True)
-class PrimeResult:
+class PrimeResult(Record):
     prime: bool
     witness: Optional[PrimePairWitness]
     degenerate: bool = False
@@ -1207,8 +1187,7 @@ def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> Pr
 # ideal enumeration, centralizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealEnumeration:
+class IdealEnumeration(Record):
     ideals: Tuple[Ideal, ...]
     truncated: bool
 

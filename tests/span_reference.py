@@ -6,7 +6,9 @@ that addition computed without coordinates: digit by digit for vector
 carriers, through the parent for a subring, coefficient by coefficient in
 the ambient for a skew product, and by a carrier's own rule otherwise.
 ``reference_s_unital_sides`` is the per-member s-unitality test that the
-generator criterion of ``rings.is_s_unital`` replaced, on these spans.
+generator criterion of ``rings.is_s_unital`` replaced, on these spans, and
+``s_unit_for`` is the element-order search for a common local unit that
+cross-checks it.
 ``reference_prime`` is the pairwise search over all principal ideals that
 the annihilator test of ``rings.is_prime_bruteforce`` replaced.
 ``reference_mul`` is the digit-wise product that the single-term kernel
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from gprime.errors import InternalDisagreement
+from gprime.errors import InternalDisagreement, NotSUnital
 from gprime.partial import SkewGroupoidRing
 from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
-                          PrimePairWitness, PrimeResult, SubRing, first_zero_pair,
-                          principal_ideal)
+                          PrimePairWitness, PrimeResult, SubRing, first_identity,
+                          first_zero_pair, principal_ideal)
 
 
 def reference_add(ring):
@@ -76,6 +78,22 @@ def reference_s_unital_sides(x):
         left = left and m in reference_span(ring, [mul(g, m) for g in gens], add)[0]
         right = right and m in reference_span(ring, [mul(m, g) for g in gens], add)[0]
     return left, right
+
+
+def s_unit_for(x, members):
+    """A common two-sided local unit of a ring or an additive subgroup X:
+    the first u of X in element order with u*m == m*u == m for all
+    ``members``.  Raises NotSUnital when no element works; for an s-unital
+    X one always exists for a finite set."""
+    if isinstance(x, FiniteRing):
+        ring, pool = x, x.elements()
+    else:
+        ring, pool = x.ring, x.sorted_elements()
+    ms = list(members)
+    u = first_identity(ring, pool, ms)
+    if u is None:
+        raise NotSUnital(f"no common local unit for {[ring.label(m) for m in ms]}")
+    return u
 
 
 def reference_prime(ring):

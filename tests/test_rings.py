@@ -10,7 +10,8 @@ from gprime.rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, GaloisFie
                           MatrixRing, SubRing, TableRing, additive_closure, centralizer,
                           enumerate_ideals, ideal_generated, is_maximal_commutative,
                           is_prime_bruteforce, is_s_unital, is_zero_product, principal_ideal,
-                          s_unit_for, set_product, validate_ring)
+                          set_product, validate_ring)
+from span_reference import s_unit_for
 
 # =====================================================================
 # carriers

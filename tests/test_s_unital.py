@@ -1,5 +1,6 @@
 """The generator criterion of ``is_s_unital`` against the per-member
-reference, and against the element-order search of ``s_unit_for``.
+reference, and against the element-order search of
+``span_reference.s_unit_for``.
 
 The reference (``span_reference.reference_s_unital_sides``) tests every
 member m of X for m in Xm and m in mX on frozenset spans.  They must agree
@@ -25,8 +26,8 @@ from gprime.groupoid import pair_groupoid
 from gprime.partial import validate_partial_action
 from gprime.rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField, Ideal,
                           MatrixRing, SubRing, additive_closure, ideal_generated,
-                          is_s_unital, s_unit_for)
-from span_reference import reference_s_unital_sides
+                          is_s_unital)
+from span_reference import reference_s_unital_sides, s_unit_for
 from test_span_engine import NON_UNIT_PIVOTS, SMALL, relabelled
 
 ROOT = Path(__file__).resolve().parents[1]
