@@ -41,12 +41,10 @@ builds has passed every axiom check those enforce.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections.abc import Mapping
 from math import prod
-from pathlib import Path
 
 from . import __version__
 from .errors import (BoundExceeded, InternalDisagreement, MalformedInput,
@@ -94,6 +92,7 @@ def canonical_json(data) -> str:
 
 
 def instance_digest(data) -> str:
+    import hashlib      # loads OpenSSL; only callers that digest pay for it
     return hashlib.sha256(canonical_json(data).encode("ascii")).hexdigest()
 
 
@@ -272,7 +271,8 @@ def parse_data(data, name: str = "<data>") -> Instance:
 
 def parse(path) -> Instance:
     """Read, decode and schema-check an instance file."""
-    text = Path(path).read_text()
+    with open(path) as f:
+        text = f.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -741,10 +741,9 @@ def _objects_section(grading: Grading, per_object: Mapping,
     G = grading.groupoid
     for e, ev in per_object.items():
         w = ev.isotropy_prime.witness
-        if w is not None:
-            sub = isotropy_component(grading, e)
+        if w is not None:       # labelled in the ring the oracle ran on
             witnesses.append(_pair_witness(f"isotropy:{G.objects[e]}", "ideal",
-                                           sub.ring, w.a, w.b))
+                                           w.a_ideal.ring, w.a, w.b))
     return {G.objects[e]: {"hub": ev.hub.is_hub,
                            "isotropy_prime": ev.isotropy_prime.prime}
             for e, ev in per_object.items()}

@@ -33,7 +33,7 @@ from gprime.partial import (SkewGroupoidRing, _cached_sigma_closure,
                             sigma_invariant_closure)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
                           MatrixRing, SubRing, additive_closure, ideal_generated,
-                          is_prime_bruteforce, principal_ideal)
+                          principal_ideal)
 from span_reference import reference_add
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,7 +97,8 @@ class TestWarmCacheChangesNothing:
 
 def test_equal_principal_ideals_share_one_element_set():
     ring = MatrixRing(GaloisField(2), 3)
-    assert is_prime_bruteforce(ring).prime
+    for a in range(1, ring.size):
+        principal_ideal(ring, a)
     ideals = ring._pid_cache.values()
     assert len(ideals) == 511
     assert len({id(ideal.elements) for ideal in ideals}) == 1

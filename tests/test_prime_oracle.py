@@ -7,23 +7,28 @@ whose ideals multiply to zero.  The oracle, run first on a cold closure
 cache, must give the same verdict, degenerate flag and witness (both
 elements and both ideals) on every carrier of at most 4096 elements that
 the four instance commands build on the bundled fixtures or that
-``run_fuzz(2, 8)`` and ``run_fuzz(5, 8)`` build, on the benchmark's four
-ladder rungs, on non-unital carriers, and on carriers whose Hermite pivots
-are not units.
+``run_fuzz(2, 8)`` and ``run_fuzz(5, 8)`` build, on the carrier, the
+principal-part ring and the base of the first six draws of
+``generate_instance`` for seeds 0-59, on the benchmark's four ladder rungs
+and M2(GF(7)), on non-unital carriers, and on carriers whose Hermite pivots
+are not units.  On prime rings the oracle closes only a few principal
+ideals: every other element has a product with an additive generator that
+is already proven faithful.
 """
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gprime import cli
-from gprime.fuzz import run_fuzz
+from gprime import cli, rings
+from gprime.fuzz import generate_instance, run_fuzz
 from gprime.groupoid import FiniteGroup, pair_groupoid
-from gprime.partial import SkewGroupoidRing, build_groupoid_ring
+from gprime.partial import SKEW_RING_BOUND, SkewGroupoidRing, build_groupoid_ring
 from gprime.rings import (CyclicRing, GaloisField, GroupRing, MatrixRing,
                           PRIME_ORACLE_BOUND, SubRing, TableRing, is_prime_bruteforce)
 from span_reference import reference_prime
@@ -73,12 +78,58 @@ LADDER = {"m2_gf3": (2, 1, 3), "m3_gf2": (3, 1, 2),
           "gf3_c4": (1, 4, 3), "gf2_c7": (1, 7, 2)}
 
 
+def ladder_ring(objects, order, p):
+    groupoid = pair_groupoid([f"o{i}" for i in range(objects)], FiniteGroup.cyclic(order))
+    return build_groupoid_ring(GaloisField(p), groupoid).ring
+
+
 @pytest.mark.parametrize("rung", LADDER)
 def test_matches_reference_on_ladder_rungs(rung):
     objects, order, p = LADDER[rung]
-    groupoid = pair_groupoid([f"o{i}" for i in range(objects)], FiniteGroup.cyclic(order))
-    ring = build_groupoid_ring(GaloisField(p), groupoid).ring
-    assert assert_oracle_matches_reference(ring).prime == (order == 1)
+    assert assert_oracle_matches_reference(ladder_ring(objects, order, p)).prime == (order == 1)
+
+
+def test_matches_reference_on_m2_gf7():
+    assert assert_oracle_matches_reference(MatrixRing(GaloisField(7), 2)).prime
+
+
+def test_matches_reference_on_fuzz_draws():
+    carriers = []
+    for seed in range(60):
+        for index in range(6):
+            inst = generate_instance(random.Random(f"{seed}:{index}"), SKEW_RING_BOUND)
+            carriers += [inst.grading.ring, inst.grading.principal_part_ring()]
+            if inst.base is not None:
+                carriers.append(inst.base)
+    verdicts = [assert_oracle_matches_reference(ring).prime
+                for ring in carriers if ring.size <= PRIME_ORACLE_BOUND]
+    assert len(verdicts) > 800 and set(verdicts) == {True, False}
+
+
+# (ring, most closures of a cold oracle); the walk before the antitone
+# skip closed all n - 1 principal ideals of these prime rings
+FEW_CLOSURES = {
+    "M3(GF(2))": (lambda: MatrixRing(GaloisField(2), 3), 3),
+    "M3(GF(2)) groupoid ring": (lambda: ladder_ring(3, 1, 2), 3),
+    "M2(GF(3))": (lambda: MatrixRing(GaloisField(3), 2), 4),
+    "M2(GF(3)) groupoid ring": (lambda: ladder_ring(2, 1, 3), 4),
+}
+
+
+@pytest.mark.parametrize("name", FEW_CLOSURES)
+def test_oracle_closes_few_principal_ideals_on_prime_rings(name, monkeypatch):
+    make, most = FEW_CLOSURES[name]
+    ring, count = make(), 0
+    close = rings.close
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return close(*args)
+
+    monkeypatch.setattr(rings, "close", counted)
+    assert is_prime_bruteforce(ring).prime
+    assert count <= most, count
 
 
 def zero_product(ring):

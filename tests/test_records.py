@@ -167,13 +167,19 @@ class TestReprs:
         assert outs[0] == outs[1] == repr(is_prime_bruteforce(CyclicRing(4))) + "\n"
 
 
+# stdlib modules that cost milliseconds to import and that gprime needs at
+# most lazily: ``pathlib`` pulls in ``urllib.parse`` and ``ipaddress``, and
+# ``hashlib`` OpenSSL's ``_hashlib``
+HEAVY_MODULES = ("dataclasses", "typing", "inspect", "pathlib", "hashlib", "_hashlib",
+                 "urllib.parse", "ipaddress")
+
+
 def test_import_graph_leaves_out_dataclasses_and_typing():
-    """Importing the CLI and the fuzzer loads none of these modules; a
+    """Importing the CLI and the fuzzer loads none of ``HEAVY_MODULES``; a
     subprocess, since pytest has already imported them here."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import gprime.cli, gprime.fuzz; "
-            "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect') "
-            "if m in sys.modules))")
+            f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code, SRC], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
