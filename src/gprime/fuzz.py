@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import InternalDisagreement, Record
+from .errors import InternalDisagreement, NotGraded, Record
 from .grading import (GradedIdeal, Grading, invariant_closure,
                       is_G_prime_principal, is_graded_prime,
                       is_nearly_epsilon_strong, is_support_hub, phi, project,
@@ -468,7 +468,7 @@ def _check_grading(rng: random.Random, grading: Grading, max_ring: int) -> int:
             for ideal in enumeration.ideals:
                 try:
                     GradedIdeal.of(grading, ideal)
-                except Exception:
+                except NotGraded:
                     continue
                 graded.append(ideal)
             for ideal in graded:
@@ -521,19 +521,16 @@ def _check_primeness(grading: Grading, max_ring: int) -> Tuple[bool, int]:
         for e in hub_objects[:1]:
             iso_hs = [g for g in range(G.n_morphisms)
                       if G.src[g] == G.rng[g] == e]
-            proj = {project(grading, iso_hs, x)
-                    for x in witness.a_ideal.sorted_elements()}
-            _ensure(any(p != 0 for p in proj),
+            # the projection is additive: the generators' images span it
+            span = additive_closure(ring, [project(grading, iso_hs, x)
+                                           for x in witness.a_ideal.gens])
+            _ensure(not span.is_zero(),
                     "projecting a nonzero ideal onto a hub's isotropy "
                     "component gave zero")
-            span = additive_closure(ring, sorted(proj))
-            local = additive_closure(
-                ring, [x for g in iso_hs
-                       for x in grading.components[g].sorted_elements()])
+            local = [x for g in iso_hs for x in grading.components[g].gens]
             for p in span.gens:
-                for r in local.gens:
-                    _ensure(ring.mul(p, r) in span.elements
-                            and ring.mul(r, p) in span.elements,
+                for r in local:
+                    _ensure(ring.mul(p, r) in span and ring.mul(r, p) in span,
                             "the projected ideal is not an ideal of the "
                             "isotropy component")
         checks += 1

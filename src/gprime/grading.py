@@ -3,8 +3,8 @@
 A grading assigns an additive subgroup S_g of one carrier to every morphism g
 so that S_g S_h lands in S_{gh} when (g, h) is composable and vanishes
 otherwise, and the carrier is the direct sum of the components.  Directness is
-established by a staged product sweep whose intermediate tables double as the
-decomposition map, so ``decompose`` is a table walk, not a search.
+decided on one canonical basis of the component generators, and ``decompose``
+reduces against one more basis, so no per-element table is built.
 
 Everything downstream leans on two small facts: a product of additive spans is
 controlled by generator pairs, and closure routines only ever have to multiply
@@ -17,12 +17,14 @@ reproducible.
 
 from __future__ import annotations
 
+from functools import reduce
 
 from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
                      ObjectNotInSupport, Record)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
-from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Closures, _memo,
+from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closures,
+                    _Coordinates, _basis, _coordinates, _memo, _row_packer,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
 
@@ -60,12 +62,11 @@ class Grading:
     """A validated groupoid grading; construct via validate_grading."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
-                 components: Sequence[AdditiveSubgroup],
-                 stage_maps: List[Dict[int, Tuple[int, int]]]):
+                 components: Sequence[AdditiveSubgroup]):
         self.groupoid = groupoid
         self.ring = ring
         self.components: Tuple[AdditiveSubgroup, ...] = tuple(components)
-        self._stage_maps = stage_maps
+        self._fold: Optional[_Basis] = None
         self._principal: Optional[AdditiveSubgroup] = None
         self._principal_ring: Optional[SubRing] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
@@ -74,26 +75,36 @@ class Grading:
         return self.components[g]
 
     def decompose(self, x: int) -> Tuple[int, ...]:
-        """The unique per-morphism parts summing to x (walks the stage tables)."""
-        parts = [0] * self.groupoid.n_morphisms
-        for g in range(self.groupoid.n_morphisms - 1, -1, -1):
-            x, parts[g] = self._stage_maps[g][x]
-        return tuple(parts)
+        """The unique per-morphism parts summing to x.
+
+        One basis over n+1 blocks of the carrier's coordinates, built on the
+        first call, spans the rows (s | -s in block g+1) over the generators
+        s of each S_g.  Reducing (x | 0 ... 0) clears block 0 and leaves x's
+        part in S_g in block g+1.  As the sum is direct, no nonzero row
+        vanishes in block 0, so there are at most k rows for k coordinates:
+        the blocks keep the carrier's field width, which leaves room for k
+        multiples, and parts are read by shift and mask."""
+        c = _coordinates(self.ring)
+        block, n = c.width * len(c.moduli), len(self.components)
+        if self._fold is None:
+            self._fold = _basis(_Coordinates(c.moduli * (n + 1), c.width))
+            for g, comp in enumerate(self.components, 1):
+                for s in comp.gens:
+                    self._fold.insert(c.of[s] + (c.neg(c.of[s]) << g * block))
+        r, mask = self._fold.c.normalize(self._fold.reduce(c.of[x])), (1 << block) - 1
+        return tuple(c.index[r >> g * block & mask] for g in range(1, n + 1))
 
     def homogeneous(self) -> Iterator[Tuple[int, int]]:
         """All nonzero homogeneous elements as (morphism, element) in index order."""
-        for g, comp in enumerate(self.components):
-            for x in comp.sorted_elements():
-                if x != 0:
-                    yield (g, x)
+        return ((g, x) for g, comp in enumerate(self.components)
+                for x in comp.sorted_elements() if x != 0)
 
     def principal_part(self) -> AdditiveSubgroup:
         """The additive span of the identity components, in ambient indices."""
         if self._principal is None:
-            gens: List[int] = []
-            for e in range(self.groupoid.n_objects):
-                gens.extend(self.components[self.groupoid.identity(e)].gens)
-            self._principal = additive_closure(self.ring, gens)
+            G = self.groupoid
+            self._principal = additive_closure(self.ring, [
+                x for e in range(G.n_objects) for x in self.components[G.identity(e)].gens])
         return self._principal
 
     def principal_part_ring(self) -> SubRing:
@@ -120,10 +131,7 @@ class GradedElement(Record):
         return GradedElement(grading, grading.decompose(x))
 
     def element(self) -> int:
-        out = 0
-        for p in self.parts:
-            out = self.grading.ring.add(out, p)
-        return out
+        return reduce(self.grading.ring.add, self.parts, 0)
 
     def support(self) -> Tuple[int, ...]:
         return tuple(g for g, p in enumerate(self.parts) if p != 0)
@@ -138,37 +146,51 @@ class GradedIdeal(Record):
 
     @staticmethod
     def of(grading: Grading, ideal: Ideal) -> "GradedIdeal":
-        """Check gradedness by decomposing every member; NotGraded on failure."""
-        parts: List[set] = [set() for _ in range(grading.groupoid.n_morphisms)]
-        for x in ideal.sorted_elements():
-            decomp = grading.decompose(x)
-            for g, p in enumerate(decomp):
-                if p not in ideal.elements:
+        """Check gradedness on the ideal's generators; NotGraded on failure.
+        The parts are additive, so checking the generators' parts is exact,
+        and the parts at g are the span of the generators' parts at g."""
+        parts: List[List[int]] = [[] for _ in grading.components]
+        for x in ideal.gens:
+            for g, p in enumerate(grading.decompose(x)):
+                if p not in ideal:
                     raise NotGraded(
-                        f"element {grading.ring.label(x)} has part "
+                        f"generator {grading.ring.label(x)} has part "
                         f"{grading.ring.label(p)} at {grading.groupoid.morphisms[g]!r} "
                         f"outside the ideal")
-                parts[g].add(p)
-        return GradedIdeal(grading, ideal, tuple(frozenset(p) for p in parts))
+                parts[g].append(p)
+        return GradedIdeal(grading, ideal, tuple(additive_closure(grading.ring, p).elements
+                                                 for p in parts))
 
 
 def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
                      raw_components: Dict[int, Iterable[int]]) -> Grading:
     """Close the generator sets, then check compatibility and directness.
 
-    ``raw_components`` maps morphism indices to generator lists; missing
-    morphisms get the zero component.  Compatibility (S_g S_h inside S_{gh}
-    for composable pairs, zero otherwise) is checked on generator pairs, which
-    suffices by bilinearity.  Directness and spanning are established by a
-    staged sweep that records, for every partial sum, its predecessor and the
-    component part added -- a collision at any stage is a uniqueness failure.
+    ``raw_components`` maps morphism indices to generator lists of ring
+    elements (MalformedInput otherwise); missing morphisms get the zero
+    component.  Compatibility (S_g S_h inside S_{gh} for composable pairs,
+    zero otherwise) is checked on generator pairs, which suffices by
+    bilinearity.  Directness is decided on one basis of the component
+    generators, inserted in morphism order: T = S_0 + ... + S_{g-1} and S_g
+    span |T| |S_g| / |T n S_g| elements, so the sum is direct through S_g
+    iff the span has the product of the |S_h|, h <= g, elements.  At the
+    first g where it has fewer, the error names an element of T n S_g, off
+    the basis rows of the (t | 0), (s | s) that vanish in block 0.  The
+    components span the carrier iff the final product is its size.
     """
     n = groupoid.n_morphisms
     if ring.size == 1:
         raise DegenerateInstance("the zero ring admits no meaningful grading")
+    for g in raw_components:
+        if not isinstance(g, int) or not 0 <= g < n:
+            raise MalformedInput(f"unknown morphism index {g!r}")
     comps: List[AdditiveSubgroup] = []
     for g in range(n):
         gens = list(raw_components.get(g, ()))
+        for x in gens:
+            if not isinstance(x, int) or not 0 <= x < ring.size:
+                raise MalformedInput(
+                    f"generator {x!r} for S_{groupoid.morphisms[g]} is not a ring element")
         comps.append(additive_closure(ring, gens))
     if all(c.is_zero() for c in comps):
         raise DegenerateInstance("all components are zero")
@@ -177,11 +199,7 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
     mul = ring.mul
     for g in range(n):
         for h in range(n):
-            target: Optional[AdditiveSubgroup]
-            if groupoid.composable(g, h):
-                target = comps[groupoid.compose(g, h)]
-            else:
-                target = None
+            target = comps[groupoid.compose(g, h)] if groupoid.composable(g, h) else None
             for a in comps[g].gens:
                 for b in comps[h].gens:
                     p = mul(a, b)
@@ -198,37 +216,32 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
     if violations:
         raise AxiomViolation("grading", violations[0], violations=violations)
 
-    # staged direct-sum sweep; stage g maps every reachable partial sum to
-    # (previous partial sum, part used from component g)
-    stage_maps: List[Dict[int, Tuple[int, int]]] = []
-    reachable = {0}
-    add = ring.add
-    for g in range(n):
-        stage: Dict[int, Tuple[int, int]] = {}
-        for x in reachable:
-            for p in comps[g].elements:
-                y = add(x, p)
-                if y in stage:
-                    raise NotDirectSum(
-                        f"components overlap: two decompositions reach {ring.label(y)} "
-                        f"(at morphism {groupoid.morphisms[g]!r})")
-                stage[y] = (x, p)
-        stage_maps.append(stage)
-        reachable = set(stage)
-    if len(reachable) != ring.size:
-        raise NotDirectSum(
-            f"components span only {len(reachable)} of {ring.size} elements")
-    return Grading(groupoid, ring, comps, stage_maps)
+    coords = _coordinates(ring)
+    span, size = _basis(coords), 1
+    for g, comp in enumerate(comps):
+        for x in comp.gens:
+            span.insert(coords.of[x])
+        size *= len(comp)
+        if span.size() < size:
+            fold, packed = _row_packer(ring, 2)
+            common, k = _basis(fold), len(ring.moduli)
+            for row in [(t, 0) for c in comps[:g] for t in c.gens] + [(s, s) for s in comp.gens]:
+                common.insert(packed(row))
+            x = min(coords.index[coords.pack(f[k:])]
+                    for f in map(fold.unpack, common.key()) if not any(f[:k]))
+            raise NotDirectSum(
+                f"components overlap: {ring.label(x)} lies in S_{groupoid.morphisms[g]} "
+                f"and in the earlier components (at morphism {groupoid.morphisms[g]!r})",
+                witness=(g, x))
+    if size != ring.size:
+        raise NotDirectSum(f"components span only {size} of {ring.size} elements")
+    return Grading(groupoid, ring, comps)
 
 
 def project(grading: Grading, hs: Iterable[int], x: int) -> int:
     """The sum of x's homogeneous parts over the morphism subset ``hs``."""
-    keep = set(hs)
     parts = grading.decompose(x)
-    out = 0
-    for g in keep:
-        out = grading.ring.add(out, parts[g])
-    return out
+    return reduce(grading.ring.add, [parts[g] for g in set(hs)], 0)
 
 
 # ---------------------------------------------------------------------------

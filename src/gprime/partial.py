@@ -162,7 +162,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     for g in range(n):
         gens = list(ideal_gens.get(g, ()))
         for x in gens:
-            if not 0 <= x < ambient.size:
+            if not isinstance(x, int) or not 0 <= x < ambient.size:
                 raise MalformedInput(
                     f"generator {x!r} for A_{G.morphisms[g]} is not an ambient element")
         if G.is_identity(g):

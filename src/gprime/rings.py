@@ -183,8 +183,9 @@ class _Coordinates:
     Coordinate i lies in Z/moduli[i] and is packed into bits
     [i*w, (i+1)*w) of one int.  The width w leaves room for k+2 multiples
     below the exponent E, so a reduction takes field remainders only where
-    it reads a field.  When every modulus is 2 (``binary``), w is 1 and
-    vectors add by xor.
+    it reads a field; a fold whose bases keep at most k rows may pass the
+    width of its k-coordinate carrier instead.  When every modulus is 2
+    (``binary``), w is 1 and vectors add by xor.
 
     A carrier's coordinate map (``_coordinates``) is one of these with
     ``of[a]``, the vector of element a, and ``index``, which maps a
@@ -193,13 +194,13 @@ class _Coordinates:
     of: Sequence[int]
     index: Dict[int, int]
 
-    def __init__(self, moduli: Sequence[int]):
+    def __init__(self, moduli: Sequence[int], width: int = 0):
         ms = self.moduli = tuple(moduli)
         self.binary = all(m == 2 for m in ms)
         self.exponent = lcm(*ms)
-        self.width = 1 if self.binary else (max(ms) * self.exponent * (len(ms) + 2)).bit_length()
-        if self.binary:     # v == -v
-            self.add, self.neg = xor, pos
+        self.width = 1 if self.binary else width or (max(ms) * self.exponent * (len(ms) + 2)).bit_length()
+        if self.binary:     # v == -v, and every xor of vectors is normalized
+            self.add, self.neg, self.normalize = xor, pos, pos
         self.mask = (1 << self.width) - 1
         self.fields = tuple((i * self.width, m) for i, m in enumerate(ms))
 
@@ -270,70 +271,66 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 class _Basis:
     """The canonical basis of a subgroup of Z/m_1 x ... x Z/m_k.
 
-    ``rows`` maps a pivot column j to (d_j, row): the row has zeros before j
-    and d_j, a proper divisor of m_j, at j.  A column without a row stands
-    for the relation m_j e_j, so rows and relations form the Hermite normal
-    form of the subgroup's lattice in Z^k (Cohen, A Course in Computational
+    ``_steps`` has one step (shift, m_j, d_j, row_j) per column j, in order.
+    A pivot column's row has zeros before j and d_j, a proper divisor of
+    m_j, at j; at any other column d_j = m_j and the row is 0, standing for
+    the relation m_j e_j.  Rows and relations form the Hermite normal form
+    of the subgroup's lattice in Z^k (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4.2).  Rows are kept reduced (an entry at a
     pivot column lies below that pivot) and (m_j/d_j) row_j lies in the span
     of the later rows, so membership is one reduction down the columns, the
     size is the product of the m_j/d_j, and equal subgroups have equal rows
-    (``key``).  Over GF(p) this is the reduced row echelon form.  A step of
-    the reduction is (shift, m_j, d_j, row), in column order.
+    (``key``).  Over GF(p) this is the reduced row echelon form.  A
+    reduction adds fewer than E multiples of each of at most k rows.
     """
 
-    __slots__ = ("c", "rows", "_steps", "_free")
+    __slots__ = ("c", "_steps")
 
     def __init__(self, coords: _Coordinates):
         self.c = coords
-        self.rows: Dict[int, Tuple[int, int]] = {}
-        self._steps: List[tuple] = []
-        self._free = coords.fields
+        self._steps: List[tuple] = [] if coords.binary else [(s, m, m, 0) for s, m in coords.fields]
 
     def key(self) -> frozenset:
-        return frozenset(step[-1] for step in self._steps)
+        return frozenset(step[-1] for step in self._steps if step[-1])
 
-    def contains(self, v: int) -> bool:
+    def reduce(self, v: int) -> int:
+        """0 if the span holds v; else v less multiples of the rows down to
+        the first column they cannot clear, its fields not normalized."""
         mask, e = self.c.mask, self.c.exponent
         for s, m, d, row in self._steps:
             a = (v >> s & mask) % m
             if a:
                 if a % d:
-                    return False
+                    return v
                 v += (e - a // d) * row
-        for s, m in self._free:
-            if (v >> s & mask) % m:
-                return False
-        return True
+        return 0
+
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)
 
     def insert(self, v: int) -> bool:
         """Extend the span by the packed vector v; False if it holds v.
 
-        At the first column j where v's entry a is not a multiple of the
-        pivot d (m_j without a row), the row becomes the gcd g of the two,
-        combined accordingly; v and the old row less multiples of it, and
-        (m_j/g) times it, are zero through j and are inserted in turn."""
-        c = self.c
+        At the column j where ``reduce`` stops, the first nonzero one, v's
+        entry a is not a multiple of the pivot d (m_j without a row); the
+        row becomes the gcd g of the two, combined accordingly; v and the
+        old row less multiples of it, and (m_j/g) times it, are zero through
+        j and are inserted in turn."""
+        c, steps = self.c, self._steps
         mask, e = c.mask, c.exponent
-        for j, (s, m) in enumerate(c.fields):
-            a = (v >> s & mask) % m
-            if not a:
-                continue
-            d, row = self.rows.get(j, (m, 0))
-            if a % d:
-                break
-            v += (e - a // d) * row
-        else:
+        v = self.reduce(v)
+        if not v:
             return False
         v = c.normalize(v)
+        j = ((v & -v).bit_length() - 1) // c.width
+        s, m, d, row = steps[j]
+        a = v >> s & mask
         g, x, y = _xgcd(d, a)
         new = self._reduced(x % e * row + y % e * v, j)
-        self.rows[j] = (g, new)
-        for i, (di, ri) in list(self.rows.items()):
-            if i < j and ri >> s & mask >= g:
-                self.rows[i] = (di, self._reduced(ri, i))
-        self._steps = [(*c.fields[i], di, ri) for i, (di, ri) in sorted(self.rows.items())]
-        self._free = [f for i, f in enumerate(c.fields) if i not in self.rows]
+        steps[j] = (s, m, g, new)
+        for i, (si, mi, di, ri) in enumerate(steps[:j]):
+            if ri >> s & mask >= g:
+                steps[i] = (si, mi, di, self._reduced(ri, i))
         for w in (v + (e - a // g) * new, row + (e - d // g) * new, m // g * new):
             self.insert(w)
         return True
@@ -342,10 +339,9 @@ class _Basis:
         """``row`` normalized, with its entries at the pivot columns after
         ``after`` brought below those pivots by the rows there."""
         c = self.c
-        for j, (d, r) in sorted(self.rows.items()):
-            s, m = c.fields[j]
+        for s, m, d, r in self._steps[after + 1:]:
             f = (row >> s & c.mask) % m
-            if j > after and f >= d:
+            if f >= d:
                 row += (c.exponent - f // d) * r
         return c.normalize(row)
 
@@ -356,7 +352,8 @@ class _Basis:
         """Every packed vector of the span, normalized."""
         out = [0]
         for _, m, d, row in self._steps:
-            out = [x + k * row for k in range(m // d) for x in out]
+            if row:
+                out = [x + k * row for k in range(m // d) for x in out]
         return [self.c.normalize(x) for x in out]
 
 
@@ -368,21 +365,18 @@ class _XorBasis(_Basis):
 
     __slots__ = ()
 
-    def contains(self, v: int) -> bool:
+    def reduce(self, v: int) -> int:
         for bit, row in self._steps:
             if v & bit:
                 v ^= row
-        return not v
+        return v
 
     def insert(self, v: int) -> bool:
-        steps = self._steps
-        for bit, row in steps:
-            if v & bit:
-                v ^= row
+        v = self.reduce(v)
         if not v:
             return False
         low = v & -v
-        self._steps = [(b, r ^ v if r & low else r) for b, r in steps] + [(low, v)]
+        self._steps = [(b, r ^ v if r & low else r) for b, r in self._steps] + [(low, v)]
         return True
 
     def size(self) -> int:
@@ -1230,18 +1224,14 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256,
             ideals.append(ideal)
             if len(ideals) > cap:
                 return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
-    i = 0
-    while i < len(ideals):
-        j = 0
-        while j < len(ideals):
-            merged = Ideal(ring, None, ideals[i].gens + ideals[j].gens)
+    for a in ideals:            # both loops see the ideals appended below
+        for b in ideals:
+            merged = Ideal(ring, None, a.gens + b.gens)
             if merged.key not in keys:
                 keys.add(merged.key)
                 ideals.append(merged)
                 if len(ideals) > cap:
                     return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
-            j += 1
-        i += 1
     return IdealEnumeration(tuple(_sorted_ideals(ideals)), False)
 
 

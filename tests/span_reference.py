@@ -14,13 +14,16 @@ the annihilator test of ``rings.is_prime_bruteforce`` replaced.
 ``reference_mul`` is the digit-wise product that the single-term kernel
 ``rings._TermRing.mul`` replaced on matrices, group rings, direct sums and
 skew groupoid rings, on digits and coefficients read without coordinates.
+``reference_decompose`` is the staged sweep of partial sums that decided
+directness in ``grading.validate_grading`` and backed ``Grading.decompose``
+before both moved onto canonical bases.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from gprime.errors import InternalDisagreement, NotSUnital
+from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital
 from gprime.partial import SkewGroupoidRing
 from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
                           PrimePairWitness, PrimeResult, SubRing, first_identity,
@@ -173,3 +176,33 @@ def reference_mul(ring):
                 out[k] = badd(out[k], bmul(A[i], B[j]))
         return _number(ring, out)
     return convolve
+
+
+def reference_decompose(ring, components):
+    """Every element's parts over ``components``, a generator list per
+    morphism, as a dict.  Stage g maps each partial sum through S_g to (the
+    partial sum before it, the part taken from S_g); the first stage that
+    reaches an element twice raises NotDirectSum with witness g, and a sum
+    that reaches fewer elements than the carrier raises it with witness
+    None."""
+    add = reference_add(ring)
+    stages, reachable = [], {0}
+    for g, gens in enumerate(components):
+        stage, span = {}, reference_span(ring, gens, add)[0]
+        for x in reachable:
+            for p in span:
+                y = add(x, p)
+                if y in stage:
+                    raise NotDirectSum(f"two decompositions reach {y} at stage {g}", g)
+                stage[y] = (x, p)
+        stages.append(stage)
+        reachable = set(stage)
+    if len(reachable) != ring.size:
+        raise NotDirectSum(f"the components reach {len(reachable)} of {ring.size} elements")
+    table = {}
+    for x in range(ring.size):
+        parts, y = [0] * len(stages), x
+        for g in reversed(range(len(stages))):
+            y, parts[g] = stages[g][y]
+        table[x] = tuple(parts)
+    return table

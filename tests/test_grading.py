@@ -104,14 +104,46 @@ class TestValidation:
         zero_mul = TableRing(add, [[0] * 4 for _ in range(4)], ["0", "x", "y", "x+y"])
         G = pair_groupoid(["e", "f"])
         comps = {G.morphism_index("e"): [1], G.morphism_index("f"): [1, 2]}
-        with pytest.raises(NotDirectSum):
+        with pytest.raises(NotDirectSum) as exc:
             validate_grading(G, zero_mul, comps)
+        # the message names the morphism and an element in both sums
+        assert "x lies in S_f and in the earlier components (at morphism 'f')" in str(exc.value)
+        assert exc.value.witness == (G.morphism_index("f"), 1)
 
     def test_non_spanning_components_rejected(self):
         G = pair_groupoid(["e"])
         m2 = MatrixRing(GaloisField(2), 2)
         with pytest.raises(NotDirectSum):
             validate_grading(G, m2, {0: [m2.unit(0, 1)]})
+
+    @staticmethod
+    def m2_components():
+        G = pair_groupoid(["e", "f"])
+        m2 = MatrixRing(GaloisField(2), 2)
+        comps = {G.morphism_index("e"): [m2.unit(0, 0)], G.morphism_index("f"): [m2.unit(1, 1)],
+                 G.morphism_index("f>e"): [m2.unit(0, 1)], G.morphism_index("e>f"): [m2.unit(1, 0)]}
+        validate_grading(G, m2, comps)   # the unaltered components are a grading
+        return G, m2, comps
+
+    def test_unknown_morphism_index_refused(self):
+        G, m2, comps = self.m2_components()
+        with pytest.raises(MalformedInput, match="unknown morphism index 99"):
+            validate_grading(G, m2, {**comps, 99: [m2.unit(0, 0)]})
+
+    def test_negative_generator_refused(self):
+        G, m2, comps = self.m2_components()
+        with pytest.raises(MalformedInput, match="generator -1 for S_e is not a ring element"):
+            validate_grading(G, m2, {**comps, G.morphism_index("e"): [-1]})
+
+    def test_generator_past_the_carrier_refused(self):
+        G, m2, comps = self.m2_components()
+        with pytest.raises(MalformedInput, match="generator 16 for S_e is not a ring element"):
+            validate_grading(G, m2, {**comps, G.morphism_index("e"): [16]})
+
+    def test_non_integer_generator_refused(self):
+        G, m2, comps = self.m2_components()
+        with pytest.raises(MalformedInput, match="generator 'a' for S_e is not a ring element"):
+            validate_grading(G, m2, {**comps, G.morphism_index("e"): ["a"]})
 
     def test_degenerate_inputs(self):
         G = pair_groupoid(["e"])

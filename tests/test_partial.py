@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.raises(MalformedInput):
             validate_partial_action(G, amb, {}, {})
 
+    def test_non_integer_generator_refused(self):
+        G = pair_groupoid(["e", "f"])
+        amb = DirectSumRing([GaloisField(2), GaloisField(2)], keys=["e", "f"])
+        with pytest.raises(MalformedInput, match="generator 1.0 for A_f>e is not an ambient"):
+            validate_partial_action(G, amb, {G.morphism_index("f>e"): [1.0]}, {})
+
     def test_zero_ambient_is_degenerate(self):
         G = pair_groupoid(["e"])
         amb = DirectSumRing([CyclicRing(1)], keys=["e"])
