@@ -18,13 +18,14 @@ reproducible.
 from __future__ import annotations
 
 from functools import reduce
+from operator import xor
 
 from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
                      ObjectNotInSupport, Record)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closures,
-                    _Coordinates, _basis, _coordinates, _memo, _row_packer,
+                    _Coordinates, _basis, _coordinates, _memo, _radix_tuples, _row_packer,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
 
@@ -59,7 +60,11 @@ __all__ = [
 
 
 class Grading:
-    """A validated groupoid grading; construct via validate_grading."""
+    """A validated groupoid grading; construct via validate_grading.
+
+    Kept on the grading once computed: the fold basis of ``decompose``, the
+    identity-component span and its ring, the invariant closures, and the
+    verdict of ``is_nearly_epsilon_strong``."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
                  components: Sequence[AdditiveSubgroup]):
@@ -70,6 +75,7 @@ class Grading:
         self._principal: Optional[AdditiveSubgroup] = None
         self._principal_ring: Optional[SubRing] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
+        self._nes: Optional[NESResult] = None
 
     def component(self, g: int) -> AdditiveSubgroup:
         return self.components[g]
@@ -182,8 +188,7 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
     if ring.size == 1:
         raise DegenerateInstance("the zero ring admits no meaningful grading")
     for g in raw_components:
-        if not isinstance(g, int) or not 0 <= g < n:
-            raise MalformedInput(f"unknown morphism index {g!r}")
+        groupoid.check_morphism(g)
     comps: List[AdditiveSubgroup] = []
     for g in range(n):
         gens = list(raw_components.get(g, ()))
@@ -240,8 +245,9 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
 
 def project(grading: Grading, hs: Iterable[int], x: int) -> int:
     """The sum of x's homogeneous parts over the morphism subset ``hs``."""
+    hs = {grading.groupoid.check_morphism(g) for g in hs}
     parts = grading.decompose(x)
-    return reduce(grading.ring.add, [parts[g] for g in set(hs)], 0)
+    return reduce(grading.ring.add, [parts[g] for g in hs], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,45 +266,60 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
     """Decide near epsilon-strongness by two routes and insist they agree.
 
     Route one asks, per morphism g, that the product S_g S_g^-1 be an s-unital
-    ring and that S_g S_g^-1 S_g recover S_g.  Route two searches, per nonzero
+    ring and that S_g S_g^-1 S_g recover S_g; s-unitality is decided once
+    per distinct product, by its basis key.  Route two searches, per nonzero
     d in S_g, for units eps in S_g S_g^-1 and eps' in S_g^-1 S_g with
-    eps*d == d == d*eps'.  The global verdicts must coincide (per-morphism
-    booleans may legitimately differ on pathological inputs: the right-unit
-    half of route one at g is fed by route two at g^-1); disagreement raises
-    InternalDisagreement, it is never reconciled.
+    eps*d == d == d*eps', the first of each in index order.  The global
+    verdicts must coincide (per-morphism booleans may legitimately differ on
+    pathological inputs: the right-unit half of route one at g is fed by
+    route two at g^-1); disagreement raises InternalDisagreement, it is
+    never reconciled.
+
+    Route two rests on bilinearity: with s_1..s_r the elements of S_g's
+    canonical basis rows and d = sum k_j s_j, u*d = sum k_j (u*s_j).  So
+    each candidate u, taken lazily in index order, costs r ring products,
+    its images u*s_j, and each d still waiting for a unit is tested on
+    packed coordinates (xor on binary carriers), with the coefficients k
+    read off the enumeration that lists S_g.  The right side is the same
+    with s_j*u.
+
+    The result is computed once per grading and kept on it, so every
+    caller on the same grading shares one ``NESResult``.
     """
+    if grading._nes is not None:
+        return grading._nes
     G = grading.groupoid
-    mul = grading.ring.mul
     route_one = True
     route_two = True
     failures: List[str] = []
     certificate: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    products: Dict[int, AdditiveSubgroup] = {}
-    for g in range(G.n_morphisms):
-        products[g] = set_product(grading.components[g], grading.components[G.inv[g]])
+    products = [set_product(grading.components[g], grading.components[G.inv[g]])
+                for g in range(G.n_morphisms)]
+    s_unital: Dict[frozenset, bool] = {}
 
     for g in range(G.n_morphisms):
         sg = grading.components[g]
         x = products[g]
-        if not is_s_unital(x):
+        if x.key not in s_unital:
+            s_unital[x.key] = is_s_unital(x)
+        if not s_unital[x.key]:
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 is not s-unital")
         if set_product(x, sg).key != sg.key:
             route_one = False
             failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 S_g != S_g")
-        lefts, rights = x.sorted_elements(), products[G.inv[g]].sorted_elements()
-        for d in sg.sorted_elements():
-            if d == 0:
-                continue
-            eps = next((u for u in lefts if mul(u, d) == d), None)
-            eps2 = next((v for v in rights if mul(d, v) == d), None)
-            if eps is None or eps2 is None:
+        members = _with_coefficients(sg)
+        lefts = _first_units(sg, members, x, False)
+        rights = _first_units(sg, [m for m in members if m[0] in lefts],
+                              products[G.inv[g]], True)
+        for d, _ in members:
+            if d in rights:
+                certificate[(g, d)] = (lefts[d], rights[d])
+            else:
                 route_two = False
-                side = "left" if eps is None else "right"
+                side = "right" if d in lefts else "left"
                 failures.append(
                     f"{G.morphisms[g]!r}: no {side} unit for {grading.ring.label(d)}")
-            else:
-                certificate[(g, d)] = (eps, eps2)
 
     if route_one != route_two:
         raise InternalDisagreement(
@@ -306,7 +327,48 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
             details={"s_unital_route": route_one, "unit_route": route_two,
                      "failures": failures})
     holds = route_one
-    return NESResult(holds, certificate if holds else {}, tuple(failures))
+    grading._nes = NESResult(holds, certificate if holds else {}, tuple(failures))
+    return grading._nes
+
+
+def _with_coefficients(sub: AdditiveSubgroup) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Every nonzero d of ``sub`` in index order, as (d, k) with d the sum of
+    k_j times the j-th canonical basis row: ``_radix_tuples`` lists the k in
+    the order in which ``vectors`` lists the sums."""
+    index = _coordinates(sub.ring).index
+    ks = _radix_tuples([range(order) for _, order in sub._basis.rows()])
+    return sorted(zip([index[v] for v in sub._basis.vectors()], ks))[1:]
+
+
+def _first_units(sub: AdditiveSubgroup, members: List[Tuple[int, Tuple[int, ...]]],
+                 pool: AdditiveSubgroup, right: bool) -> Dict[int, int]:
+    """d -> the first u of ``pool`` in index order with u*d == d (d*u == d
+    when ``right``), over the (d, k) of ``members``; a d with no such u is
+    left out.  u*d is read as sum k_j (u*s_j) over the elements s_j of
+    ``sub``'s canonical basis rows."""
+    ring = sub.ring
+    c, mul = _coordinates(ring), ring.mul
+    basis = [c.index[row] for row, _ in sub._basis.rows()]
+    found: Dict[int, int] = {}
+    waiting = members
+    for u in pool.sorted_elements():
+        if not waiting:
+            break
+        if u == 0:
+            continue
+        images = [c.of[mul(s, u) if right else mul(u, s)] for s in basis]
+        rest = []
+        for d, ks in waiting:
+            if c.binary:
+                v = reduce(xor, [w for k, w in zip(ks, images) if k], 0)
+            else:
+                v = c.normalize(sum([k * w for k, w in zip(ks, images)]))
+            if v == c.of[d]:
+                found[d] = u
+            else:
+                rest.append((d, ks))
+        waiting = rest
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +417,7 @@ def conjugate(grading: Grading, subset, g: int) -> AdditiveSubgroup:
     iterable of elements (used verbatim).
     """
     G = grading.groupoid
+    G.check_morphism(g)
     mul = grading.ring.mul
     ugens = grading.components[G.inv[g]].gens
     vgens = grading.components[g].gens
@@ -367,7 +430,7 @@ def is_invariant(grading: Grading, sub: AdditiveSubgroup,
                  hs: Optional[Iterable[int]] = None) -> Tuple[bool, Optional[int]]:
     """Whether conjugation by every morphism in ``hs`` (default: all) stays inside."""
     G = grading.groupoid
-    for g in (range(G.n_morphisms) if hs is None else hs):
+    for g in (range(G.n_morphisms) if hs is None else [G.check_morphism(h) for h in hs]):
         if not all(x in sub for x in conjugate(grading, sub, g).gens):
             return False, g
     return True, None
@@ -483,7 +546,7 @@ def is_support_hub(grading: Grading, e: int) -> HubResult:
     and on failure ``blocking`` is the first element with no such pair.
     """
     G = grading.groupoid
-    if grading.components[G.identity(e)].is_zero():
+    if grading.components[G.identity(G.check_object(e))].is_zero():
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero identity component")
     mul = grading.ring.mul
@@ -582,6 +645,6 @@ def restrict_grading(parent: Grading, sub: Subgroupoid) -> RestrictedGrading:
 def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
     """The group-graded ring sitting over the isotropy group at ``e``."""
     G = parent.groupoid
-    group = isotropy(G, e)
+    group = isotropy(G, G.check_object(e))
     sub = validate_subgroupoid(G, group.parent_elements or ())
     return restrict_grading(parent, sub)

@@ -154,6 +154,18 @@ class FiniteGroupoid:
         except KeyError:
             raise UnknownMorphism(f"unknown morphism {label!r}") from None
 
+    def check_object(self, e) -> int:
+        """``e`` if it indexes an object; UnknownObject otherwise."""
+        if not isinstance(e, int) or not 0 <= e < self.n_objects:
+            raise UnknownObject(f"unknown object index {e!r}")
+        return e
+
+    def check_morphism(self, g) -> int:
+        """``g`` if it indexes a morphism; UnknownMorphism otherwise."""
+        if not isinstance(g, int) or not 0 <= g < self.n_morphisms:
+            raise UnknownMorphism(f"unknown morphism index {g!r}")
+        return g
+
     def identity(self, obj: int) -> int:
         """The identity morphism on object ``obj`` (these sit at indices 0..n_objects-1)."""
         return obj

@@ -154,8 +154,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     G = groupoid
     n = G.n_morphisms
     for g in list(ideal_gens) + list(maps):
-        if not isinstance(g, int) or not 0 <= g < n:
-            raise MalformedInput(f"unknown morphism index {g!r}")
+        G.check_morphism(g)
     violations: List[Tuple[str, str]] = []
 
     ideals: List[AdditiveSubgroup] = []

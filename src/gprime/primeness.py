@@ -245,6 +245,7 @@ def torsion_free_shortcut(grading: Grading, e: int) -> Optional[bool]:
     invariant-ideal-pair condition.  Returns None when the shortcut does not
     apply.
     """
+    grading.groupoid.check_object(e)
     support = support_groupoid(grading)
     if e not in support.support_objects:
         raise ObjectNotInSupport(

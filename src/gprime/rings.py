@@ -348,12 +348,17 @@ class _Basis:
     def size(self) -> int:
         return prod(m // d for _, m, d, _ in self._steps)
 
+    def rows(self) -> List[Tuple[int, int]]:
+        """(row, order) per pivot: each vector of the span is exactly one sum
+        of k_j times row j over 0 <= k_j < order_j, and ``vectors`` lists
+        these sums with k_0 running fastest."""
+        return [(row, m // d) for _, m, d, row in self._steps if row]
+
     def vectors(self) -> List[int]:
         """Every packed vector of the span, normalized."""
         out = [0]
-        for _, m, d, row in self._steps:
-            if row:
-                out = [x + k * row for k in range(m // d) for x in out]
+        for row, order in self.rows():
+            out = [x + k * row for k in range(order) for x in out]
         return [self.c.normalize(x) for x in out]
 
 
@@ -381,6 +386,9 @@ class _XorBasis(_Basis):
 
     def size(self) -> int:
         return 1 << len(self._steps)
+
+    def rows(self) -> List[Tuple[int, int]]:
+        return [(row, 2) for _, row in self._steps]
 
     def vectors(self) -> List[int]:
         out = [0]

@@ -17,6 +17,9 @@ skew groupoid rings, on digits and coefficients read without coordinates.
 ``reference_decompose`` is the staged sweep of partial sums that decided
 directness in ``grading.validate_grading`` and backed ``Grading.decompose``
 before both moved onto canonical bases.
+``reference_nes`` is ``grading.is_nearly_epsilon_strong`` as it was before
+route two read its unit tests off generator images: route one per
+morphism, and route two's element scan, one ring product per pair (u, d).
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital
+from gprime.grading import NESResult
 from gprime.partial import SkewGroupoidRing
 from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
                           PrimePairWitness, PrimeResult, SubRing, first_identity,
-                          first_zero_pair, principal_ideal)
+                          first_zero_pair, is_s_unital, principal_ideal, set_product)
 
 
 def reference_add(ring):
@@ -206,3 +210,47 @@ def reference_decompose(ring, components):
             y, parts[g] = stages[g][y]
         table[x] = tuple(parts)
     return table
+
+
+def reference_nes(grading):
+    """Near epsilon-strongness as a ``NESResult``: per morphism g, route one
+    asks that S_g S_g^-1 be s-unital and that S_g S_g^-1 S_g == S_g; route
+    two scans, for each nonzero d of S_g in element order, the sorted
+    elements of S_g S_g^-1 for the first u with u*d == d and those of
+    S_g^-1 S_g for the first v with d*v == d.  The verdicts must agree
+    (InternalDisagreement otherwise)."""
+    G = grading.groupoid
+    mul = grading.ring.mul
+    route_one = route_two = True
+    failures = []
+    certificate = {}
+    products = {g: set_product(grading.components[g], grading.components[G.inv[g]])
+                for g in range(G.n_morphisms)}
+    for g in range(G.n_morphisms):
+        sg = grading.components[g]
+        x = products[g]
+        if not is_s_unital(x):
+            route_one = False
+            failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 is not s-unital")
+        if set_product(x, sg).key != sg.key:
+            route_one = False
+            failures.append(f"{G.morphisms[g]!r}: S_g S_g^-1 S_g != S_g")
+        lefts, rights = x.sorted_elements(), products[G.inv[g]].sorted_elements()
+        for d in sg.sorted_elements():
+            if d == 0:
+                continue
+            eps = next((u for u in lefts if mul(u, d) == d), None)
+            eps2 = next((v for v in rights if mul(d, v) == d), None)
+            if eps is None or eps2 is None:
+                route_two = False
+                side = "left" if eps is None else "right"
+                failures.append(
+                    f"{G.morphisms[g]!r}: no {side} unit for {grading.ring.label(d)}")
+            else:
+                certificate[(g, d)] = (eps, eps2)
+    if route_one != route_two:
+        raise InternalDisagreement(
+            "the two near-epsilon-strongness characterizations disagree",
+            details={"s_unital_route": route_one, "unit_route": route_two,
+                     "failures": failures})
+    return NESResult(route_one, certificate if route_one else {}, tuple(failures))

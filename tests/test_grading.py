@@ -43,6 +43,7 @@ from gprime.grading import (
     validate_grading,
 )
 from gprime.groupoid import Subgroupoid, pair_groupoid
+from gprime.primeness import torsion_free_shortcut
 from gprime.rings import (
     GaloisField,
     MatrixRing,
@@ -413,3 +414,37 @@ class TestInternalConsistency:
         dead.components = tuple(comps)
         with pytest.raises(InternalDisagreement):
             support_groupoid(dead, nes=True)
+
+
+class TestUnknownIndices:
+    """The public entry points refuse a morphism or object index outside
+    the groupoid instead of reading Python's negative indexing or failing
+    with a bare IndexError.  The m3 grading has 3 objects and 9 morphisms."""
+
+    def test_project_refuses_a_negative_morphism(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown morphism index -1"):
+            project(m3_grading, [-1], E12)
+
+    def test_project_refuses_a_morphism_past_the_end(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown morphism index 99"):
+            project(m3_grading, [0, 99], E12)
+
+    def test_conjugate_refuses_an_unknown_morphism(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown morphism index 42"):
+            conjugate(m3_grading, m3_grading.principal_part(), 42)
+
+    def test_is_invariant_refuses_an_unknown_morphism(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown morphism index -1"):
+            is_invariant(m3_grading, m3_grading.principal_part(), [-1])
+
+    def test_is_support_hub_refuses_an_unknown_object(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown object index 7"):
+            is_support_hub(m3_grading, 7)
+
+    def test_isotropy_component_refuses_an_unknown_object(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown object index -1"):
+            isotropy_component(m3_grading, -1)
+
+    def test_torsion_free_shortcut_refuses_an_unknown_object(self, m3_grading):
+        with pytest.raises(MalformedInput, match="unknown object index -1"):
+            torsion_free_shortcut(m3_grading, -1)
