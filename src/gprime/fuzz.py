@@ -31,7 +31,7 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       skew_prime_verdict, validate_partial_action)
 from .primeness import equivalence_report, torsion_free_shortcut
 from .rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, FiniteRing,
-                    GaloisField, Ideal, MatrixRing, additive_closure,
+                    GaloisField, MatrixRing, additive_closure,
                     enumerate_ideals, ideal_generated, is_s_unital,
                     is_zero_product, principal_ideal, set_product)
 
@@ -464,22 +464,22 @@ def _check_grading(rng: random.Random, grading: Grading, max_ring: int) -> int:
     if ring.size <= 128:
         enumeration = enumerate_ideals(ring)
         if not enumeration.truncated:
-            graded: List[Ideal] = []
+            graded: List[GradedIdeal] = []
             for ideal in enumeration.ideals:
                 try:
-                    GradedIdeal.of(grading, ideal)
+                    graded.append(GradedIdeal.of(grading, ideal))
                 except NotGraded:
                     continue
-                graded.append(ideal)
             for ideal in graded:
                 down = phi(grading, ideal)
-                _ensure(psi(grading, down).ideal.elements == ideal.elements,
+                up = psi(grading, down)
+                _ensure(up.ideal.elements == ideal.ideal.elements,
                         "phi/psi round trip moved a graded ideal")
-                _ensure(phi(grading, psi(grading, down)).elements == down.elements,
+                _ensure(phi(grading, up).elements == down.elements,
                         "psi/phi round trip moved an invariant ideal")
             checks += 1
             if ring.size <= 64:
-                nonzero = [i for i in graded if len(i) > 1]
+                nonzero = [i.ideal for i in graded if len(i.ideal) > 1]
                 direct = not any(is_zero_product(a, b)
                                  for a in nonzero for b in nonzero)
                 _ensure(direct == graded_pair.holds,

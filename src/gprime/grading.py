@@ -25,7 +25,7 @@ from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      ObjectNotInSupport, Record)
 from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closures,
-                    _Coordinates, _basis, _coordinates, _memo, _radix_tuples, _row_packer,
+                    _Coordinates, _basis, _coordinates, _kernel, _memo, _radix_tuples,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
 
@@ -180,8 +180,8 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
     generators, inserted in morphism order: T = S_0 + ... + S_{g-1} and S_g
     span |T| |S_g| / |T n S_g| elements, so the sum is direct through S_g
     iff the span has the product of the |S_h|, h <= g, elements.  At the
-    first g where it has fewer, the error names an element of T n S_g, off
-    the basis rows of the (t | 0), (s | s) that vanish in block 0.  The
+    first g where it has fewer, the error names the least of the elements
+    ``rings._kernel`` gives for T n S_g on the rows (t, 0) and (s, s).  The
     components span the carrier iff the final product is its size.
     """
     n = groupoid.n_morphisms
@@ -228,12 +228,8 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
             span.insert(coords.of[x])
         size *= len(comp)
         if span.size() < size:
-            fold, packed = _row_packer(ring, 2)
-            common, k = _basis(fold), len(ring.moduli)
-            for row in [(t, 0) for c in comps[:g] for t in c.gens] + [(s, s) for s in comp.gens]:
-                common.insert(packed(row))
-            x = min(coords.index[coords.pack(f[k:])]
-                    for f in map(fold.unpack, common.key()) if not any(f[:k]))
+            x = min(_kernel(ring, [(t, 0) for c in comps[:g] for t in c.gens]
+                            + [(s, s) for s in comp.gens]))
             raise NotDirectSum(
                 f"components overlap: {ring.label(x)} lies in S_{groupoid.morphisms[g]} "
                 f"and in the earlier components (at morphism {groupoid.morphisms[g]!r})",
@@ -483,20 +479,18 @@ def _cached_invariant_closure(grading: Grading, a: int) -> AdditiveSubgroup:
 def phi(grading: Grading, ideal) -> AdditiveSubgroup:
     """Intersect a graded ideal with the identity-component ring.
 
-    Accepts an Ideal or a GradedIdeal; raises NotGraded if the ideal is not
-    graded.  The result is always an ideal of the identity-component ring; a
-    failure of that is a bug, so it raises InternalDisagreement rather than
-    rejecting the input.
+    Accepts an Ideal, checked by ``GradedIdeal.of`` (NotGraded if it is not
+    graded), or a GradedIdeal, taken as checked.  I n P is the span of the
+    parts of I at the identity morphisms.  It is always an ideal of the
+    identity-component ring; a failure of that is a bug, so it raises
+    InternalDisagreement rather than rejecting the input.
     """
-    if isinstance(ideal, GradedIdeal):
-        ideal = ideal.ideal
-    GradedIdeal.of(grading, ideal)  # gradedness gate
-    P = grading.principal_part()
-    members = ideal.elements & P.elements
-    out = additive_closure(grading.ring, sorted(members))
-    if out.elements != members:
-        raise InternalDisagreement("graded-ideal intersection is not additively closed")
-    if first_escape(grading.ring, P.gens, out.gens, members) is not None:
+    G = grading.groupoid
+    if not isinstance(ideal, GradedIdeal):
+        ideal = GradedIdeal.of(grading, ideal)
+    out = additive_closure(grading.ring, sorted(x for e in range(G.n_objects)
+                                                for x in ideal.parts[G.identity(e)]))
+    if first_escape(grading.ring, grading.principal_part().gens, out.gens, out) is not None:
         raise InternalDisagreement(
             "graded-ideal intersection fails to be an ideal of the "
             "identity-component ring")

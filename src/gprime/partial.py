@@ -25,7 +25,7 @@ from math import prod
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
                      ChainViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotSUnital, ObjectNotInSupport,
-                     Record, RingMismatch, UnknownObject)
+                     Record, RingMismatch)
 from .grading import (Grading, HubResult, PairCriterionResult,
                       is_G_prime_principal, is_nearly_epsilon_strong,
                       validate_grading)
@@ -34,7 +34,7 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        isotropy, one_object_groupoid, orbit)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
                     FiniteRing, Ideal, PrimeResult, _Closures, _Coordinates,
-                    _TermRing, _memo, _mixed_radix_table, _radix_tuples,
+                    _TermRing, _kernel, _memo, _mixed_radix_table, _radix_tuples,
                     additive_closure, close, first_escape, first_hom_failure,
                     first_identity, first_nonassociative, first_zero_pair,
                     is_maximal_commutative, is_prime_bruteforce, is_s_unital,
@@ -310,7 +310,6 @@ class SkewGroupoidRing(_TermRing):
         self.tag = f"skew({amb.tag}; {G.n_morphisms} morphisms)"
         self.moduli = amb.moduli * G.n_morphisms
         self._locals = locs
-        self._members = [frozenset(loc) for loc in locs]
         self._coeffs = _radix_tuples(locs)
         self._index = {c: x for x, c in enumerate(self._coeffs)}
         # the cache FiniteRing.additive_generators reads
@@ -332,7 +331,7 @@ class SkewGroupoidRing(_TermRing):
         """The element with the given ambient coefficient per morphism."""
         x = self._index.get(tuple(coeffs))
         if x is None:
-            g = next(g for g, a in enumerate(coeffs) if a not in self._members[g])
+            g = next(g for g, a in enumerate(coeffs) if a not in self.action.ideals[g])
             raise MalformedInput(
                 f"coefficient {self.action.ambient.label(coeffs[g])} lies "
                 f"outside A_{self.action.groupoid.morphisms[g]}")
@@ -355,7 +354,7 @@ class SkewGroupoidRing(_TermRing):
         G = act.groupoid
         term = act.sigma(g, act.ambient.mul(act.sigma(G.inv[g], a), b))
         gh = G.compose(g, h)
-        if term not in self._members[gh]:
+        if term not in act.ideals[gh]:
             raise InternalDisagreement(
                 f"product coefficient {act.ambient.label(term)} escaped "
                 f"A_{G.morphisms[gh]}; the action validator and the "
@@ -497,24 +496,20 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
                        hs=None) -> Tuple[bool, Optional[int]]:
     """Whether sigma_g(sub ∩ A_{g^{-1}}) stays inside ``sub`` for each g.
 
-    ``hs`` restricts the morphisms checked (a Subgroupoid or an iterable of
-    morphism indices; all of them by default).  The second return value is
-    the first violating morphism, if any.
+    ``hs`` restricts the morphisms checked (a Subgroupoid or morphism
+    indices, else UnknownMorphism; all by default).  sigma_g is additive, so
+    it is tested on the generators of the meet from ``rings._kernel``.  The
+    second return value is the first violating morphism, if any.
     """
     if sub.ring is not action.ambient:
         raise RingMismatch("the subgroup lives in a different carrier")
     G = action.groupoid
-    if hs is None:
-        morphs: Iterable[int] = range(G.n_morphisms)
-    elif isinstance(hs, Subgroupoid):
-        morphs = sorted(hs.members)
-    else:
-        morphs = list(hs)
+    morphs = (range(G.n_morphisms) if hs is None else sorted(hs.members)
+              if isinstance(hs, Subgroupoid) else [G.check_morphism(h) for h in hs])
     for g in morphs:
-        table = action.maps[g]
-        for x in action.ideals[G.inv[g]].elements & sub.elements:
-            if table[x] not in sub:
-                return False, g
+        meet = [(a, a) for a in action.ideals[G.inv[g]].gens] + [(b, 0) for b in sub.gens]
+        if any(action.maps[g][x] not in sub for x in _kernel(action.ambient, meet)):
+            return False, g
     return True, None
 
 
@@ -644,7 +639,7 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     """
     G = action.groupoid
     amb = action.ambient
-    if action.ideals[G.identity(e)].is_zero():
+    if action.ideals[G.identity(G.check_object(e))].is_zero():
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero component")
     mul = amb.mul
@@ -687,7 +682,7 @@ def group_type_chain(action: PartialAction, e: int) -> ChainResult:
     """
     G = action.groupoid
     amb = action.ambient
-    if action.ideals[G.identity(e)].is_zero():
+    if action.ideals[G.identity(G.check_object(e))].is_zero():
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero component")
     first = is_group_type(action).holds
@@ -729,7 +724,7 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     trusted, and cached per object.
     """
     G = action.groupoid
-    if action.ideals[G.identity(e)].is_zero():
+    if action.ideals[G.identity(G.check_object(e))].is_zero():
         raise ObjectNotInSupport(
             f"object {G.objects[e]!r} carries a zero component")
     amb = action.ambient
@@ -890,23 +885,20 @@ def r_dense(groupoid: FiniteGroupoid, base: FiniteRing, objects,
     """Whether every nonzero element of the groupoid ring has a nonzero
     coefficient at some morphism whose source lies in ``objects``.
 
-    ``objects`` may hold labels or indices.  The sweep is exhaustive over the
-    built carrier; the witness is the first fully escaping element.
+    ``objects`` may hold labels or indices (UnknownObject for anything
+    else).  The elements with no such coefficient are the kernel of the
+    projection onto the coefficients at those morphisms, read off
+    ``rings._kernel`` on the additive generators; the witness is its least
+    nonzero element, the first fully escaping element in index order.
     """
-    xs = set()
-    for x in objects:
-        idx = groupoid.object_index(x) if isinstance(x, str) else int(x)
-        if not 0 <= idx < groupoid.n_objects:
-            raise UnknownObject(f"object index {x!r} out of range")
-        xs.add(idx)
-    grading = build_groupoid_ring(base, groupoid, bound)
-    ring = grading.ring
-    for a in range(1, ring.size):
-        coeffs = ring.coefficients(a)
-        if not any(c != 0 and groupoid.src[g] in xs
-                   for g, c in enumerate(coeffs)):
-            return DensityResult(False, a)
-    return DensityResult(True, None)
+    xs = {groupoid.object_index(x) if isinstance(x, str) else groupoid.check_object(x)
+          for x in objects}
+    ring = build_groupoid_ring(base, groupoid, bound).ring
+    rows = [(ring.encode([c if groupoid.src[g] in xs else 0
+                          for g, c in enumerate(ring.coefficients(t))]), t)
+            for t in ring.additive_generators()]
+    kernel = additive_closure(ring, _kernel(ring, rows))
+    return DensityResult(kernel.is_zero(), min(kernel.elements - {0}, default=None))
 
 
 def orbit_density_check(groupoid: FiniteGroupoid, base: FiniteRing, e: int,
@@ -937,14 +929,17 @@ def orbit_density_check(groupoid: FiniteGroupoid, base: FiniteRing, e: int,
 # ---------------------------------------------------------------------------
 
 def _meets_identity_part(grading: Grading) -> bool:
-    """Every nonzero ideal meets the identity part (principal ideals suffice,
-    since every nonzero ideal contains a nonzero principal one)."""
-    principal = grading.principal_part()
-    ring = grading.ring
+    """Every nonzero ideal meets the identity part P (principal ideals
+    suffice, since every nonzero ideal contains a nonzero principal one):
+    (x) n P is nonzero iff |(x)| |P| > |(x) + P|, asked once per ideal."""
+    P, ring = grading.principal_part(), grading.ring
+    met = set()
     for x in range(1, ring.size):
         ideal = principal_ideal(ring, x)
-        if not any(y != 0 and y in principal.elements for y in ideal.elements):
-            return False
+        if ideal.key not in met:
+            if len(ideal) * len(P) == len(additive_closure(ring, ideal.gens + P.gens)):
+                return False
+            met.add(ideal.key)
     return True
 
 

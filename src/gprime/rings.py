@@ -37,6 +37,12 @@ closed.  Absorption,
 homomorphism, identity and associativity checks, exact on additive
 generators, run on ``first_escape``, ``first_hom_failure``,
 ``first_identity`` and ``first_nonassociative``.
+
+Linear conditions are solved by ``_kernel``, not swept: the rows of a Howell
+basis that vanish on the leading blocks span the part of the span vanishing
+there (Storjohann and Mulders, "Fast algorithms for linear algebra modulo
+N", ESA 1998), so rows (f(g), g) over generators g give ker f, and rows
+(a, a) and (b, 0) the meet of two spans.
 """
 
 from __future__ import annotations
@@ -410,6 +416,27 @@ def _row_packer(ring: FiniteRing, d: int
     c = _coordinates(ring)
     fold = _Coordinates(c.moduli * d)
     return fold, lambda row: fold.pack(v for e in row for v in c.unpack(c.of[e]))
+
+
+def _kernel(ring: FiniteRing, rows: Sequence[Sequence[int]]) -> List[int]:
+    """Elements spanning the last block of the span of ``rows`` where every
+    earlier block vanishes: ker f for the rows (f(g), g) over generators g,
+    and A n B for the rows (a, a) and (b, 0).
+
+    One basis of the rows packed by ``_row_packer``.  Its rows are a Howell
+    form (``_Basis``): a vector of the span that vanishes on the leading
+    blocks reduces to 0 by the rows with their pivots past those blocks
+    alone, so those rows, which vanish there too, span all such vectors."""
+    if not rows:
+        return []
+    c = _coordinates(ring)
+    fold, packed = _row_packer(ring, len(rows[0]))
+    basis = _basis(fold)
+    for row in rows:
+        basis.insert(packed(row))
+    lead = len(fold.moduli) - len(c.moduli)
+    return [c.index[c.pack(f[lead:])] for f in (fold.unpack(r) for r, _ in basis.rows())
+            if not any(f[:lead])]
 
 
 # ---------------------------------------------------------------------------
@@ -1248,12 +1275,11 @@ def _sorted_ideals(ideals: List[Ideal]) -> List[Ideal]:
 
 
 def centralizer(ring: FiniteRing, sub: AdditiveSubgroup) -> AdditiveSubgroup:
-    """All elements commuting with every member of ``sub`` (generators suffice)."""
+    """Elements commuting with ``sub``: ``_kernel`` of t -> (ts - st), s in sub.gens."""
     if sub.ring is not ring:
         raise RingMismatch("subgroup lives in a different ring")
-    mul = ring.mul
-    return AdditiveSubgroup(ring, None, [t for t in ring.elements()
-                                         if all(mul(t, s) == mul(s, t) for s in sub.gens)])
+    return additive_closure(ring, _kernel(ring, [[ring.add(ring.mul(t, s), ring.neg(ring.mul(s, t)))
+                                                  for s in sub.gens] + [t] for t in ring.additive_generators()]))
 
 
 def is_maximal_commutative(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:

@@ -20,6 +20,15 @@ before both moved onto canonical bases.
 ``reference_nes`` is ``grading.is_nearly_epsilon_strong`` as it was before
 route two read its unit tests off generator images: route one per
 morphism, and route two's element scan, one ring product per pair (u, d).
+The element sweeps that ``rings._kernel`` retired follow it:
+``reference_centralizer`` tests every carrier element against the
+generators, ``reference_r_dense`` scans the groupoid ring for the first
+element without a coefficient at the given sources, ``reference_meet``
+intersects element sets, ``reference_sigma_invariant`` applies each
+sigma_g to every element of the meet, ``reference_meets_identity_part``
+scans each principal ideal for a nonzero member of the identity part, and
+``reference_overlap_witness`` is the fold basis that named the overlap in
+``grading.validate_grading``.
 """
 
 from __future__ import annotations
@@ -28,10 +37,11 @@ from functools import lru_cache
 
 from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital
 from gprime.grading import NESResult
-from gprime.partial import SkewGroupoidRing
-from gprime.rings import (DirectSumRing, FiniteRing, GroupRing, MatrixRing,
-                          PrimePairWitness, PrimeResult, SubRing, first_identity,
-                          first_zero_pair, is_s_unital, principal_ideal, set_product)
+from gprime.partial import DensityResult, SkewGroupoidRing, build_groupoid_ring
+from gprime.rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, GroupRing, MatrixRing,
+                          PrimePairWitness, PrimeResult, SubRing, _basis, _coordinates, _row_packer,
+                          additive_closure, first_identity, first_zero_pair, is_s_unital,
+                          principal_ideal, set_product)
 
 
 def reference_add(ring):
@@ -254,3 +264,64 @@ def reference_nes(grading):
             details={"s_unital_route": route_one, "unit_route": route_two,
                      "failures": failures})
     return NESResult(route_one, certificate if route_one else {}, tuple(failures))
+
+
+def reference_centralizer(ring, sub):
+    """Every carrier element t with t*s == s*t for the generators s of ``sub``."""
+    mul = ring.mul
+    return AdditiveSubgroup(ring, None, [t for t in ring.elements()
+                                         if all(mul(t, s) == mul(s, t) for s in sub.gens)])
+
+
+def reference_r_dense(groupoid, base, xs, bound=4096):
+    """``DensityResult`` for the object indices ``xs``: the first nonzero
+    element of the groupoid ring with no nonzero coefficient at a morphism
+    whose source lies in ``xs``."""
+    ring = build_groupoid_ring(base, groupoid, bound).ring
+    for a in range(1, ring.size):
+        if not any(c != 0 and groupoid.src[g] in xs
+                   for g, c in enumerate(ring.coefficients(a))):
+            return DensityResult(False, a)
+    return DensityResult(True, None)
+
+
+def reference_meet(a, b):
+    """A n B of two subgroups of one carrier, by intersecting element sets."""
+    return additive_closure(a.ring, sorted(a.elements & b.elements))
+
+
+def reference_sigma_invariant(action, sub, morphs):
+    """(False, g) for the first g in ``morphs`` that moves an element of
+    A_{g^-1} n ``sub`` out of ``sub``, else (True, None)."""
+    G = action.groupoid
+    for g in morphs:
+        table = action.maps[g]
+        for x in action.ideals[G.inv[g]].elements & sub.elements:
+            if table[x] not in sub:
+                return False, g
+    return True, None
+
+
+def reference_meets_identity_part(grading):
+    """Whether every nonzero principal ideal has a nonzero member in the
+    identity part."""
+    principal = grading.principal_part()
+    ring = grading.ring
+    for x in range(1, ring.size):
+        ideal = principal_ideal(ring, x)
+        if not any(y != 0 and y in principal.elements for y in ideal.elements):
+            return False
+    return True
+
+
+def reference_overlap_witness(ring, earlier, gens):
+    """The least element read off the rows of one fold basis of the (t | 0)
+    over ``earlier`` and the (s | s) over ``gens`` that vanish in block 0;
+    None when no row does."""
+    coords = _coordinates(ring)
+    fold, packed = _row_packer(ring, 2)
+    common, k = _basis(fold), len(ring.moduli)
+    for row in [(t, 0) for t in earlier] + [(s, s) for s in gens]:
+        common.insert(packed(row))
+    return min((coords.index[coords.pack(f[k:])]
+                for f in map(fold.unpack, common.key()) if not any(f[:k])), default=None)

@@ -17,8 +17,10 @@ from conftest import (
 )
 from gprime.errors import (AxiomViolation, BoundExceeded, ChainViolation,
                            DegenerateInstance, InternalDisagreement, MalformedInput,
-                           NotSUnital, ObjectNotInSupport, RingMismatch, UnknownObject)
+                           NotSUnital, ObjectNotInSupport, RingMismatch, UnknownMorphism,
+                           UnknownObject)
 from gprime.grading import HubResult, PairCriterionResult, is_support_hub
+from gprime.instances import build_instance, parse
 from gprime.groupoid import FiniteGroup, one_object_groupoid, orbit, pair_groupoid, validate_groupoid
 from gprime.partial import (GroupTypeResult, build_groupoid_ring, build_skew_ring,
                             connell_check, global_support_connectivity_check,
@@ -345,6 +347,46 @@ class TestHubsAndChain:
                             lambda action, e: HubResult(False, {}, (0, 1)))
         with pytest.raises(ChainViolation):
             group_type_chain(flip_action, 0)
+
+
+class TestUnknownIndices:
+    """An index that names no object or morphism of the global flip fixture
+    raises UnknownObject or UnknownMorphism at every public entry point:
+    never an answer for a wrapped-around index, an IndexError or the
+    falsification alarm."""
+
+    @pytest.fixture(scope="class")
+    def act(self):
+        return build_instance(parse(ROOT / "fixtures" / "global_flip_partial_action.json")).action
+
+    @pytest.mark.parametrize("h", [-1, 99, 1.5])
+    def test_sigma_invariance_morphisms(self, act, h):
+        with pytest.raises(UnknownMorphism):
+            is_sigma_invariant(act, additive_closure(act.ambient, [1]), [h])
+
+    @pytest.mark.parametrize("e", [-1, 7])
+    def test_skew_support_hub(self, act, e):
+        with pytest.raises(UnknownObject):
+            skew_support_hub(act, e)
+
+    @pytest.mark.parametrize("e", [-1, 2])
+    def test_group_type_chain(self, act, e):
+        with pytest.raises(UnknownObject):
+            group_type_chain(act, e)
+
+    @pytest.mark.parametrize("e", [-1, 9])
+    def test_restrict_to_isotropy(self, act, e):
+        with pytest.raises(UnknownObject):
+            restrict_to_isotropy(act, e)
+
+    def test_has_intersection_property(self, act):
+        with pytest.raises(UnknownObject):
+            has_intersection_property(act, -1)
+
+    @pytest.mark.parametrize("x", [1.5, -1, 2, None])
+    def test_r_dense_objects(self, x):
+        with pytest.raises(UnknownObject):
+            r_dense(pair_groupoid(["e", "f"]), GaloisField(2), [x])
 
 
 class TestIsotropyReduction:
