@@ -18,6 +18,7 @@ reproducible.
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd
 from operator import xor
 
 from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
@@ -31,7 +32,7 @@ from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closu
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Grading",
@@ -341,12 +342,27 @@ def _first_units(sub: AdditiveSubgroup, members: List[Tuple[int, Tuple[int, ...]
     """d -> the first u of ``pool`` in index order with u*d == d (d*u == d
     when ``right``), over the (d, k) of ``members``; a d with no such u is
     left out.  u*d is read as sum k_j (u*s_j) over the elements s_j of
-    ``sub``'s canonical basis rows."""
+    ``sub``'s canonical basis rows.
+
+    For t a unit mod the exponent E, u*(t*d) = t*(u*d) is t*d iff u*d is d,
+    so d and t*d have the same units.  Only the first d of each class
+    {t*d} is tested, and its first unit is the whole class's; ``members``
+    is a union of such classes.  There are no such t but 1 when E is 2."""
     ring = sub.ring
     c, mul = _coordinates(ring), ring.mul
     basis = [c.index[row] for row, _ in sub._basis.rows()]
     found: Dict[int, int] = {}
+    scalars = [t for t in range(2, c.exponent) if gcd(t, c.exponent) == 1]
+    classes: Dict[int, Set[int]] = {}       # first member -> its class
     waiting = members
+    if scalars:
+        seen: Set[int] = set()
+        waiting = []
+        for d, ks in members:
+            if d not in seen:
+                twins = classes[d] = {d, *(c.index[c.normalize(t * c.of[d])] for t in scalars)}
+                seen |= twins
+                waiting.append((d, ks))
     for u in pool.sorted_elements():
         if not waiting:
             break
@@ -360,7 +376,7 @@ def _first_units(sub: AdditiveSubgroup, members: List[Tuple[int, Tuple[int, ...]
             else:
                 v = c.normalize(sum([k * w for k, w in zip(ks, images)]))
             if v == c.of[d]:
-                found[d] = u
+                found.update(dict.fromkeys(classes.get(d, (d,)), u))
             else:
                 rest.append((d, ks))
         waiting = rest

@@ -14,7 +14,15 @@ one int.  An additive subgroup is the canonical basis of its span in these
 coordinates (``_Basis``, the Hermite normal form modulo the relations
 m_i e_i), so membership is one reduction, the size follows from the pivots,
 and two subgroups are equal iff their bases are.  Element sets are built
-only for a caller that reads them.
+only for a caller that reads them.  ``_basis`` picks the kernel from the
+moduli: ``_XorBasis`` when all are 2, where rows add by xor;
+``_PrimeBasis`` when all are one odd prime p, where the Howell form is the
+reduced row echelon form, so it keeps the same rows from pivot steps alone;
+the Howell ``_Basis`` otherwise (Z/4, Z/6, mixed moduli), which skips the
+follow-up inserts of a unit pivot in a new column whose modulus is the
+exponent, since they are zero or reduce to zero.  Binary rows of several
+elements pack by shifts alone (``_row_packer``), as every field is 1 bit
+wide in the carrier and in the fold.
 
 The workhorse throughout is bilinearity: any additive subgroup is the span of
 a short generator list, and a product of spans is zero iff all generator
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, chain
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from operator import pos, xor
 
 from .errors import AxiomViolation, BoundExceeded, MalformedInput, Record, RingMismatch
@@ -191,7 +199,8 @@ class _Coordinates:
     below the exponent E, so a reduction takes field remainders only where
     it reads a field; a fold whose bases keep at most k rows may pass the
     width of its k-coordinate carrier instead.  When every modulus is 2
-    (``binary``), w is 1 and vectors add by xor.
+    (``binary``), w is 1 and vectors add by xor.  When every modulus is one
+    odd prime p (``field``), the coordinates are a vector space over GF(p).
 
     A carrier's coordinate map (``_coordinates``) is one of these with
     ``of[a]``, the vector of element a, and ``index``, which maps a
@@ -203,7 +212,9 @@ class _Coordinates:
     def __init__(self, moduli: Sequence[int], width: int = 0):
         ms = self.moduli = tuple(moduli)
         self.binary = all(m == 2 for m in ms)
-        self.exponent = lcm(*ms)
+        e = self.exponent = lcm(*ms)
+        self.field = (not self.binary and all(m == e for m in ms)
+                      and all(e % q for q in range(2, isqrt(e) + 1)))
         self.width = 1 if self.binary else width or (max(ms) * self.exponent * (len(ms) + 2)).bit_length()
         if self.binary:     # v == -v, and every xor of vectors is normalized
             self.add, self.neg, self.normalize = xor, pos, pos
@@ -286,8 +297,9 @@ class _Basis:
     pivot column lies below that pivot) and (m_j/d_j) row_j lies in the span
     of the later rows, so membership is one reduction down the columns, the
     size is the product of the m_j/d_j, and equal subgroups have equal rows
-    (``key``).  Over GF(p) this is the reduced row echelon form.  A
-    reduction adds fewer than E multiples of each of at most k rows.
+    (``key``).  Over GF(p) this is the reduced row echelon form, which
+    ``_PrimeBasis`` keeps more cheaply for odd p.  A reduction adds fewer
+    than E multiples of each of at most k rows.
     """
 
     __slots__ = ("c", "_steps")
@@ -321,7 +333,14 @@ class _Basis:
         entry a is not a multiple of the pivot d (m_j without a row); the
         row becomes the gcd g of the two, combined accordingly; v and the
         old row less multiples of it, and (m_j/g) times it, are zero through
-        j and are inserted in turn."""
+        j and are inserted in turn.
+
+        A unit pivot (g = 1) in a column that had no row (d = m) with m the
+        exponent E skips them: there new = y*v + (later rows) with y*a = 1
+        mod E, and x*E + y*a = 1 gives v - a*new = x*E*v - a*(later rows),
+        which the later rows, a Howell basis of their own span, reduce to 0;
+        the old row is 0; and m*new = E*new is 0.  Every pivot over GF(p)
+        is such a pivot, and so is every odd one over Z/4."""
         c, steps = self.c, self._steps
         mask, e = c.mask, c.exponent
         v = self.reduce(v)
@@ -337,6 +356,8 @@ class _Basis:
         for i, (si, mi, di, ri) in enumerate(steps[:j]):
             if ri >> s & mask >= g:
                 steps[i] = (si, mi, di, self._reduced(ri, i))
+        if g == 1 and d == m == e:      # a unit pivot in a new column
+            return True
         for w in (v + (e - a // g) * new, row + (e - d // g) * new, m // g * new):
             self.insert(w)
         return True
@@ -403,18 +424,85 @@ class _XorBasis(_Basis):
         return out
 
 
+class _PrimeBasis(_Basis):
+    """``_Basis`` for coordinates over GF(p), p an odd prime (``field``): a
+    step is (shift, row) per pivot column, in column order, and every pivot
+    is 1.  Over a field the Howell form is the reduced row echelon form, so
+    the rows, and with them ``key``, ``rows`` and ``vectors``, are the
+    ones ``_Basis`` keeps; a new row is the remainder scaled by the inverse
+    of its leading entry, and it only has to clear its column from the
+    earlier rows, with no relation steps and no follow-up inserts.
+    ``_free`` lists the columns without a pivot."""
+
+    __slots__ = ("_free",)
+
+    def __init__(self, coords: _Coordinates):
+        self.c = coords
+        self._steps: List[Tuple[int, int]] = []
+        self._free = [s for s, _ in coords.fields]
+
+    def reduce(self, v: int) -> int:
+        """0 if the span holds v; else v less multiples of every row, its
+        fields not normalized.  Past the rows, v is in the span iff it is 0
+        at every free column.  Where every free column lies after the last
+        pivot, as in ``Grading.decompose``, this is the remainder that
+        ``_Basis.reduce`` leaves."""
+        mask, p = self.c.mask, self.c.exponent
+        for s, row in self._steps:
+            a = (v >> s & mask) % p
+            if a:
+                v += (p - a) * row
+        for s in self._free:
+            if (v >> s & mask) % p:
+                return v
+        return 0
+
+    def insert(self, v: int) -> bool:
+        c, steps = self.c, self._steps
+        mask, p = c.mask, c.exponent
+        v = self.reduce(v)
+        if not v:
+            return False
+        v = c.normalize(v)
+        s = ((v & -v).bit_length() - 1) // c.width * c.width
+        a = v >> s & mask
+        if a != 1:
+            v = c.normalize(pow(a, -1, p) * v)
+        for i, (si, ri) in enumerate(steps):       # a later row is 0 at s
+            f = ri >> s & mask
+            if f:
+                steps[i] = (si, c.normalize(ri + (p - f) * v))
+        steps.append((s, v))
+        steps.sort()                # column order; shifts are distinct
+        self._free.remove(s)
+        return True
+
+    def size(self) -> int:
+        return self.c.exponent ** len(self._steps)
+
+    def rows(self) -> List[Tuple[int, int]]:
+        p = self.c.exponent
+        return [(row, p) for _, row in self._steps]
+
+
 def _basis(coords: _Coordinates) -> _Basis:
-    """An empty basis in ``coords``, with xor steps for binary coordinates."""
-    return (_XorBasis if coords.binary else _Basis)(coords)
+    """An empty basis in ``coords``: xor steps for binary coordinates,
+    pivot-only steps over GF(p), p odd, and Howell steps otherwise."""
+    return (_XorBasis if coords.binary else _PrimeBasis if coords.field else _Basis)(coords)
 
 
 def _row_packer(ring: FiniteRing, d: int
                 ) -> Tuple[_Coordinates, Callable[[Iterable[int]], int]]:
     """The d-fold product of the carrier's coordinates, and the map that
     packs a row of d elements into it, the i-th element's coordinates in
-    the i-th block."""
+    the i-th block.  Binary fields are 1 bit wide in both, so there block i
+    is the element's packed vector shifted by i*k bits, k the carrier's
+    field count."""
     c = _coordinates(ring)
     fold = _Coordinates(c.moduli * d)
+    if c.binary:        # width 1 in both: block i starts at bit i*k
+        k, of = len(c.moduli), c.of
+        return fold, lambda row: sum([of[e] << i * k for i, e in enumerate(row)])
     return fold, lambda row: fold.pack(v for e in row for v in c.unpack(c.of[e]))
 
 
@@ -426,7 +514,9 @@ def _kernel(ring: FiniteRing, rows: Sequence[Sequence[int]]) -> List[int]:
     One basis of the rows packed by ``_row_packer``.  Its rows are a Howell
     form (``_Basis``): a vector of the span that vanishes on the leading
     blocks reduces to 0 by the rows with their pivots past those blocks
-    alone, so those rows, which vanish there too, span all such vectors."""
+    alone, so those rows, which vanish there too, span all such vectors.
+    Rows are normalized, so a row vanishes there iff its low bits do, and
+    its last block is read by a shift (and repacked unless binary)."""
     if not rows:
         return []
     c = _coordinates(ring)
@@ -434,9 +524,11 @@ def _kernel(ring: FiniteRing, rows: Sequence[Sequence[int]]) -> List[int]:
     basis = _basis(fold)
     for row in rows:
         basis.insert(packed(row))
-    lead = len(fold.moduli) - len(c.moduli)
-    return [c.index[c.pack(f[lead:])] for f in (fold.unpack(r) for r, _ in basis.rows())
-            if not any(f[:lead])]
+    lead = (len(fold.moduli) - len(c.moduli)) * fold.width
+    tails = [r >> lead for r, _ in basis.rows() if not r & (1 << lead) - 1]
+    if not c.binary:
+        tails = [c.pack(fold.unpack(t)) for t in tails]
+    return [c.index[t] for t in tails]
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +978,7 @@ class AdditiveSubgroup:
         return self._basis.size()
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.ring.size and self._basis.contains(_coordinates(self.ring).of[x])
+        return 0 <= x < self.ring.size and self._basis.contains(self._basis.c.of[x])
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.ring is self.ring

@@ -8,8 +8,10 @@ order) must equal ``span_reference.reference_nes``, the scan with one ring
 product per pair (u, d): on every fixture grading and its isotropy
 components, on 360 generated gradings, and, through hypothesis, on random
 gradings over carriers with Z/4, GF(3), GF(2) and Z/4 + GF(3)
-coordinates, some of them with no left or no right unit.  The result is
-computed once per grading and shared by every caller on it.
+coordinates, some of them with no left or no right unit.  Route two tests
+one member of each class {t*d : t a unit mod the exponent}; gradings over
+GF(5), Z/4, Z/9 and Z/4 + GF(3), where such t act, check that too.  The
+result is computed once per grading and shared by every caller on it.
 """
 
 from __future__ import annotations
@@ -230,3 +232,58 @@ def test_a_failed_agreement_is_not_kept(monkeypatch):
     monkeypatch.undo()
     assert not is_nearly_epsilon_strong(grading).holds
 
+
+def unit_class_gradings():
+    """Gradings whose carriers have units t != 1 mod the exponent."""
+    gf5, z4, z9 = GaloisField(5), CyclicRing(4), CyclicRing(9)
+    mixed = DirectSumRing([CyclicRing(4), GaloisField(3)])
+    m2 = MatrixRing(gf5, 2)
+    pair = pair_groupoid(["a", "b"])
+    label = {(0, 0): "a", (1, 1): "b", (0, 1): "b>a", (1, 0): "a>b"}
+    yield validate_grading(pair, m2, {pair.morphism_index(label[i, j]): [m2.unit(i, j)]
+                                      for i in range(2) for j in range(2)})
+    for base in (gf5, z4, z9, mixed):
+        yield group_ring_grading(base, 2)
+        yield trivial_grading(base, range(base.size))
+    for base in (gf5, z4):
+        yield trivial_grading(MatrixRing(base, 2), range(base.size ** 4))
+    for base in (gf5, z4, z9):
+        for column in (False, True):
+            yield one_sided_grading(base, column)
+    sizes = [len(ideal) for ideal in base_ideals(0)]        # the ideals of Z/4
+    two, full = sizes.index(2), sizes.index(4)
+    for picks in ([[full, two], [full, full]], [[two, full], [two, two]]):
+        yield matrix_ideal_grading(0, 2, picks)
+
+
+def test_unit_classes_match_the_reference():
+    verdicts = {assert_matches_reference(grading).holds for grading in unit_class_gradings()}
+    assert verdicts == {True, False}
+
+
+def test_packed_tests_on_the_slowest_fuzz_grading_roughly_halve(monkeypatch):
+    """``normalize`` calls inside route two's searches on the M2(GF(3))
+    grading of fuzz seed 32, instance 0, one per packed test of a (u, d)
+    pair and one per enumerated vector: 3,729 when every d is tested, 2,081
+    with one d per class {d, 2d}."""
+    grading = fuzz.generate_instance(random.Random("32:0"), fuzz.SKEW_RING_BOUND).grading
+    c = grading_module._coordinates(grading.ring)
+    assert c.exponent == 3
+    count, searching = [0], [False]
+    normalize, search = c.normalize, grading_module._first_units
+
+    def counting(v):
+        count[0] += searching[0]
+        return normalize(v)
+
+    def counted_search(*args):
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(c, "normalize", counting)
+    monkeypatch.setattr(grading_module, "_first_units", counted_search)
+    assert is_nearly_epsilon_strong(grading).holds
+    assert 0 < count[0] < 0.6 * 3729
