@@ -32,7 +32,7 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
 from .primeness import equivalence_report, torsion_free_shortcut
 from .rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, FiniteRing,
                     GaloisField, MatrixRing, additive_closure,
-                    enumerate_ideals, ideal_generated, is_s_unital,
+                    enumerate_ideals, ideal_generated, is_commutative, is_s_unital,
                     is_zero_product, principal_ideal, set_product)
 
 TYPE_CHECKING = False
@@ -545,7 +545,7 @@ def _check_primeness(grading: Grading, max_ring: int) -> Tuple[bool, int]:
 
     support = support_groupoid(grading, nes=True)
     for e in support.support_objects:
-        if isotropy(G, e).order == 1:
+        if len(G.loops(e)) == 1:
             shortcut = torsion_free_shortcut(grading, e)
             if shortcut is not None:
                 _ensure(shortcut == rep.verdict,
@@ -583,9 +583,7 @@ def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid,
             "the three-part criterion disagrees with the carrier verdict",
             reasons=list(res.reasons))
     checks += 1
-    if base.one is not None and all(base.mul(a, b) == base.mul(b, a)
-                                    for a in range(base.size)
-                                    for b in range(base.size)):
+    if base.one is not None and is_commutative(base):
         orbit_density_check(G, base, 0, max_ring)
         checks += 1
     return checks

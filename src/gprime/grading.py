@@ -24,7 +24,7 @@ from operator import xor
 from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotDirectSum, NotGraded, NotInvariant,
                      ObjectNotInSupport, Record)
-from .groupoid import FiniteGroupoid, Subgroupoid, isotropy, validate_groupoid, validate_subgroupoid
+from .groupoid import FiniteGroupoid, Subgroupoid, restrict, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closures,
                     _Coordinates, _basis, _coordinates, _kernel, _memo, _radix_tuples,
                     additive_closure, close, first_escape, first_zero_pair,
@@ -627,34 +627,15 @@ class RestrictedGrading(Record):
 
 def restrict_grading(parent: Grading, sub: Subgroupoid) -> RestrictedGrading:
     """The grading induced on the span of the components over a subgroupoid."""
-    G = parent.groupoid
-    members = sorted(sub.members)
-    objs = sub.object_list()
-    raw = {
-        "objects": [G.objects[e] for e in objs],
-        "morphisms": [{"name": G.morphisms[g], "src": G.objects[G.src[g]],
-                       "rng": G.objects[G.rng[g]]}
-                      for g in members if not G.is_identity(g)],
-        "compose": [[G.morphisms[g], G.morphisms[h], G.morphisms[G.compose(g, h)]]
-                    for g in members for h in members if G.composable(g, h)],
-        "inverse": {G.morphisms[g]: G.morphisms[G.inv[g]] for g in members},
-    }
-    small = validate_groupoid(raw)
-    span = additive_closure(parent.ring,
-                            [x for g in members for x in parent.components[g].gens])
+    small, mor_map = restrict(sub)
+    span = additive_closure(parent.ring, [x for g in sub.members for x in parent.components[g].gens])
     carrier = SubRing(parent.ring, span.elements)
-    comps: Dict[int, List[int]] = {}
-    mor_map: Dict[int, int] = {}
-    for g in members:
-        local = small.morphism_index(G.morphisms[g])
-        mor_map[g] = local
-        comps[local] = [carrier.from_parent[x] for x in parent.components[g].gens]
+    comps = {mor_map[g]: [carrier.from_parent[x] for x in parent.components[g].gens]
+             for g in sub.members}
     return RestrictedGrading(validate_grading(small, carrier, comps), parent, mor_map, carrier)
 
 
 def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
     """The group-graded ring sitting over the isotropy group at ``e``."""
     G = parent.groupoid
-    group = isotropy(G, G.check_object(e))
-    sub = validate_subgroupoid(G, group.parent_elements or ())
-    return restrict_grading(parent, sub)
+    return restrict_grading(parent, validate_subgroupoid(G, G.loops(G.check_object(e))))

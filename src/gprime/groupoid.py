@@ -5,6 +5,11 @@ indexed by position, with identity morphisms created automatically from the
 object labels and placed first, followed by the declared morphisms in input
 order.  All iteration is in index order, so every search in the package
 returns the same witness for the same input.
+
+Every groupoid passes one axiom checker on index tables,
+``groupoid_from_tables``: ``validate_groupoid`` resolves an instance file's
+labels to them, the constructions and ``restrict`` (a subgroupoid: objects
+in parent order, their identities first, then the other members) compute them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ __all__ = [
     "FiniteGroupoid",
     "Subgroupoid",
     "validate_groupoid",
+    "groupoid_from_tables",
     "validate_subgroupoid",
+    "restrict",
     "pair_groupoid",
     "one_object_groupoid",
     "disjoint_union",
@@ -197,6 +204,10 @@ class FiniteGroupoid:
     def morphisms_into(self, e: int) -> List[int]:
         return [g for g in range(self.n_morphisms) if self.rng[g] == e]
 
+    def loops(self, e: int) -> List[int]:
+        """The morphisms from ``e`` to itself, in index order (so its identity first)."""
+        return [g for g in range(self.n_morphisms) if self.src[g] == e == self.rng[g]]
+
     def __repr__(self) -> str:
         return f"FiniteGroupoid(objects={self.n_objects}, morphisms={self.n_morphisms})"
 
@@ -208,51 +219,63 @@ def validate_groupoid(raw: dict) -> FiniteGroupoid:
     ``src``, ``rng`` for the non-identity morphisms), ``compose`` (triples
     ``[g, h, g*h]`` covering at least every composable non-identity pair) and
     ``inverse`` (a map that, together with its mirror image, covers every
-    non-identity morphism).  Identity morphisms are created from the object
-    labels, and identity compositions are filled in automatically.
-
-    Raises AxiomViolation carrying the full list of violations found.
+    non-identity morphism).  Labels resolve to indices for ``groupoid_from_tables``,
+    which raises AxiomViolation carrying the full list of violations found.
     """
     if not isinstance(raw, dict):
         raise MalformedInput("groupoid description must be a mapping")
     objects = raw.get("objects")
     if not isinstance(objects, list) or not objects or not all(isinstance(o, str) for o in objects):
         raise MalformedInput("groupoid needs a non-empty list of object labels")
-    if len(set(objects)) != len(objects):
-        raise MalformedInput("duplicate object labels")
-
-    decls = raw.get("morphisms", [])
-    labels: List[str] = list(objects)
-    src: List[int] = list(range(len(objects)))
-    rng: List[int] = list(range(len(objects)))
-    seen = set(objects)
+    arrows: List[Tuple[str, int, int]] = []
     obj_index = {lab: i for i, lab in enumerate(objects)}
-    for entry in decls:
+    for entry in raw.get("morphisms", []):
         if not isinstance(entry, dict) or not {"name", "src", "rng"} <= set(entry):
             raise MalformedInput(f"morphism entry {entry!r} needs name/src/rng")
-        name = entry["name"]
-        if name in seen:
-            raise MalformedInput(f"duplicate morphism label {name!r}")
-        seen.add(name)
         for key in ("src", "rng"):
             if entry[key] not in obj_index:
-                raise UnknownObject(f"morphism {name!r}: unknown object {entry[key]!r}")
-        labels.append(name)
-        src.append(obj_index[entry["src"]])
-        rng.append(obj_index[entry["rng"]])
+                raise UnknownObject(f"morphism {entry['name']!r}: unknown object {entry[key]!r}")
+        arrows.append((entry["name"], obj_index[entry["src"]], obj_index[entry["rng"]]))
+    mor_index = {lab: i for i, lab in enumerate(objects + [a[0] for a in arrows])}
 
+    def resolve(lab, where: str) -> int:
+        if lab not in mor_index:
+            raise UnknownMorphism(f"{where}: unknown morphism {lab!r}")
+        return mor_index[lab]
+
+    inverse = [(resolve(a, "inverse entry"), resolve(b, "inverse entry"))
+               for a, b in dict(raw.get("inverse", {})).items()]
+    compose = []
+    for entry in raw.get("compose", []):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise MalformedInput(f"compose entry {entry!r} must be [g, h, result]")
+        compose.append(tuple(resolve(lab, "compose entry") for lab in entry))
+    return groupoid_from_tables(objects, arrows, inverse, compose)
+
+
+def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int, int]],
+                         inverse: Iterable[Tuple[int, int]],
+                         compose: Iterable[Tuple[int, int, int]]) -> FiniteGroupoid:
+    """The groupoid on index tables, checking every axiom; every groupoid is built here.
+
+    Morphism k < len(objects) is the identity of object k, labeled by it, and
+    ``arrows`` lists the others as (label, src, rng).  ``inverse`` holds pairs
+    (g, g^-1), read with their mirror images, ``compose`` triples (g, h, g*h);
+    identity products are filled in.  AxiomViolation lists every violation."""
     n_obj = len(objects)
+    labels = list(objects) + [a[0] for a in arrows]
+    if len(set(labels)) != len(labels):     # the first repeat names the error
+        k = next(k for k, lab in enumerate(labels) if lab in labels[:k])
+        raise MalformedInput("duplicate object labels" if k < n_obj
+                             else f"duplicate morphism label {labels[k]!r}")
+    src = list(range(n_obj)) + [a[1] for a in arrows]
+    rng = list(range(n_obj)) + [a[2] for a in arrows]
     n = len(labels)
-    mor_index = {lab: i for i, lab in enumerate(labels)}
     violations: List[str] = []
 
     # inverses: identities are self-inverse; the declared map is symmetrized.
     inv: List[Optional[int]] = [i if i < n_obj else None for i in range(n)]
-    for a_lab, b_lab in dict(raw.get("inverse", {})).items():
-        for lab in (a_lab, b_lab):
-            if lab not in mor_index:
-                raise UnknownMorphism(f"inverse entry: unknown morphism {lab!r}")
-        a, b = mor_index[a_lab], mor_index[b_lab]
+    for a, b in inverse:
         for x, y in ((a, b), (b, a)):
             if inv[x] is not None and inv[x] != y:
                 violations.append(f"inverse: conflicting inverses for {labels[x]!r}")
@@ -266,21 +289,15 @@ def validate_groupoid(raw: dict) -> FiniteGroupoid:
 
     # composition: declared entries, then identity compositions.
     comp: Dict[Tuple[int, int], int] = {}
-    for entry in raw.get("compose", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise MalformedInput(f"compose entry {entry!r} must be [g, h, result]")
-        g_lab, h_lab, r_lab = entry
-        for lab in (g_lab, h_lab, r_lab):
-            if lab not in mor_index:
-                raise UnknownMorphism(f"compose entry: unknown morphism {lab!r}")
-        g, h, r = mor_index[g_lab], mor_index[h_lab], mor_index[r_lab]
+    for g, h, r in compose:
         if src[g] != rng[h]:
             violations.append(
-                f"composability: compose({g_lab!r}, {h_lab!r}) declared but "
-                f"src({g_lab!r}) != rng({h_lab!r})")
+                f"composability: compose({labels[g]!r}, {labels[h]!r}) declared but "
+                f"src({labels[g]!r}) != rng({labels[h]!r})")
             continue
         if comp.get((g, h), r) != r:
-            violations.append(f"composition: conflicting products for ({g_lab!r}, {h_lab!r})")
+            violations.append(
+                f"composition: conflicting products for ({labels[g]!r}, {labels[h]!r})")
         comp[(g, h)] = r
     for g in range(n):
         for pair, want in (((g, src[g]), g), ((rng[g], g), g)):
@@ -319,7 +336,7 @@ def validate_groupoid(raw: dict) -> FiniteGroupoid:
 
     if violations:
         raise AxiomViolation("groupoid", violations[0], violations=violations)
-    return FiniteGroupoid(objects, labels, src, rng, comp, [v for v in inv if v is not None])
+    return FiniteGroupoid(objects, labels, src, rng, comp, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -337,47 +354,31 @@ def pair_groupoid(object_labels: Sequence[str], group: Optional[FiniteGroup] = N
     objs = list(object_labels)
     if not objs:
         raise MalformedInput("need at least one object")
-
-    def name(i: int, j: int, a: int) -> str:
-        if i == j and a == 0:
-            return objs[i]
-        tag = f"{objs[j]}>{objs[i]}"
-        return tag if group.order == 1 else f"{tag}:{group.labels[a]}"
-
-    morphisms = []
-    for i, _ in enumerate(objs):
-        for j, _ in enumerate(objs):
-            for a in group.elements():
-                if i == j and a == 0:
-                    continue
-                morphisms.append({"name": name(i, j, a), "src": objs[j], "rng": objs[i]})
-    compose = []
-    inverse = {}
-    for i, _ in enumerate(objs):
-        for j, _ in enumerate(objs):
-            for a in group.elements():
-                inverse[name(i, j, a)] = name(j, i, group.inv(a))
-                for k, _ in enumerate(objs):
-                    for b in group.elements():
-                        compose.append([name(i, j, a), name(j, k, b), name(i, k, group.mul(a, b))])
-    return validate_groupoid({"objects": objs, "morphisms": morphisms,
-                              "compose": compose, "inverse": inverse})
+    n, q = len(objs), group.order
+    order = [(i, i, 0) for i in range(n)] + [
+        (i, j, a) for i in range(n) for j in range(n) for a in range(q) if i != j or a]
+    index = {t: k for k, t in enumerate(order)}
+    return groupoid_from_tables(
+        objs, [(f"{objs[j]}>{objs[i]}" + (f":{group.labels[a]}" if q > 1 else ""), j, i)
+               for i, j, a in order[n:]],
+        [(index[i, j, a], index[j, i, group.inv(a)]) for i, j, a in order],
+        [(index[i, j, a], index[j, k, b], index[i, k, group.mul(a, b)])
+         for i, j, a in order for k in range(n) for b in range(q)])
 
 
 def one_object_groupoid(group: FiniteGroup, object_label: Optional[str] = None) -> FiniteGroupoid:
     """The one-object groupoid whose morphisms form the given group.
 
-    Morphisms keep the group's element labels; the identity is labeled by the
-    object (defaulting to the group's identity label).
+    Morphisms keep the group's element labels (morphism a is element a); the
+    identity is labeled by the object (defaulting to the group's identity
+    label).
     """
     obj = object_label if object_label is not None else group.labels[0]
-    names = [obj] + list(group.labels[1:])
-    morphisms = [{"name": names[a], "src": obj, "rng": obj} for a in range(1, group.order)]
-    compose = [[names[a], names[b], names[group.mul(a, b)]]
-               for a in range(1, group.order) for b in range(1, group.order)]
-    inverse = {names[a]: names[group.inv(a)] for a in range(1, group.order)}
-    return validate_groupoid({"objects": [obj], "morphisms": morphisms,
-                              "compose": compose, "inverse": inverse})
+    rest = range(1, group.order)
+    return groupoid_from_tables(
+        [obj], [(group.labels[a], 0, 0) for a in rest],
+        [(a, group.inv(a)) for a in rest],
+        [(a, b, group.mul(a, b)) for a in rest for b in rest])
 
 
 def disjoint_union(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
@@ -388,23 +389,17 @@ def disjoint_union(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
     def tag(i: int, lab: str) -> str:
         return f"c{i}.{lab}" if clash else lab
 
-    objects: List[str] = []
-    morphisms = []
-    compose = []
-    inverse = {}
-    for i, p in enumerate(parts):
-        objects.extend(tag(i, o) for o in p.objects)
-        for g in range(p.n_morphisms):
-            if not p.is_identity(g):
-                morphisms.append({"name": tag(i, p.morphisms[g]),
-                                  "src": tag(i, p.objects[p.src[g]]),
-                                  "rng": tag(i, p.objects[p.rng[g]])})
-            inverse[tag(i, p.morphisms[g])] = tag(i, p.morphisms[p.inv[g]])
-        for (g, h) in p.composable_pairs():
-            compose.append([tag(i, p.morphisms[g]), tag(i, p.morphisms[h]),
-                            tag(i, p.morphisms[p.compose(g, h)])])
-    return validate_groupoid({"objects": objects, "morphisms": morphisms,
-                              "compose": compose, "inverse": inverse})
+    order = [(i, g) for i, p in enumerate(parts) for g in range(p.n_objects)]
+    n_obj = len(order)
+    order += [(i, g) for i, p in enumerate(parts) for g in range(p.n_objects, p.n_morphisms)]
+    index = {ig: k for k, ig in enumerate(order)}     # an object's index is its identity's
+    return groupoid_from_tables(
+        [tag(i, o) for i, p in enumerate(parts) for o in p.objects],
+        [(tag(i, parts[i].morphisms[g]), index[i, parts[i].src[g]], index[i, parts[i].rng[g]])
+         for i, g in order[n_obj:]],
+        [(k, index[i, parts[i].inv[g]]) for k, (i, g) in enumerate(order)],
+        [(index[i, g], index[i, h], index[i, p.compose(g, h)])
+         for i, p in enumerate(parts) for g, h in p.composable_pairs()])
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +436,25 @@ def validate_subgroupoid(parent: FiniteGroupoid, members: Iterable[int]) -> Subg
     return Subgroupoid(parent, mem)
 
 
+def restrict(sub: Subgroupoid) -> Tuple[FiniteGroupoid, Dict[int, int]]:
+    """The subgroupoid as a groupoid, with its map from parent morphisms to
+    local ones: objects in parent order, their identities first, then the
+    other members in parent order, all under their parent labels."""
+    G = sub.parent
+    objs = sub.object_list()
+    order = [G.identity(e) for e in objs] + sorted(g for g in sub.members if not G.is_identity(g))
+    local = {g: k for k, g in enumerate(order)}     # an object's index is its identity's
+    return groupoid_from_tables(
+        [G.objects[e] for e in objs],
+        [(G.morphisms[g], local[G.src[g]], local[G.rng[g]]) for g in order[len(objs):]],
+        [(local[g], local[G.inv[g]]) for g in order],
+        [(local[g], local[h], local[G.compose(g, h)])
+         for g in order for h in order if G.composable(g, h)]), local
+
+
 def isotropy(groupoid: FiniteGroupoid, obj: int) -> FiniteGroup:
     """The group of morphisms from ``obj`` to itself, identity listed first."""
-    members = [g for g in range(groupoid.n_morphisms)
-               if groupoid.src[g] == obj and groupoid.rng[g] == obj]
-    members.sort(key=lambda g: (not groupoid.is_identity(g), g))
+    members = groupoid.loops(obj)
     pos = {g: i for i, g in enumerate(members)}
     table = [[pos[groupoid.compose(a, b)] for b in members] for a in members]
     return FiniteGroup([groupoid.morphisms[g] for g in members], table,

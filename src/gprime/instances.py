@@ -52,8 +52,7 @@ from .errors import (BoundExceeded, InternalDisagreement, MalformedInput,
 from .grading import (Grading, invariant_closure, is_nearly_epsilon_strong,
                       is_support_hub, isotropy_component, support_groupoid,
                       validate_grading)
-from .groupoid import (FiniteGroup, FiniteGroupoid, is_connected, isotropy,
-                       validate_groupoid)
+from .groupoid import FiniteGroup, FiniteGroupoid, is_connected, validate_groupoid
 from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       build_skew_ring, connell_check, is_A_G_prime, is_global,
                       is_group_type, isotropy_reduction, restrict_to_isotropy,
@@ -110,6 +109,17 @@ def _expect_keys(obj: Mapping, where: str, required: Sequence[str],
     _expect(not unknown, f"{where} has unknown keys {', '.join(unknown)}")
 
 
+def _check_cayley(table, where: str) -> None:
+    """Lists of non-negative integers (``type(x) is int``: a JSON boolean is a
+    Python int); a negative entry is named as TableRing names one out of range."""
+    _expect(isinstance(table, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table),
+        f"{where} must be a list of lists of integers")
+    for i, j, x in ((i, j, x) for i, row in enumerate(table) for j, x in enumerate(row) if x < 0):
+        raise SchemaError(f"table entry {where.rsplit('.', 1)[-1]}[{i}][{j}] = {x} "
+                          f"is not an element of 0..{len(table) - 1}")
+
+
 def _check_groupoid_section(sec) -> Tuple[str, ...]:
     """Reference-level checks only; the algebra is validate_groupoid's job.
 
@@ -149,16 +159,16 @@ def _check_ring_spec(spec, where: str) -> None:
     if isinstance(spec, dict) and len(spec) == 1:
         key, arg = next(iter(spec.items()))
         if key == "cyclic":
-            _expect(isinstance(arg, int) and arg >= 1, f"{where}: cyclic wants a positive modulus")
+            _expect(type(arg) is int and arg >= 1, f"{where}: cyclic wants a positive modulus")
             return
         if key == "field":
-            ok = (isinstance(arg, int) or
-                  (isinstance(arg, list) and len(arg) == 2 and all(isinstance(x, int) for x in arg)))
+            ok = (type(arg) is int and arg >= 2 or
+                  (isinstance(arg, list) and len(arg) == 2 and all(type(x) is int for x in arg)))
             _expect(ok, f"{where}: field wants p or [p, k]")
             return
         if key == "matrix":
             _expect_keys(arg, f"{where}.matrix", ("base", "n"))
-            _expect(isinstance(arg["n"], int) and arg["n"] >= 1, f"{where}: matrix size must be positive")
+            _expect(type(arg["n"]) is int and arg["n"] >= 1, f"{where}: matrix size must be positive")
             _check_ring_spec(arg["base"], f"{where}.matrix.base")
             return
         if key == "direct_sum":
@@ -180,6 +190,9 @@ def _check_ring_spec(spec, where: str) -> None:
             return
         if key == "table":
             _expect_keys(arg, f"{where}.table", ("add", "mul"), ("labels",))
+            _check_cayley(arg["add"], f"{where}.table.add")
+            _check_cayley(arg["mul"], f"{where}.table.mul")
+            _check_strings(arg.get("labels", []), f"{where}.table.labels", "strings")
             return
     raise SchemaError(f"{where} must be a single-key ring constructor, "
                       f"one of cyclic, field, matrix, direct_sum, group_ring, table")
@@ -189,18 +202,20 @@ def _check_group_spec(spec, where: str) -> None:
     _expect(isinstance(spec, dict), f"{where} must be an object")
     if "labels" in spec:
         _expect_keys(spec, where, ("labels", "table"))
+        _check_strings(spec["labels"], f"{where}.labels", "strings")
+        _check_cayley(spec["table"], f"{where}.table")
         return
     _expect(len(spec) == 1, f"{where} must be a single-key group constructor")
     key, arg = next(iter(spec.items()))
     if key == "cyclic":
-        _expect(isinstance(arg, int) and arg >= 1, f"{where}: cyclic wants a positive order")
+        _expect(type(arg) is int and arg >= 1, f"{where}: cyclic wants a positive order")
     elif key not in ("trivial", "klein_four"):
         raise SchemaError(f"{where}: unknown group constructor {key!r}")
 
 
-def _check_elements(value, where: str) -> None:
+def _check_strings(value, where: str, what: str = "element expressions") -> None:
     _expect(isinstance(value, list) and all(isinstance(x, str) for x in value),
-            f"{where} must be a list of element expressions")
+            f"{where} must be a list of {what}")
 
 
 def _check_label_map(sec, where: str, names: Tuple[str, ...]) -> None:
@@ -227,6 +242,7 @@ def parse_data(data, name: str = "<data>") -> Instance:
             f"{', '.join(present) if present else 'none'}")
     kind = present[0]
     _expect_keys(data, "the instance", ("groupoid", kind), ("bounds", "description"))
+    _expect(isinstance(data.get("description", ""), str), "description must be a string")
     names = _check_groupoid_section(data["groupoid"])
     objects = tuple(data["groupoid"]["objects"])
 
@@ -236,7 +252,7 @@ def parse_data(data, name: str = "<data>") -> Instance:
         _check_ring_spec(sec["ring"], "grading.ring")
         _check_label_map(sec["components"], "grading.components", names)
         for label, exprs in sec["components"].items():
-            _check_elements(exprs, f"grading.components[{label!r}]")
+            _check_strings(exprs, f"grading.components[{label!r}]")
     elif kind == "partial_action":
         _expect_keys(sec, "partial_action", ("parts",), ("ideals", "maps"))
         _expect(isinstance(sec["parts"], dict)
@@ -246,14 +262,15 @@ def parse_data(data, name: str = "<data>") -> Instance:
             _check_ring_spec(spec, f"partial_action.parts[{obj!r}]")
         _check_label_map(sec.get("ideals", {}), "partial_action.ideals", names)
         for label, exprs in sec.get("ideals", {}).items():
-            _check_elements(exprs, f"partial_action.ideals[{label!r}]")
+            _check_strings(exprs, f"partial_action.ideals[{label!r}]")
         _check_label_map(sec.get("maps", {}), "partial_action.maps", names)
         for label, spec in sec.get("maps", {}).items():
+            table = spec.get("table") if isinstance(spec, dict) else None
             ok = (spec in ("identity", "transport")
                   or (isinstance(spec, dict) and len(spec) == 1
-                      and (("table" in spec and isinstance(spec["table"], dict))
-                           or ("transport" in spec
-                               and spec["transport"] in ("identity", "frobenius")))))
+                      and (spec.get("transport") in ("identity", "frobenius")
+                           or isinstance(table, dict) and all(
+                               isinstance(x, str) for x in (*table, *table.values())))))
             _expect(ok, f"partial_action.maps[{label!r}] must be \"identity\", "
                         "a {\"table\": ...} or a {\"transport\": ...} entry")
     else:
@@ -263,9 +280,8 @@ def parse_data(data, name: str = "<data>") -> Instance:
     if "bounds" in data:
         _expect_keys(data["bounds"], "bounds", (), ("max_ring",))
         if "max_ring" in data["bounds"]:
-            _expect(isinstance(data["bounds"]["max_ring"], int)
-                    and data["bounds"]["max_ring"] >= 1,
-                    "bounds.max_ring must be a positive integer")
+            cap = data["bounds"]["max_ring"]
+            _expect(type(cap) is int and cap >= 1, "bounds.max_ring must be a positive integer")
     return Instance(name=name, kind=kind, digest=instance_digest(data), raw=data)
 
 
@@ -634,7 +650,7 @@ def _groupoid_facts(G: FiniteGroupoid) -> Dict:
     return {"objects": list(G.objects),
             "morphisms": G.n_morphisms,
             "connected": is_connected(G),
-            "isotropy_orders": {G.objects[e]: isotropy(G, e).order
+            "isotropy_orders": {G.objects[e]: len(G.loops(e))
                                 for e in range(G.n_objects)}}
 
 

@@ -31,13 +31,13 @@ from .grading import (Grading, HubResult, PairCriterionResult,
                       validate_grading)
 from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
-                       isotropy, one_object_groupoid, orbit)
+                       isotropy, orbit, restrict, validate_subgroupoid)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
                     FiniteRing, Ideal, PrimeResult, _Closures, _Coordinates,
                     _TermRing, _kernel, _memo, _mixed_radix_table, _radix_tuples,
                     additive_closure, close, first_escape, first_hom_failure,
                     first_identity, first_nonassociative, first_zero_pair,
-                    is_maximal_commutative, is_prime_bruteforce, is_s_unital,
+                    is_commutative, is_maximal_commutative, is_prime_bruteforce, is_s_unital,
                     principal_ideal)
 
 TYPE_CHECKING = False
@@ -729,20 +729,16 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
             f"object {G.objects[e]!r} carries a zero component")
     amb = action.ambient
     key = G.objects[e]
-    group = isotropy(G, e)
-    sub_groupoid = one_object_groupoid(group, key)
+    loops = G.loops(e)
+    sub_groupoid, local = restrict(validate_subgroupoid(G, loops))
     new_amb = DirectSumRing([amb.parts[e]], keys=(key,))
 
     def transfer(x: int) -> int:
         return new_amb.inject(0, amb.component(key, x))
 
-    gens: Dict[int, List[int]] = {}
-    tables: Dict[int, Dict[int, int]] = {}
-    for local in range(1, group.order):
-        parent = group.parent_elements[local]
-        gens[local] = [transfer(x) for x in action.ideals[parent].gens]
-        tables[local] = {transfer(k): transfer(v)
-                         for k, v in action.maps[parent].items()}
+    gens = {local[g]: [transfer(x) for x in action.ideals[g].gens] for g in loops[1:]}
+    tables = {local[g]: {transfer(a): transfer(b) for a, b in action.maps[g].items()}
+              for g in loops[1:]}
     return validate_partial_action(sub_groupoid, new_amb, gens, tables)
 
 
@@ -911,8 +907,7 @@ def orbit_density_check(groupoid: FiniteGroupoid, base: FiniteRing, e: int,
     """
     if base.one is None:
         raise MalformedInput("the coefficient ring must be unital")
-    gens = base.additive_generators()
-    if any(base.mul(a, b) != base.mul(b, a) for a in gens for b in gens):
+    if not is_commutative(base):
         raise MalformedInput("the coefficient ring must be commutative")
     dense = r_dense(groupoid, base, orbit(groupoid, e), bound).dense
     connected = is_connected(groupoid)
@@ -981,15 +976,12 @@ def sufficient_conditions_report(action: PartialAction,
     transport = is_group_type(action).holds
     ambient_prime = is_A_G_prime(action, bound).holds
     applicable = transport or ambient_prime
-    agens = amb.additive_generators()
-    commutative = all(amb.mul(a, b) == amb.mul(b, a)
-                      for a in agens for b in agens)
+    commutative = is_commutative(amb)
     trivial_at: Optional[int] = None
     intersection_at: Optional[int] = None
     maximal_at: Optional[int] = None
     for e in action.support_objects():
-        group = isotropy(G, e)
-        if trivial_at is None and group.order == 1 \
+        if trivial_at is None and len(G.loops(e)) == 1 \
                 and is_prime_bruteforce(amb.parts[e], bound).prime:
             trivial_at = e
         if intersection_at is not None and (maximal_at is not None or not commutative):

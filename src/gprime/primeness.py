@@ -30,7 +30,6 @@ from .grading import (
     isotropy_component,
     support_groupoid,
 )
-from .groupoid import isotropy
 from .rings import PRIME_ORACLE_BOUND, PrimeResult, SubRing, is_prime_bruteforce
 
 TYPE_CHECKING = False
@@ -250,7 +249,7 @@ def torsion_free_shortcut(grading: Grading, e: int) -> Optional[bool]:
     if e not in support.support_objects:
         raise ObjectNotInSupport(
             f"object {grading.groupoid.objects[e]!r} carries a zero identity component")
-    if isotropy(grading.groupoid, e).order != 1:
+    if len(grading.groupoid.loops(e)) != 1:
         return None
     local = is_prime_bruteforce(identity_component_ring(grading, e))
     return local.prime and is_G_prime_principal(grading).holds

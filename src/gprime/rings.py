@@ -56,7 +56,7 @@ N", ESA 1998), so rows (f(g), g) over generators g give ker f, and rows
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from math import isqrt, lcm, prod
 from operator import pos, xor
 
@@ -97,6 +97,7 @@ __all__ = [
     "first_zero_pair",
     "enumerate_ideals",
     "centralizer",
+    "is_commutative",
     "is_maximal_commutative",
     "validate_ring",
     "PRIME_ORACLE_BOUND",
@@ -871,8 +872,7 @@ class DirectSumRing(_VectorRing):
     def component_subgroup(self, key: str) -> "Ideal":
         """The component at ``key`` as an ideal of the sum."""
         pos = self.key_index(key)
-        return Ideal(self, None, [self.inject(pos, g)
-                                  for g in self.parts[pos].additive_generators()])
+        return Ideal(self, [self.inject(pos, g) for g in self.parts[pos].additive_generators()])
 
     def _term(self, i: int, x: int, j: int, y: int) -> Tuple[int, int]:
         return i, self.parts[i].mul(x, y)
@@ -955,10 +955,8 @@ class AdditiveSubgroup:
 
     __slots__ = ("ring", "gens", "key", "_basis", "_elements")
 
-    def __init__(self, ring: FiniteRing, elements: Optional[Iterable[int]],
-                 gens: Iterable[int]):
-        """The span of ``gens``.  ``elements`` is ignored: the element set
-        is always read off the basis."""
+    def __init__(self, ring: FiniteRing, gens: Iterable[int]):
+        """The span of ``gens``."""
         coords = _coordinates(ring)
         basis = _basis(coords)
         self.ring = ring
@@ -1005,7 +1003,7 @@ class Ideal(AdditiveSubgroup):
 
 def additive_closure(ring: FiniteRing, seed: Iterable[int]) -> AdditiveSubgroup:
     """The additive subgroup generated by ``seed``."""
-    return AdditiveSubgroup(ring, None, seed)
+    return AdditiveSubgroup(ring, seed)
 
 
 def set_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> AdditiveSubgroup:
@@ -1071,7 +1069,7 @@ def close(ring: FiniteRing, seed: Iterable[int],
     key = span.key()
     shared = cache.shared.get(key)
     if shared is None:
-        shared = cache.shared[key] = cache.kind(ring, None, pushed)
+        shared = cache.shared[key] = cache.kind(ring, pushed)
     return shared
 
 
@@ -1341,7 +1339,7 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256,
     """
     if ring.size > size_bound:
         raise BoundExceeded(f"ideal enumeration bounded at {size_bound} elements, got {ring.size}")
-    zero = Ideal(ring, None, ())
+    zero = Ideal(ring, ())
     ideals: List[Ideal] = [zero]
     keys = {zero.key}
     for a in range(1, ring.size):
@@ -1353,7 +1351,7 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256,
                 return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
     for a in ideals:            # both loops see the ideals appended below
         for b in ideals:
-            merged = Ideal(ring, None, a.gens + b.gens)
+            merged = Ideal(ring, a.gens + b.gens)
             if merged.key not in keys:
                 keys.add(merged.key)
                 ideals.append(merged)
@@ -1372,6 +1370,12 @@ def centralizer(ring: FiniteRing, sub: AdditiveSubgroup) -> AdditiveSubgroup:
         raise RingMismatch("subgroup lives in a different ring")
     return additive_closure(ring, _kernel(ring, [[ring.add(ring.mul(t, s), ring.neg(ring.mul(s, t)))
                                                   for s in sub.gens] + [t] for t in ring.additive_generators()]))
+
+
+def is_commutative(ring: FiniteRing) -> bool:
+    """Whether the ring is commutative; by bilinearity, additive generators suffice."""
+    gens = ring.additive_generators()
+    return all(ring.mul(a, b) == ring.mul(b, a) for a, b in combinations(gens, 2))
 
 
 def is_maximal_commutative(ring: FiniteRing, sub: AdditiveSubgroup) -> bool:

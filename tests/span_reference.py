@@ -269,7 +269,7 @@ def reference_nes(grading):
 def reference_centralizer(ring, sub):
     """Every carrier element t with t*s == s*t for the generators s of ``sub``."""
     mul = ring.mul
-    return AdditiveSubgroup(ring, None, [t for t in ring.elements()
+    return AdditiveSubgroup(ring, [t for t in ring.elements()
                                          if all(mul(t, s) == mul(s, t) for s in sub.gens)])
 
 

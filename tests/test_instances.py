@@ -668,3 +668,103 @@ class TestSchemas:
         assert value["oracle"]["witness"]["a_ideal"]["size"] == \
             len(oracle.witness.a_ideal)
         assert value["ring"] == repr(ring)
+
+
+Z2_ADD, Z2_MUL = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+LOOP = {"objects": ["e"], "morphisms": [{"name": "g", "src": "e", "rng": "e"}],
+        "inverse": {"g": "g"}, "compose": [["g", "g", "e"]]}
+
+
+def base_doc(base):
+    return minimal_raw(groupoid_ring={"base": base})
+
+
+def table_doc(add, mul=Z2_MUL, **extra):
+    return base_doc({"table": {"add": add, "mul": mul, **extra}})
+
+
+def group_doc(group):
+    return base_doc({"group_ring": {"base": {"field": 2}, "group": group}})
+
+
+def sigma_doc(table):
+    return {"groupoid": LOOP,
+            "partial_action": {"parts": {"e": {"field": 2}}, "ideals": {"g": ["1"]},
+                               "maps": {"g": {"table": table}}}}
+
+
+# valid JSON that the instance schema refuses: shapes the constructors
+# cannot read, and booleans, strings or lone strings where integers or lists go
+HOSTILE = {
+    "table add null": table_doc(None),
+    "table nested entry": table_doc([[0, [1]], [1, 0]]),
+    "group table null": group_doc({"labels": ["a", "b"], "table": None}),
+    "sigma value int": sigma_doc({"1": 1}),
+    "sigma value null": sigma_doc({"1": None}),
+    "cyclic true": base_doc({"cyclic": True}),
+    "max_ring true": minimal_raw(bounds={"max_ring": True}),
+    "field true": base_doc({"field": True}),
+    "field pair with true": base_doc({"field": [2, True]}),
+    "matrix n true": base_doc({"matrix": {"base": {"field": 2}, "n": True}}),
+    "table entry true": table_doc([[0, True], [1, 0]]),
+    "table entry string": table_doc([[0, "1"], [1, 0]]),
+    "table entry negative": table_doc([[0, 1], [1, -1]]),
+    "table labels ints": table_doc(Z2_ADD, labels=[0, 1]),
+    "group labels string": group_doc({"labels": "ab", "table": Z2_ADD}),
+    "group labels ints": group_doc({"labels": [0, 1], "table": Z2_ADD}),
+    "group cyclic true": group_doc({"cyclic": True}),
+    "description number": minimal_raw(description=5),
+}
+ACCEPTED = {
+    "table ring": table_doc(Z2_ADD, labels=["0", "1"]),
+    "group labels": group_doc({"labels": ["1", "t"], "table": Z2_ADD}),
+    "group cyclic": group_doc({"cyclic": 2}),
+    "sigma table": sigma_doc({"1": "1"}),
+    "field": base_doc({"field": 3}),
+    "field pair": base_doc({"field": [2, 2]}),
+    "matrix": base_doc({"matrix": {"base": {"cyclic": 2}, "n": 2}}),
+    "bounds": minimal_raw(bounds={"max_ring": 8}),
+    "description": minimal_raw(description="two elements"),
+}
+
+
+class TestHostileDocuments:
+    """Off-schema values are refused by parse_data as the schema refuses them."""
+
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, name, mode):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(HOSTILE[name]))
+        assert cli.main(["validate", str(path), "--output", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        if mode == "text":
+            assert line.startswith("gprime: error: ")
+        else:
+            doc = json.loads(line)
+            assert (doc["exit_code"], doc["error"]) == (1, "SchemaError")
+
+    def test_parse_data_refuses_exactly_what_the_schema_refuses(self, validators):
+        for name, doc in {**HOSTILE, **ACCEPTED}.items():
+            schema_refuses = bool(list(validators[0].iter_errors(doc)))
+            assert schema_refuses == (name in HOSTILE), name
+            try:
+                parse_data(doc)
+            except SchemaError:
+                refused = True
+            else:
+                refused = False
+            assert refused == schema_refuses, name
+
+    def test_accepted_documents_build(self):
+        for name, doc in ACCEPTED.items():
+            assert build_instance(parse_data(doc)).groupoid.n_objects >= 1, name
+
+    @pytest.mark.parametrize("doc", [table_doc([[0.0, 1], [1, 0]]),
+                                     base_doc({"cyclic": 2.0})])
+    def test_integral_floats_are_refused(self, doc):
+        # JSON Schema counts 2.0 as an integer; the tool asks for an int
+        with pytest.raises(SchemaError):
+            parse_data(doc)

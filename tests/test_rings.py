@@ -231,7 +231,7 @@ class TestPrimenessOracle:
 class TestCentralizer:
     def test_center_of_m2(self):
         m2 = MatrixRing(GaloisField(2), 2)
-        whole = AdditiveSubgroup(m2, frozenset(m2.elements()), m2.additive_generators())
+        whole = AdditiveSubgroup(m2, m2.additive_generators())
         assert centralizer(m2, whole).elements == frozenset({0, m2.one})
 
     def test_diagonal_is_maximal_commutative(self):

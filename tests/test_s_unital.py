@@ -105,7 +105,7 @@ def test_small_cases():
     assert not is_s_unital(SubRing(z4, {0, 2}))
     zero = CyclicRing(1)
     assert is_s_unital(zero) and all(reference_s_unital_sides(zero))
-    assert is_s_unital(Ideal(z4, None, ())) and is_s_unital(z4)
+    assert is_s_unital(Ideal(z4, ())) and is_s_unital(z4)
 
 
 def test_subgroup_not_closed_under_products_is_refused():
