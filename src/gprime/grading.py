@@ -64,8 +64,10 @@ class Grading:
     """A validated groupoid grading; construct via validate_grading.
 
     Kept on the grading once computed: the fold basis of ``decompose``, the
-    identity-component span and its ring, the invariant closures, and the
-    verdict of ``is_nearly_epsilon_strong``."""
+    identity-component span and its ring, the invariant closures, the
+    verdict of ``is_nearly_epsilon_strong``, and the isotropy component of
+    each object, so that every stage and witness replay on one grading
+    shares one ``isotropy_component`` and its ring."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
                  components: Sequence[AdditiveSubgroup]):
@@ -77,6 +79,7 @@ class Grading:
         self._principal_ring: Optional[SubRing] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
         self._nes: Optional[NESResult] = None
+        self._isotropy: Dict[int, RestrictedGrading] = {}
 
     def component(self, g: int) -> AdditiveSubgroup:
         return self.components[g]
@@ -117,7 +120,7 @@ class Grading:
     def principal_part_ring(self) -> SubRing:
         """The identity-component span as a standalone ring."""
         if self._principal_ring is None:
-            self._principal_ring = SubRing(self.ring, self.principal_part().elements)
+            self._principal_ring = SubRing(self.ring, self.principal_part())
         return self._principal_ring
 
     def support(self) -> List[int]:
@@ -629,13 +632,18 @@ def restrict_grading(parent: Grading, sub: Subgroupoid) -> RestrictedGrading:
     """The grading induced on the span of the components over a subgroupoid."""
     small, mor_map = restrict(sub)
     span = additive_closure(parent.ring, [x for g in sub.members for x in parent.components[g].gens])
-    carrier = SubRing(parent.ring, span.elements)
+    carrier = SubRing(parent.ring, span)
     comps = {mor_map[g]: [carrier.from_parent[x] for x in parent.components[g].gens]
              for g in sub.members}
     return RestrictedGrading(validate_grading(small, carrier, comps), parent, mor_map, carrier)
 
 
 def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
-    """The group-graded ring sitting over the isotropy group at ``e``."""
+    """The group-graded ring sitting over the isotropy group at ``e``,
+    built once per object and kept on the grading."""
     G = parent.groupoid
-    return restrict_grading(parent, validate_subgroupoid(G, G.loops(G.check_object(e))))
+    hit = parent._isotropy.get(G.check_object(e))
+    if hit is None:
+        hit = parent._isotropy[e] = restrict_grading(
+            parent, validate_subgroupoid(G, G.loops(e)))
+    return hit

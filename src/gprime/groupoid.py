@@ -57,6 +57,8 @@ class FiniteGroup:
         self.order = len(self.labels)
         if self.order == 0:
             raise MalformedInput("a group needs at least one element")
+        if len(set(self.labels)) != self.order:
+            raise MalformedInput("group element labels must be distinct")
         self.name = name or f"grp{self.order}"
         self._mul: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in mul_table)
         self._check_table()
@@ -261,7 +263,9 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
     Morphism k < len(objects) is the identity of object k, labeled by it, and
     ``arrows`` lists the others as (label, src, rng).  ``inverse`` holds pairs
     (g, g^-1), read with their mirror images, ``compose`` triples (g, h, g*h);
-    identity products are filled in.  AxiomViolation lists every violation."""
+    identity products are filled in.  AxiomViolation lists every violation.
+    Totality and associativity walk only composable pairs and triples, in
+    index order, through the list of morphisms into each object."""
     n_obj = len(objects)
     labels = list(objects) + [a[0] for a in arrows]
     if len(set(labels)) != len(labels):     # the first repeat names the error
@@ -305,10 +309,11 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
                 violations.append(f"identity: {labels[g]!r} composed with an identity is wrong")
             comp[pair] = want
 
+    into: Dict[int, List[int]] = {}     # object -> the morphisms into it, in order
+    for h in range(n):
+        into.setdefault(rng[h], []).append(h)
     for g in range(n):
-        for h in range(n):
-            if src[g] != rng[h]:
-                continue
+        for h in into.get(src[g], ()):
             if (g, h) not in comp:
                 violations.append(f"totality: no product declared for ({labels[g]!r}, {labels[h]!r})")
                 continue
@@ -322,13 +327,9 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
             if comp.get((gi, g)) != src[g] or comp.get((g, gi)) != rng[g]:
                 violations.append(f"inverse: {labels[gi]!r} * {labels[g]!r} is not the identity")
         for g in range(n):
-            for h in range(n):
-                if src[g] != rng[h]:
-                    continue
+            for h in into.get(src[g], ()):
                 gh = comp[(g, h)]
-                for k in range(n):
-                    if src[h] != rng[k]:
-                        continue
+                for k in into.get(src[h], ()):
                     if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
                         violations.append(
                             f"associativity: ({labels[g]!r}*{labels[h]!r})*{labels[k]!r} "

@@ -67,7 +67,7 @@ from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, List, Optional, Sequence, Tuple
+    from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Instance", "BuiltInstance", "parse", "parse_data", "build_instance",
@@ -95,18 +95,20 @@ def instance_digest(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("ascii")).hexdigest()
 
 
-def _expect(cond: bool, message: str) -> None:
+def _expect(cond: bool, message: str, *args) -> None:
+    """SchemaError unless ``cond``; a message with ``args`` is formatted with
+    them (``str.format``) only when it is raised."""
     if not cond:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args) if args else message)
 
 
 def _expect_keys(obj: Mapping, where: str, required: Sequence[str],
                  optional: Sequence[str] = ()) -> None:
-    _expect(isinstance(obj, dict), f"{where} must be a JSON object")
+    _expect(isinstance(obj, dict), "{} must be a JSON object", where)
     missing = [k for k in required if k not in obj]
-    _expect(not missing, f"{where} is missing {', '.join(missing)}")
+    _expect(not missing, "{} is missing {}", where, ", ".join(missing))
     unknown = sorted(set(obj) - set(required) - set(optional))
-    _expect(not unknown, f"{where} has unknown keys {', '.join(unknown)}")
+    _expect(not unknown, "{} has unknown keys {}", where, ", ".join(unknown))
 
 
 def _check_cayley(table, where: str) -> None:
@@ -120,7 +122,7 @@ def _check_cayley(table, where: str) -> None:
                           f"is not an element of 0..{len(table) - 1}")
 
 
-def _check_groupoid_section(sec) -> Tuple[str, ...]:
+def _check_groupoid_section(sec) -> Set[str]:
     """Reference-level checks only; the algebra is validate_groupoid's job.
 
     Returns all declared morphism names (identities included) for use by
@@ -131,28 +133,28 @@ def _check_groupoid_section(sec) -> Tuple[str, ...]:
     _expect(isinstance(objs, list) and objs
             and all(isinstance(o, str) for o in objs),
             "groupoid.objects must be a non-empty list of strings")
-    _expect(len(set(objs)) == len(objs), "groupoid.objects has duplicates")
-    names = list(objs)
+    known = set(objs)
+    _expect(len(known) == len(objs), "groupoid.objects has duplicates")
+    names = set(known)
     for entry in sec.get("morphisms", []):
         _expect_keys(entry, "a morphism entry", ("name", "src", "rng"))
         _expect(all(isinstance(entry[k], str) for k in ("name", "src", "rng")),
                 "morphism name, src and rng must be strings")
         for k in ("src", "rng"):
-            _expect(entry[k] in objs,
-                    f"morphism {entry['name']!r} references unknown object {entry[k]!r}")
-        _expect(entry["name"] not in names,
-                f"duplicate morphism name {entry['name']!r}")
-        names.append(entry["name"])
+            _expect(entry[k] in known, "morphism {!r} references unknown object {!r}",
+                    entry["name"], entry[k])
+        _expect(entry["name"] not in names, "duplicate morphism name {!r}", entry["name"])
+        names.add(entry["name"])
     inverse = sec.get("inverse", {})
     _expect(isinstance(inverse, dict), "groupoid.inverse must be an object")
     for k, v in inverse.items():
         _expect(k in names and isinstance(v, str) and v in names,
-                f"inverse entry {k!r} -> {v!r} references an undeclared morphism")
+                "inverse entry {!r} -> {!r} references an undeclared morphism", k, v)
     for triple in sec.get("compose", []):
         _expect(isinstance(triple, list) and len(triple) == 3
                 and all(isinstance(x, str) and x in names for x in triple),
-                f"compose entry {triple!r} must be three declared morphism names")
-    return tuple(names)
+                "compose entry {!r} must be three declared morphism names", triple)
+    return names
 
 
 def _check_ring_spec(spec, where: str) -> None:
@@ -203,6 +205,8 @@ def _check_group_spec(spec, where: str) -> None:
     if "labels" in spec:
         _expect_keys(spec, where, ("labels", "table"))
         _check_strings(spec["labels"], f"{where}.labels", "strings")
+        _expect(len(set(spec["labels"])) == len(spec["labels"]),
+                "{}.labels has duplicates", where)
         _check_cayley(spec["table"], f"{where}.table")
         return
     _expect(len(spec) == 1, f"{where} must be a single-key group constructor")
@@ -218,10 +222,10 @@ def _check_strings(value, where: str, what: str = "element expressions") -> None
             f"{where} must be a list of {what}")
 
 
-def _check_label_map(sec, where: str, names: Tuple[str, ...]) -> None:
-    _expect(isinstance(sec, dict), f"{where} must be an object")
+def _check_label_map(sec, where: str, names: Set[str]) -> None:
+    _expect(isinstance(sec, dict), "{} must be an object", where)
     for label in sec:
-        _expect(label in names, f"{where} references unknown morphism {label!r}")
+        _expect(label in names, "{} references unknown morphism {!r}", where, label)
 
 
 class Instance(Record):
@@ -958,10 +962,15 @@ def _with_timings(doc: Dict, clock: StageClock) -> Dict:
 
 def replay_witness(built: BuiltInstance, witness: Mapping,
                    bound: int = SKEW_RING_BOUND) -> bool:
-    """Recompute a reported zero-ideal pair from scratch.
+    """Replay a reported zero-ideal pair on the rings the report used.
 
     True only when both named elements are nonzero, their labels match the
-    instance's rings, and the ideals they regenerate multiply to zero.
+    instance's rings, and the ideals they regenerate multiply to zero,
+    recomputed by ``is_zero_product`` on their generators.  The rings are
+    the cached ones: the carrier grading's ring, the isotropy component
+    kept on that grading for "isotropy:" witnesses, and the isotropy skew
+    ring kept on the restricted action; the ideals come from the closure
+    caches of those rings and actions.
     """
     space, closure = witness["space"], witness["closure"]
     a, b = witness["a"], witness["b"]

@@ -145,6 +145,15 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     respect composite domains, and that composing tables agrees with the
     table of the composite.  All violations found in one pass are reported
     together.
+
+    s-unitality is decided once per basis key, and a passed ideal check is
+    kept per (A_g, component) key pair; a failure is re-run per morphism,
+    as its witness comes from that morphism's generators.  The domain and
+    composition laws of a pair (g, h) are tested on generators Y of
+    D = A_{g^-1} n A_h, memoised per key pair: sigma_h^-1(D) is spanned by
+    sigma_h^-1(Y), and both sides of each law are additive on it, as every
+    table is a proven additive bijection.  Only a failing generator starts
+    the scan of the elements in order, for the least witness.
     """
     if not isinstance(ambient, DirectSumRing) or ambient.keys != groupoid.objects:
         raise MalformedInput(
@@ -177,11 +186,14 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         else:
             ideals.append(additive_closure(ambient, gens))
 
+    proven_ideals = set()
     for g in range(n):
         if G.is_identity(g):
             continue
         comp = ideals[G.identity(G.rng[g])]
         ag = ideals[g]
+        if (ag.key, comp.key) in proven_ideals:
+            continue
         outside = next((x for x in ag.gens if x not in comp), None)
         if outside is not None:
             violations.append((
@@ -195,13 +207,18 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
                 "ideal",
                 f"A_{G.morphisms[g]} is not an ideal of its component "
                 f"(witness {ambient.label(escaped[2])})"))
+        else:
+            proven_ideals.add((ag.key, comp.key))
 
+    s_unital: Dict[frozenset, Optional[bool]] = {}
     for g in range(n):
-        try:
-            s_unital = is_s_unital(ideals[g])
-        except AxiomViolation:  # not closed under products, so reported above
-            continue
-        if not s_unital:
+        key = ideals[g].key
+        if key not in s_unital:
+            try:
+                s_unital[key] = is_s_unital(ideals[g])
+            except AxiomViolation:  # not closed under products, so reported above
+                s_unital[key] = None
+        if s_unital[key] is False:
             violations.append(("s-unital", f"A_{G.morphisms[g]} is not s-unital"))
 
     tables: List[Optional[Dict[int, int]]] = [None] * n
@@ -247,35 +264,46 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             continue
         tables[g] = table
 
+    meets: Dict[Tuple[frozenset, frozenset], Sequence[int]] = {}
+    inverses: Dict[int, Dict[int, int]] = {}
     for g, h in G.composable_pairs():
         gh = G.compose(g, h)
         if tables[g] is None or tables[h] is None or tables[gh] is None:
             continue
-        inv_h = {v: k for k, v in tables[h].items()}
-        escape = next((y for y in sorted(ideals[G.inv[g]].elements & ideals[h].elements)
-                       if inv_h[y] not in ideals[G.inv[gh]]), None)
-        if escape is not None:
+        dom, ran, target = ideals[G.inv[g]], ideals[h], ideals[G.inv[gh]]
+        meet = _memo(meets, (dom.key, ran.key), lambda _: _meet(ambient, dom, ran))
+        inv_h = _memo(inverses, h, lambda h: {v: k for k, v in tables[h].items()})
+        if any(inv_h[y] not in target for y in meet):
+            escape = next(y for y in sorted(dom.elements & ran.elements)
+                          if inv_h[y] not in target)
             violations.append((
                 "domain",
                 f"the inverse of sigma_{G.morphisms[h]} pushes "
                 f"{ambient.label(escape)} outside A_{G.morphisms[G.inv[gh]]} "
                 f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})"))
-        for x in sorted(tables[h]):
-            y = tables[h][x]
-            if y not in ideals[G.inv[g]]:
-                continue
-            if tables[gh].get(x) != tables[g][y]:
-                violations.append((
-                    "composition",
-                    f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
-                    f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}"))
-                break
+        if any(tables[gh].get(inv_h[y]) != tables[g][y] for y in meet):
+            x = next(x for x in sorted(tables[h]) if tables[h][x] in dom
+                     and tables[gh].get(x) != tables[g][tables[h][x]])
+            violations.append((
+                "composition",
+                f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
+                f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}"))
 
     if violations:
         tag, message = violations[0]
         raise AxiomViolation(tag, message,
                              violations=[f"[{t}] {m}" for t, m in violations])
     return PartialAction(G, ambient, ideals, [t for t in tables if t is not None])
+
+
+def _meet(ring: FiniteRing, a: AdditiveSubgroup, b: AdditiveSubgroup) -> Sequence[int]:
+    """Generators of A n B: those of the smaller when one contains the
+    other, else ``rings._kernel`` on the rows (a, a) and (b, 0)."""
+    if all(x in b for x in a.gens):
+        return a.gens
+    if all(y in a for y in b.gens):
+        return b.gens
+    return _kernel(ring, [(x, x) for x in a.gens] + [(y, 0) for y in b.gens])
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +410,34 @@ class SkewGroupoidRing(_TermRing):
 def build_skew_ring(action: PartialAction, bound: int = SKEW_RING_BOUND) -> Grading:
     """Materialize the skew product and hand it back as a validated grading.
 
-    The carrier is refused (never truncated) above ``bound``.  Of the ring
-    laws only associativity is checked, on additive-generator triples: the
-    addition is coordinatewise on subgroups A_g of a validated ring, and the
-    product, a sum of terms sigma_g(sigma_{g^{-1}}(a) b), is biadditive since
-    ``first_hom_failure`` proved every sigma additive.  AssociativityFailure
-    signals an invalid action that slipped through validation; a grading that
-    fails its axioms or is not nearly epsilon-strong raises the falsification
-    alarm.
+    The carrier is refused (never truncated) above ``bound``.  The grading
+    axioms are checked first.  Of the ring laws only associativity is then
+    checked: the addition is coordinatewise on subgroups A_g of a validated
+    ring, and the product, a sum of terms sigma_g(sigma_{g^{-1}}(a) b), is
+    biadditive since ``first_hom_failure`` proved every sigma additive.  It
+    is tested on generator triples a in S_g, b in S_h, c in S_k with g*h and
+    h*k defined, in generator order, so the first failure is the one a scan
+    of all triples finds: on any other triple ab = 0, or bc lies in S_hk
+    with g*hk undefined (src(g) != rng(h) = rng(hk)), so both sides are 0.
+    AssociativityFailure signals an invalid action that slipped through
+    validation; a product that breaks the grading axioms too raises their
+    AxiomViolation first.  A grading that is not nearly epsilon-strong
+    raises the falsification alarm.
     """
     cached = action._skew
     if cached is not None and cached.ring.size <= bound:
         return cached
     ring = SkewGroupoidRing(action, bound)
-    bad = first_nonassociative(ring, ring.additive_generators())
-    if bad is not None:
-        raise AssociativityFailure("the built skew product is not associative at "
-                                   f"({', '.join(map(ring.label, bad))})")
     raw = {g: [ring.inject(g, a) for a in action.ideals[g].gens]
            for g in range(action.groupoid.n_morphisms)}
     grading = validate_grading(action.groupoid, ring, raw)
+    comps = grading.components
+    after = {a: [b for h in ring._partners[g] for b in comps[h].gens]
+             for g, comp in enumerate(comps) for a in comp.gens}
+    bad = first_nonassociative(ring, list(after), after.__getitem__)
+    if bad is not None:
+        raise AssociativityFailure("the built skew product is not associative at "
+                                   f"({', '.join(map(ring.label, bad))})")
     nes = is_nearly_epsilon_strong(grading)
     if not nes.holds:
         raise InternalDisagreement(
@@ -498,8 +534,8 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
 
     ``hs`` restricts the morphisms checked (a Subgroupoid or morphism
     indices, else UnknownMorphism; all by default).  sigma_g is additive, so
-    it is tested on the generators of the meet from ``rings._kernel``.  The
-    second return value is the first violating morphism, if any.
+    it is tested on the generators of the meet from ``_meet``.  The second
+    return value is the first violating morphism, if any.
     """
     if sub.ring is not action.ambient:
         raise RingMismatch("the subgroup lives in a different carrier")
@@ -507,8 +543,8 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
     morphs = (range(G.n_morphisms) if hs is None else sorted(hs.members)
               if isinstance(hs, Subgroupoid) else [G.check_morphism(h) for h in hs])
     for g in morphs:
-        meet = [(a, a) for a in action.ideals[G.inv[g]].gens] + [(b, 0) for b in sub.gens]
-        if any(action.maps[g][x] not in sub for x in _kernel(action.ambient, meet)):
+        if any(action.maps[g][x] not in sub
+               for x in _meet(action.ambient, action.ideals[G.inv[g]], sub)):
             return False, g
     return True, None
 

@@ -96,8 +96,7 @@ def is_prime_oracle(grading: Grading, bound: int = PRIME_ORACLE_BOUND) -> PrimeR
 
 def identity_component_ring(grading: Grading, e: int) -> SubRing:
     """The identity component at ``e`` as a standalone ring."""
-    return SubRing(grading.ring,
-                   grading.components[grading.groupoid.identity(e)].elements)
+    return SubRing(grading.ring, grading.components[grading.groupoid.identity(e)])
 
 
 def _object_evidence(grading: Grading, e: int) -> ObjectEvidence:

@@ -66,7 +66,7 @@ from .groupoid import FiniteGroup
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (Callable, Container, Dict, Iterable, List, Optional, Sequence,
-                        Tuple)
+                        Tuple, Union)
 
 __all__ = [
     "FiniteRing",
@@ -643,13 +643,13 @@ class TableRing(FiniteRing):
             raise MalformedInput(f"tables must both be {n}x{n}")
         self.size = n
         self.tag = f"table[{n}]"
-        self._add = tuple(tuple(int(x) for x in row) for row in add_table)
-        self._mul = tuple(tuple(int(x) for x in row) for row in mul_table)
+        self._add = tuple(tuple(row) for row in add_table)
+        self._mul = tuple(tuple(row) for row in mul_table)
         bad = next(((name, a, b, x) for name, table in (("add", self._add), ("mul", self._mul))
                     for a, row in enumerate(table) for b, x in enumerate(row)
-                    if not 0 <= x < n), None)
+                    if type(x) is not int or not 0 <= x < n), None)
         if bad is not None:
-            raise MalformedInput("table entry {}[{}][{}] = {} is not an element of "
+            raise MalformedInput("table entry {}[{}][{}] = {!r} is not an element of "
                                  "0..{}".format(*bad, n - 1))
         self._labels = tuple(labels) if labels is not None else None
         self._neg = [0] * n
@@ -904,13 +904,18 @@ class GroupRing(_VectorRing):
 class SubRing(FiniteRing):
     """A multiplicatively closed additive subgroup of a parent, re-indexed
     densely in the parent's element order; its coordinates are the parent's.
-    Closure and the identity are decided on the generators of its
-    ``additive_closure`` by ``first_escape`` and ``first_identity``, and
-    those generators are the subring's greedy ones.
+    ``elements`` is an ``AdditiveSubgroup`` of the parent, taken as it is, or
+    an additively closed element set, spanned by ``additive_closure``.
+    Closure and the identity are decided on the span's generators by
+    ``first_escape`` and ``first_identity``; they are the subring's too.
     """
 
-    def __init__(self, parent: FiniteRing, elements: Iterable[int]):
-        elems = sorted(set(elements))
+    def __init__(self, parent: FiniteRing,
+                 elements: Union[AdditiveSubgroup, Iterable[int]]):
+        span = elements if isinstance(elements, AdditiveSubgroup) else None
+        if span is not None and span.ring is not parent:
+            raise RingMismatch("the span lives in a different ring")
+        elems = span.sorted_elements() if span is not None else sorted(set(elements))
         if not elems or elems[0] != 0:
             raise MalformedInput("a subring must contain 0")
         self.parent = parent
@@ -919,9 +924,10 @@ class SubRing(FiniteRing):
         self.size = len(elems)
         self.tag = f"sub[{self.size}]({parent.tag})"
         self.moduli = parent.moduli
-        span = additive_closure(parent, elems)
-        if len(span) != self.size:
-            raise MalformedInput(f"subset not additively closed: it spans {len(span)} elements")
+        if span is None:
+            span = additive_closure(parent, elems)
+            if len(span) != self.size:
+                raise MalformedInput(f"subset not additively closed: it spans {len(span)} elements")
         self._gens = tuple(self.from_parent[g] for g in span.gens)
         escape = first_escape(parent, span.gens, span.gens, self.from_parent)
         if escape is not None:
@@ -1099,7 +1105,7 @@ def ideal_generated(ring: FiniteRing, seed: Iterable[int]) -> Ideal:
                  _pid_cache(ring))
 
 
-def _memo(cache: Dict, key: int, compute: Callable[[int], AdditiveSubgroup]):
+def _memo(cache: Dict, key, compute: Callable):
     """``cache[key]``, computed as ``compute(key)`` on first use."""
     hit = cache.get(key)
     if hit is None:
@@ -1176,13 +1182,19 @@ def first_identity(ring: FiniteRing, candidates: Iterable[int],
                  if all(mul(u, g) == g == mul(g, u) for g in gens)), None)
 
 
-def first_nonassociative(ring: FiniteRing, gens: Sequence[int]
+def first_nonassociative(ring: FiniteRing, gens: Sequence[int],
+                         after: Optional[Callable[[int], Sequence[int]]] = None
                          ) -> Optional[Tuple[int, int, int]]:
     """The first generator triple (a, b, c) with (ab)c != a(bc), or None;
-    exact for a distributive product on the span of ``gens``, by trilinearity."""
+    exact for a distributive product on the span of ``gens``, by trilinearity.
+    Only b in ``after(a)`` and c in ``after(b)`` are tried (all of ``gens``
+    by default), for a caller that knows every other triple is 0 on both
+    sides; each a*b and each b*c is computed once."""
     mul = ring.mul
-    return next(((a, b, c) for a in gens for b in gens for c in gens
-                 if mul(mul(a, b), c) != mul(a, mul(b, c))), None)
+    after = after or (lambda x: gens)
+    tails = {b: [(c, mul(b, c)) for c in after(b)] for b in gens}
+    return next(((a, b, c) for a in gens for b in after(a) for ab in (mul(a, b),)
+                 for c, bc in tails[b] if mul(ab, c) != mul(a, bc)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -768,3 +768,21 @@ class TestHostileDocuments:
         # JSON Schema counts 2.0 as an integer; the tool asks for an int
         with pytest.raises(SchemaError):
             parse_data(doc)
+
+
+DUPLICATE_LABELS = group_doc({"labels": ["a", "a"], "table": [[0, 1], [1, 0]]})
+
+
+def test_duplicate_group_labels_exit_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(DUPLICATE_LABELS))
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == ("gprime: error: groupoid_ring.base.group_ring.group.labels "
+                    "has duplicates")
+
+
+def test_the_schema_refuses_duplicate_group_labels_too(validators):
+    assert list(validators[0].iter_errors(DUPLICATE_LABELS))

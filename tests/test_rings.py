@@ -86,6 +86,16 @@ class TestCarriers:
         r = TableRing([[0, 1], [1, 0]], [[0, 0], [0, 1]])
         assert r.one == 1
 
+    @pytest.mark.parametrize("entry", ["1", True, 1.0])
+    def test_table_ring_refuses_entries_that_are_not_ints(self, entry):
+        with pytest.raises(MalformedInput,
+                           match=rf"table entry add\[0\]\[1\] = {entry!r} is not an element"):
+            TableRing([[0, entry], [entry, 0]], [[0, 0], [0, 1]])
+
+    def test_groups_refuse_duplicate_labels(self):
+        with pytest.raises(MalformedInput, match="labels must be distinct"):
+            FiniteGroup(["a", "a"], [[0, 1], [1, 0]])
+
     def test_subring_view(self):
         m2 = MatrixRing(GaloisField(2), 2)
         diag = {0, m2.unit(0, 0), m2.unit(1, 1), m2.add(m2.unit(0, 0), m2.unit(1, 1))}
