@@ -65,9 +65,8 @@ class Grading:
 
     Kept on the grading once computed: the fold basis of ``decompose``, the
     identity-component span and its ring, the invariant closures, the
-    verdict of ``is_nearly_epsilon_strong``, and the isotropy component of
-    each object, so that every stage and witness replay on one grading
-    shares one ``isotropy_component`` and its ring."""
+    verdict of ``is_nearly_epsilon_strong``, and each object's
+    ``isotropy_component``."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
                  components: Sequence[AdditiveSubgroup]):
@@ -642,8 +641,5 @@ def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
     """The group-graded ring sitting over the isotropy group at ``e``,
     built once per object and kept on the grading."""
     G = parent.groupoid
-    hit = parent._isotropy.get(G.check_object(e))
-    if hit is None:
-        hit = parent._isotropy[e] = restrict_grading(
-            parent, validate_subgroupoid(G, G.loops(e)))
-    return hit
+    return _memo(parent._isotropy, G.check_object(e),
+                 lambda e: restrict_grading(parent, validate_subgroupoid(G, G.loops(e))))

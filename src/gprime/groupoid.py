@@ -263,9 +263,7 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
     Morphism k < len(objects) is the identity of object k, labeled by it, and
     ``arrows`` lists the others as (label, src, rng).  ``inverse`` holds pairs
     (g, g^-1), read with their mirror images, ``compose`` triples (g, h, g*h);
-    identity products are filled in.  AxiomViolation lists every violation.
-    Totality and associativity walk only composable pairs and triples, in
-    index order, through the list of morphisms into each object."""
+    identity products are filled in.  AxiomViolation lists every violation."""
     n_obj = len(objects)
     labels = list(objects) + [a[0] for a in arrows]
     if len(set(labels)) != len(labels):     # the first repeat names the error

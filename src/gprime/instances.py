@@ -95,20 +95,18 @@ def instance_digest(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("ascii")).hexdigest()
 
 
-def _expect(cond: bool, message: str, *args) -> None:
-    """SchemaError unless ``cond``; a message with ``args`` is formatted with
-    them (``str.format``) only when it is raised."""
+def _expect(cond: bool, message: str) -> None:
     if not cond:
-        raise SchemaError(message.format(*args) if args else message)
+        raise SchemaError(message)
 
 
 def _expect_keys(obj: Mapping, where: str, required: Sequence[str],
                  optional: Sequence[str] = ()) -> None:
-    _expect(isinstance(obj, dict), "{} must be a JSON object", where)
+    _expect(isinstance(obj, dict), f"{where} must be a JSON object")
     missing = [k for k in required if k not in obj]
-    _expect(not missing, "{} is missing {}", where, ", ".join(missing))
+    _expect(not missing, f"{where} is missing {', '.join(missing)}")
     unknown = sorted(set(obj) - set(required) - set(optional))
-    _expect(not unknown, "{} has unknown keys {}", where, ", ".join(unknown))
+    _expect(not unknown, f"{where} has unknown keys {', '.join(unknown)}")
 
 
 def _check_cayley(table, where: str) -> None:
@@ -141,19 +139,20 @@ def _check_groupoid_section(sec) -> Set[str]:
         _expect(all(isinstance(entry[k], str) for k in ("name", "src", "rng")),
                 "morphism name, src and rng must be strings")
         for k in ("src", "rng"):
-            _expect(entry[k] in known, "morphism {!r} references unknown object {!r}",
-                    entry["name"], entry[k])
-        _expect(entry["name"] not in names, "duplicate morphism name {!r}", entry["name"])
+            _expect(entry[k] in known,
+                    f"morphism {entry['name']!r} references unknown object {entry[k]!r}")
+        _expect(entry["name"] not in names,
+                f"duplicate morphism name {entry['name']!r}")
         names.add(entry["name"])
     inverse = sec.get("inverse", {})
     _expect(isinstance(inverse, dict), "groupoid.inverse must be an object")
     for k, v in inverse.items():
         _expect(k in names and isinstance(v, str) and v in names,
-                "inverse entry {!r} -> {!r} references an undeclared morphism", k, v)
+                f"inverse entry {k!r} -> {v!r} references an undeclared morphism")
     for triple in sec.get("compose", []):
         _expect(isinstance(triple, list) and len(triple) == 3
                 and all(isinstance(x, str) and x in names for x in triple),
-                "compose entry {!r} must be three declared morphism names", triple)
+                f"compose entry {triple!r} must be three declared morphism names")
     return names
 
 
@@ -206,7 +205,7 @@ def _check_group_spec(spec, where: str) -> None:
         _expect_keys(spec, where, ("labels", "table"))
         _check_strings(spec["labels"], f"{where}.labels", "strings")
         _expect(len(set(spec["labels"])) == len(spec["labels"]),
-                "{}.labels has duplicates", where)
+                f"{where}.labels has duplicates")
         _check_cayley(spec["table"], f"{where}.table")
         return
     _expect(len(spec) == 1, f"{where} must be a single-key group constructor")
@@ -223,9 +222,9 @@ def _check_strings(value, where: str, what: str = "element expressions") -> None
 
 
 def _check_label_map(sec, where: str, names: Set[str]) -> None:
-    _expect(isinstance(sec, dict), "{} must be an object", where)
+    _expect(isinstance(sec, dict), f"{where} must be an object")
     for label in sec:
-        _expect(label in names, "{} references unknown morphism {!r}", where, label)
+        _expect(label in names, f"{where} references unknown morphism {label!r}")
 
 
 class Instance(Record):
@@ -966,11 +965,9 @@ def replay_witness(built: BuiltInstance, witness: Mapping,
 
     True only when both named elements are nonzero, their labels match the
     instance's rings, and the ideals they regenerate multiply to zero,
-    recomputed by ``is_zero_product`` on their generators.  The rings are
-    the cached ones: the carrier grading's ring, the isotropy component
-    kept on that grading for "isotropy:" witnesses, and the isotropy skew
-    ring kept on the restricted action; the ideals come from the closure
-    caches of those rings and actions.
+    recomputed by ``is_zero_product`` on the rings kept on the instance's
+    grading and action (an "isotropy:" witness on the kept isotropy
+    component).
     """
     space, closure = witness["space"], witness["closure"]
     a, b = witness["a"], witness["b"]

@@ -146,14 +146,13 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     table of the composite.  All violations found in one pass are reported
     together.
 
-    s-unitality is decided once per basis key, and a passed ideal check is
-    kept per (A_g, component) key pair; a failure is re-run per morphism,
-    as its witness comes from that morphism's generators.  The domain and
-    composition laws of a pair (g, h) are tested on generators Y of
-    D = A_{g^-1} n A_h, memoised per key pair: sigma_h^-1(D) is spanned by
-    sigma_h^-1(Y), and both sides of each law are additive on it, as every
-    table is a proven additive bijection.  Only a failing generator starts
-    the scan of the elements in order, for the least witness.
+    Ideal and s-unitality verdicts are reached once per subgroup (a failed
+    ideal check once per morphism, for its witness).  The domain and
+    composition laws of (g, h) are tested on generators Y of
+    D = A_{g^-1} n A_h: sigma_h^-1(D) is spanned by sigma_h^-1(Y), and both
+    sides of each law are additive there, every table being a proven
+    additive bijection; a failing generator starts the element scan that
+    names the least witness.
     """
     if not isinstance(ambient, DirectSumRing) or ambient.keys != groupoid.objects:
         raise MalformedInput(
@@ -271,7 +270,8 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         if tables[g] is None or tables[h] is None or tables[gh] is None:
             continue
         dom, ran, target = ideals[G.inv[g]], ideals[h], ideals[G.inv[gh]]
-        meet = _memo(meets, (dom.key, ran.key), lambda _: _meet(ambient, dom, ran))
+        meet = _memo(meets, (dom.key, ran.key), lambda _: _kernel(
+            ambient, [(x, x) for x in dom.gens] + [(y, 0) for y in ran.gens]))
         inv_h = _memo(inverses, h, lambda h: {v: k for k, v in tables[h].items()})
         if any(inv_h[y] not in target for y in meet):
             escape = next(y for y in sorted(dom.elements & ran.elements)
@@ -294,16 +294,6 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         raise AxiomViolation(tag, message,
                              violations=[f"[{t}] {m}" for t, m in violations])
     return PartialAction(G, ambient, ideals, [t for t in tables if t is not None])
-
-
-def _meet(ring: FiniteRing, a: AdditiveSubgroup, b: AdditiveSubgroup) -> Sequence[int]:
-    """Generators of A n B: those of the smaller when one contains the
-    other, else ``rings._kernel`` on the rows (a, a) and (b, 0)."""
-    if all(x in b for x in a.gens):
-        return a.gens
-    if all(y in a for y in b.gens):
-        return b.gens
-    return _kernel(ring, [(x, x) for x in a.gens] + [(y, 0) for y in b.gens])
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +401,17 @@ def build_skew_ring(action: PartialAction, bound: int = SKEW_RING_BOUND) -> Grad
     """Materialize the skew product and hand it back as a validated grading.
 
     The carrier is refused (never truncated) above ``bound``.  The grading
-    axioms are checked first.  Of the ring laws only associativity is then
-    checked: the addition is coordinatewise on subgroups A_g of a validated
-    ring, and the product, a sum of terms sigma_g(sigma_{g^{-1}}(a) b), is
-    biadditive since ``first_hom_failure`` proved every sigma additive.  It
-    is tested on generator triples a in S_g, b in S_h, c in S_k with g*h and
-    h*k defined, in generator order, so the first failure is the one a scan
-    of all triples finds: on any other triple ab = 0, or bc lies in S_hk
-    with g*hk undefined (src(g) != rng(h) = rng(hk)), so both sides are 0.
-    AssociativityFailure signals an invalid action that slipped through
-    validation; a product that breaks the grading axioms too raises their
-    AxiomViolation first.  A grading that is not nearly epsilon-strong
-    raises the falsification alarm.
+    axioms are checked first, then of the ring laws only associativity: the
+    addition is coordinatewise on subgroups A_g of a validated ring, and the
+    product, a sum of terms sigma_g(sigma_{g^{-1}}(a) b), is biadditive since
+    ``first_hom_failure`` proved every sigma additive.  So generator triples
+    a in S_g, b in S_h, c in S_k suffice, and only those with g*h and h*k
+    defined, in generator order: on any other ab = 0, or bc lies in S_hk
+    with g*hk undefined, so both sides are 0 and the first failure is the
+    one a scan of all triples finds.  AssociativityFailure signals an
+    invalid action that slipped through validation (a product that breaks
+    the grading axioms too raises their AxiomViolation first); a grading
+    that is not nearly epsilon-strong raises the falsification alarm.
     """
     cached = action._skew
     if cached is not None and cached.ring.size <= bound:
@@ -534,8 +523,8 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
 
     ``hs`` restricts the morphisms checked (a Subgroupoid or morphism
     indices, else UnknownMorphism; all by default).  sigma_g is additive, so
-    it is tested on the generators of the meet from ``_meet``.  The second
-    return value is the first violating morphism, if any.
+    it is tested on the generators of the meet from ``rings._kernel``.  The
+    second return value is the first violating morphism, if any.
     """
     if sub.ring is not action.ambient:
         raise RingMismatch("the subgroup lives in a different carrier")
@@ -543,8 +532,8 @@ def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
     morphs = (range(G.n_morphisms) if hs is None else sorted(hs.members)
               if isinstance(hs, Subgroupoid) else [G.check_morphism(h) for h in hs])
     for g in morphs:
-        if any(action.maps[g][x] not in sub
-               for x in _meet(action.ambient, action.ideals[G.inv[g]], sub)):
+        meet = [(a, a) for a in action.ideals[G.inv[g]].gens] + [(b, 0) for b in sub.gens]
+        if any(action.maps[g][x] not in sub for x in _kernel(action.ambient, meet)):
             return False, g
     return True, None
 

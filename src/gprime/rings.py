@@ -1189,7 +1189,7 @@ def first_nonassociative(ring: FiniteRing, gens: Sequence[int],
     exact for a distributive product on the span of ``gens``, by trilinearity.
     Only b in ``after(a)`` and c in ``after(b)`` are tried (all of ``gens``
     by default), for a caller that knows every other triple is 0 on both
-    sides; each a*b and each b*c is computed once."""
+    sides."""
     mul = ring.mul
     after = after or (lambda x: gens)
     tails = {b: [(c, mul(b, c)) for c in after(b)] for b in gens}
