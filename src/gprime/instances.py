@@ -193,7 +193,7 @@ def _check_ring_spec(spec, where: str) -> None:
             _expect_keys(arg, f"{where}.table", ("add", "mul"), ("labels",))
             _check_cayley(arg["add"], f"{where}.table.add")
             _check_cayley(arg["mul"], f"{where}.table.mul")
-            _check_strings(arg.get("labels", []), f"{where}.table.labels", "strings")
+            _check_labels(arg.get("labels", []), f"{where}.table.labels")
             return
     raise SchemaError(f"{where} must be a single-key ring constructor, "
                       f"one of cyclic, field, matrix, direct_sum, group_ring, table")
@@ -203,9 +203,7 @@ def _check_group_spec(spec, where: str) -> None:
     _expect(isinstance(spec, dict), f"{where} must be an object")
     if "labels" in spec:
         _expect_keys(spec, where, ("labels", "table"))
-        _check_strings(spec["labels"], f"{where}.labels", "strings")
-        _expect(len(set(spec["labels"])) == len(spec["labels"]),
-                f"{where}.labels has duplicates")
+        _check_labels(spec["labels"], f"{where}.labels")
         _check_cayley(spec["table"], f"{where}.table")
         return
     _expect(len(spec) == 1, f"{where} must be a single-key group constructor")
@@ -219,6 +217,11 @@ def _check_group_spec(spec, where: str) -> None:
 def _check_strings(value, where: str, what: str = "element expressions") -> None:
     _expect(isinstance(value, list) and all(isinstance(x, str) for x in value),
             f"{where} must be a list of {what}")
+
+
+def _check_labels(value, where: str) -> None:
+    _check_strings(value, where, "strings")
+    _expect(len(set(value)) == len(value), f"{where} has duplicates")
 
 
 def _check_label_map(sec, where: str, names: Set[str]) -> None:

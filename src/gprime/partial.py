@@ -33,9 +33,8 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
                        isotropy, orbit, restrict, validate_subgroupoid)
 from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
-                    FiniteRing, Ideal, PrimeResult, _Closures, _Coordinates,
-                    _TermRing, _kernel, _memo, _mixed_radix_table, _radix_tuples,
-                    additive_closure, close, first_escape, first_hom_failure,
+                    FiniteRing, Ideal, PrimeResult, SubRing, _Closures, _VectorRing,
+                    _kernel, _memo, additive_closure, close, first_escape, first_hom_failure,
                     first_identity, first_nonassociative, first_zero_pair,
                     is_commutative, is_maximal_commutative, is_prime_bruteforce, is_s_unital,
                     principal_ideal)
@@ -300,90 +299,84 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
 # the skew product ring
 # ---------------------------------------------------------------------------
 
-class SkewGroupoidRing(_TermRing):
+class SkewGroupoidRing(_VectorRing):
     """Formal sums over the morphisms with coefficients in the attached ideals.
 
-    Elements are mixed-radix encodings of their coefficient tuples (morphism 0
-    least significant, each digit indexing the sorted elements of its A_g).
-    The coordinates of an element concatenate the ambient coordinates of its
-    coefficients, so the sum is coordinatewise in the ambient.
-    The product is the bilinear extension of the single-term rule
-    (a delta_g)(b delta_h) = sigma_g(sigma_{g^{-1}}(a) b) delta_{gh} on
-    composable pairs and zero otherwise, summed by ``rings._TermRing``.
-    Every term is checked against its target ideal when it is first
-    computed; a failure there is an internal error, not an input error.
+    A ``rings._VectorRing`` whose digit g is A_g as a ``SubRing`` of the
+    ambient: an element is the mixed-radix vector of its coefficients
+    (morphism 0 least significant, digit g a position in the sorted A_g),
+    and its coordinates concatenate the ambient coordinates of its
+    coefficients, so the sum is coordinatewise in the ambient.  ``decode``
+    gives positions; ``encode``, ``coefficients`` and ``inject`` speak
+    ambient elements.  The product is the bilinear extension of the
+    single-term rule (a delta_g)(b delta_h) = sigma_g(sigma_{g^{-1}}(a) b)
+    delta_{gh} on composable pairs and zero otherwise, summed by
+    ``_VectorRing.mul``.  Every term is checked against its target ideal
+    when it is first computed; a failure there is an internal error, not an
+    input error.
     """
 
     def __init__(self, action: PartialAction, bound: int = SKEW_RING_BOUND):
         G = action.groupoid
         amb = action.ambient
-        super().__init__([[h for h in range(G.n_morphisms) if G.composable(g, h)]
-                          for g in range(G.n_morphisms)])
-        self.action = action
-        locs = [action.ideals[g].sorted_elements() for g in range(G.n_morphisms)]
-        self.size = prod(len(loc) for loc in locs)
-        if self.size > bound:
+        if prod(len(ideal) for ideal in action.ideals) > bound:
             raise BoundExceeded(f"skew product carrier would exceed {bound} elements; "
                                 f"refusing to build")
+        subrings: Dict[frozenset, SubRing] = {}     # equal ideals share one digit ring
+        super().__init__([_memo(subrings, ideal.key, lambda _: SubRing(amb, ideal))
+                          for ideal in action.ideals],
+                         [[h for h in range(G.n_morphisms) if G.composable(g, h)]
+                          for g in range(G.n_morphisms)])
+        self.action = action
         self.tag = f"skew({amb.tag}; {G.n_morphisms} morphisms)"
-        self.moduli = amb.moduli * G.n_morphisms
-        self._locals = locs
-        self._coeffs = _radix_tuples(locs)
-        self._index = {c: x for x, c in enumerate(self._coeffs)}
-        # the cache FiniteRing.additive_generators reads
-        self._gens = tuple(self.inject(g, a) for g, ideal in enumerate(action.ideals)
-                           for a in ideal.gens)
         self.one = self._find_one()
 
     # -- encoding -----------------------------------------------------------
 
-    def _coordinate_table(self, c: _Coordinates) -> List[int]:
-        amb = self.action.ambient
-        return _mixed_radix_table(c, [[amb.coordinates(x) for x in loc]
-                                      for loc in self._locals])
-
-    def _coefficient_table(self) -> List[Tuple[int, ...]]:
-        return self._coeffs
-
     def encode(self, coeffs: Sequence[int]) -> int:
         """The element with the given ambient coefficient per morphism."""
-        x = self._index.get(tuple(coeffs))
-        if x is None:
-            g = next(g for g, a in enumerate(coeffs) if a not in self.action.ideals[g])
+        if len(coeffs) != len(self._digits):
+            raise MalformedInput(f"expected {len(self._digits)} coefficients, one per "
+                                 f"morphism, got {len(coeffs)}")
+        positions = [digit.from_parent.get(a) for digit, a in zip(self._digits, coeffs)]
+        if None in positions:
+            g = positions.index(None)
             raise MalformedInput(
                 f"coefficient {self.action.ambient.label(coeffs[g])} lies "
                 f"outside A_{self.action.groupoid.morphisms[g]}")
-        return x
+        return super().encode(positions)
 
     def coefficients(self, x: int) -> Tuple[int, ...]:
         """Ambient coefficients of ``x``, one per morphism."""
-        return self._coeffs[x]
+        return tuple(digit.to_parent[c] for digit, c in zip(self._digits, self.decode(x)))
 
     def inject(self, g: int, a: int) -> int:
         """The single-term element a delta_g."""
-        coeffs = [0] * len(self._locals)
+        coeffs = [0] * len(self._digits)
         coeffs[g] = a
         return self.encode(coeffs)
 
     # -- ring operations ----------------------------------------------------
 
-    def _term(self, g: int, a: int, h: int, b: int) -> Tuple[int, int]:
-        act = self.action
+    def _term(self, g: int, x: int, h: int, y: int) -> Tuple[int, int]:
+        act, digits = self.action, self._digits
         G = act.groupoid
+        a, b = digits[g].to_parent[x], digits[h].to_parent[y]
         term = act.sigma(g, act.ambient.mul(act.sigma(G.inv[g], a), b))
         gh = G.compose(g, h)
-        if term not in act.ideals[gh]:
+        pos = digits[gh].from_parent.get(term)
+        if pos is None:
             raise InternalDisagreement(
                 f"product coefficient {act.ambient.label(term)} escaped "
                 f"A_{G.morphisms[gh]}; the action validator and the "
                 f"product rule disagree")
-        return gh, term
+        return gh, pos
 
     def label(self, x: int) -> str:
         G = self.action.groupoid
         amb = self.action.ambient
         terms = [f"({amb.label(c)})*d({G.morphisms[g]})"
-                 for g, c in enumerate(self._coeffs[x]) if c != 0]
+                 for g, c in enumerate(self.coefficients(x)) if c != 0]
         return " + ".join(terms) if terms else "0"
 
     def _find_one(self) -> Optional[int]:
@@ -391,7 +384,7 @@ class SkewGroupoidRing(_TermRing):
         amb = self.action.ambient
         if any(part.one is None for part in amb.parts):
             return None
-        coeffs = [0] * len(self._locals)
+        coeffs = [0] * len(self._digits)
         for e in range(G.n_objects):
             coeffs[G.identity(e)] = amb.inject(e, amb.parts[e].one)
         return first_identity(self, [self.encode(coeffs)], self.additive_generators())

@@ -2,10 +2,12 @@
 
 Rings are not assumed unital or commutative.  Structured constructors
 (matrix rings, direct sums, group rings, and the skew groupoid rings of
-``partial``) never materialize a global multiplication table: one kernel,
-``_TermRing.mul``, extends each carrier's product of single terms
-bilinearly, summing the terms' packed coordinate vectors (below), so e.g.
-the 512-element ring of 3x3 matrices over the 2-element field stays cheap.
+``partial``) never materialize a global multiplication table: all are
+``_VectorRing``s of mixed-radix digits (a skew ring's digits are its ideals
+A_g, as subrings of the ambient), and one kernel, ``_VectorRing.mul``,
+extends each carrier's product of single terms bilinearly, summing the
+terms' packed coordinate vectors (below), so e.g. the 512-element ring of
+3x3 matrices over the 2-element field stays cheap.
 
 Beside its element index every carrier has a coordinate map: (carrier, +)
 is carried into a product of cyclic groups Z/m_1 x ... x Z/m_k, where
@@ -651,6 +653,8 @@ class TableRing(FiniteRing):
         if bad is not None:
             raise MalformedInput("table entry {}[{}][{}] = {!r} is not an element of "
                                  "0..{}".format(*bad, n - 1))
+        if labels is not None and (len(labels) != n or len(set(labels)) != n):
+            raise MalformedInput(f"labels must name each of the {n} elements once")
         self._labels = tuple(labels) if labels is not None else None
         self._neg = [0] * n
         for a in range(n):
@@ -716,40 +720,54 @@ class _Terms(dict):
     """(i, x, j, y) -> the packed vector of a term product, on first use;
     nothing is kept for a term whose rule raises."""
 
-    def __init__(self, ring: "_TermRing"):
+    def __init__(self, ring: "_VectorRing"):
         super().__init__()
         self.ring = ring
 
     def __missing__(self, key: Tuple[int, int, int, int]) -> int:
         ring = self.ring
-        v = self[key] = _coordinates(ring).of[ring.inject(*ring._term(*key))]
+        pos, digit = ring._term(*key)
+        v = self[key] = _coordinates(ring).of[digit * ring._places[pos]]
         return v
 
 
-class _TermRing(FiniteRing):
-    """A carrier of coefficient tuples whose product is the bilinear
+class _VectorRing(FiniteRing):
+    """A carrier of mixed-radix digit vectors whose product is the bilinear
     extension of a product on single terms: matrices, group rings, direct
     sums and skew groupoid rings.
 
-    A carrier supplies ``_coefficient_table`` (each element's tuple),
-    ``_partners`` (for each position i, the positions j where x at i times
-    y at j can be nonzero), ``_term(i, x, j, y)``, the (position,
-    coefficient) of that product, and ``inject(position, coefficient)``.
-    ``mul`` sums the packed coordinate vectors of the term products of a
-    pair, each computed once per (i, x, j, y), by xor on binary coordinates
-    and otherwise by plain addition and one ``normalize``, and reads the
-    product off the coordinate index; each pair's product is kept too.  The
-    sum cannot overflow a field: by cancellation the target position
-    determines j given i ((r,k)(k,c) lands at (r,c); ij = k in a group;
-    j = i in a sum; gh determines h), so at most one term per left position
-    lands in a field, which stays below len(moduli)*m, inside the width
+    Element a is the vector of its digits, digit i in ``_digits[i]`` (digit
+    0 least significant), and its coordinates concatenate the digits'
+    coordinates.  A carrier supplies ``_partners`` (for each position i, the
+    positions j where x at i times y at j can be nonzero) and ``_term(i, x,
+    j, y)``, the (position, digit) of that product.  ``mul`` sums the
+    packed coordinate vectors of the term products of a pair, each computed
+    once per (i, x, j, y), by xor on binary coordinates and otherwise by
+    plain addition and one ``normalize``, and reads the product off the
+    coordinate index; each pair's product is kept too.  The sum cannot
+    overflow a field: by cancellation the target position determines j
+    given i ((r,k)(k,c) lands at (r,c); ij = k in a group; j = i in a sum;
+    gh determines h), so at most one term per left position lands in a
+    field, which stays below len(moduli)*m, inside the width
     ``_Coordinates`` reserves.
     """
 
-    def __init__(self, partners: Sequence[Sequence[int]]):
+    def __init__(self, digit_rings: Sequence[FiniteRing],
+                 partners: Sequence[Sequence[int]]):
+        self._digits: Tuple[FiniteRing, ...] = tuple(digit_rings)
+        if not self._digits:
+            raise MalformedInput("need at least one component")
         self._partners = partners
         self._products: Dict[Tuple[int, int], int] = {}
         self._terms = _Terms(self)
+        self._places = list(accumulate([r.size for r in self._digits],
+                                       lambda p, n: p * n, initial=1))
+        self.size = self._places.pop()
+        self.moduli = tuple(m for r in self._digits for m in r.moduli)
+        self._dec: Optional[List[Tuple[int, ...]]] = None
+        # the cache FiniteRing.additive_generators reads
+        self._gens = tuple(g * self._places[pos] for pos, r in enumerate(self._digits)
+                           for g in r.additive_generators())
 
     def mul(self, a: int, b: int) -> int:
         key = (a, b)
@@ -765,26 +783,6 @@ class _TermRing(FiniteRing):
         v = reduce(xor, vecs, 0) if c.binary else c.normalize(sum(vecs))
         hit = self._products[key] = c.index[v]
         return hit
-
-
-class _VectorRing(_TermRing):
-    """Shared machinery for carriers that are mixed-radix digit vectors; the
-    coordinates concatenate the digits' coordinates."""
-
-    def __init__(self, digit_rings: Sequence[FiniteRing],
-                 partners: Sequence[Sequence[int]]):
-        super().__init__(partners)
-        self._digits: Tuple[FiniteRing, ...] = tuple(digit_rings)
-        if not self._digits:
-            raise MalformedInput("need at least one component")
-        self._places = list(accumulate([r.size for r in self._digits],
-                                       lambda p, n: p * n, initial=1))
-        self.size = self._places.pop()
-        self.moduli = tuple(m for r in self._digits for m in r.moduli)
-        self._dec: Optional[List[Tuple[int, ...]]] = None
-        # the cache FiniteRing.additive_generators reads
-        self._gens = tuple(self.inject(pos, g) for pos, r in enumerate(self._digits)
-                           for g in r.additive_generators())
 
     def _coordinate_table(self, c: _Coordinates) -> List[int]:
         return _mixed_radix_table(c, [[r.coordinates(d) for d in range(r.size)]
@@ -1310,10 +1308,10 @@ def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> Pr
 
     mul, rgens = ring.mul, ring.additive_generators()
     faithful = set()        # keys of ideals with a zero right annihilator
-    proven = set()          # elements whose ideal is one of them
+    proven = bytearray(ring.size)   # 1 for elements whose ideal is one of them
     for a in range(1, ring.size):
         for r in rgens:         # a faithful product r*a or a*r makes a faithful
-            if mul(r, a) in proven or mul(a, r) in proven:
+            if proven[mul(r, a)] or proven[mul(a, r)]:
                 break
         else:
             ideal = principal_ideal(ring, a)
@@ -1328,7 +1326,7 @@ def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> Pr
                     return PrimeResult(False, PrimePairWitness(a, b, ideal,
                                                                principal_ideal(ring, b)))
                 faithful.add(ideal.key)
-        proven.add(a)
+        proven[a] = 1
     return PrimeResult(True, None)
 
 

@@ -12,7 +12,7 @@ cross-checks it.
 ``reference_prime`` is the pairwise search over all principal ideals that
 the annihilator test of ``rings.is_prime_bruteforce`` replaced.
 ``reference_mul`` is the digit-wise product that the single-term kernel
-``rings._TermRing.mul`` replaced on matrices, group rings, direct sums and
+``rings._VectorRing.mul`` replaced on matrices, group rings, direct sums and
 skew groupoid rings, on digits and coefficients read without coordinates.
 ``reference_decompose`` is the staged sweep of partial sums that decided
 directness in ``grading.validate_grading`` and backed ``Grading.decompose``

@@ -710,6 +710,7 @@ HOSTILE = {
     "table entry string": table_doc([[0, "1"], [1, 0]]),
     "table entry negative": table_doc([[0, 1], [1, -1]]),
     "table labels ints": table_doc(Z2_ADD, labels=[0, 1]),
+    "table labels duplicate": table_doc(Z2_ADD, labels=["0", "0"]),
     "group labels string": group_doc({"labels": "ab", "table": Z2_ADD}),
     "group labels ints": group_doc({"labels": [0, 1], "table": Z2_ADD}),
     "group cyclic true": group_doc({"cyclic": True}),
@@ -786,3 +787,17 @@ def test_duplicate_group_labels_exit_1_with_one_error_line(tmp_path, capsys):
 
 def test_the_schema_refuses_duplicate_group_labels_too(validators):
     assert list(validators[0].iter_errors(DUPLICATE_LABELS))
+
+
+def test_short_table_labels_exit_1_with_one_error_line(tmp_path, capsys):
+    # Z/4 with two labels: the witness of "not prime" is element 2, unlabelled
+    z4 = range(4)
+    doc = table_doc([[(a + b) % 4 for b in z4] for a in z4],
+                    [[a * b % 4 for b in z4] for a in z4], labels=["0", "1"])
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["prime", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "gprime: error: labels must name each of the 4 elements once"

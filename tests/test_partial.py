@@ -22,8 +22,8 @@ from gprime.errors import (AxiomViolation, BoundExceeded, ChainViolation,
 from gprime.grading import HubResult, PairCriterionResult, is_support_hub
 from gprime.instances import build_instance, parse
 from gprime.groupoid import FiniteGroup, one_object_groupoid, orbit, pair_groupoid, validate_groupoid
-from gprime.partial import (GroupTypeResult, build_groupoid_ring, build_skew_ring,
-                            connell_check, global_support_connectivity_check,
+from gprime.partial import (GroupTypeResult, SkewGroupoidRing, build_groupoid_ring,
+                            build_skew_ring, connell_check, global_support_connectivity_check,
                             group_type_chain, groupoid_ring_action,
                             has_intersection_property, is_A_G_prime, is_global,
                             is_group_type, is_sigma_invariant, orbit_density_check,
@@ -33,6 +33,7 @@ from gprime.partial import (GroupTypeResult, build_groupoid_ring, build_skew_rin
                             validate_partial_action)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, MatrixRing,
                           SubRing, additive_closure, is_prime_bruteforce)
+from test_direct_sum import generated_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,9 +226,12 @@ class TestSkewRing:
         assert ring.mul(x, x) == 0
         assert not is_prime_bruteforce(ring).prime
 
-    def test_carrier_bound_is_refused_before_building(self, g8_action):
+    def test_carrier_bound_is_refused_before_building(self, g8_action, monkeypatch):
+        subrings = []
+        monkeypatch.setattr(gprime.partial, "SubRing", lambda *args: subrings.append(args))
         with pytest.raises(BoundExceeded, match="refusing"):
             build_skew_ring(g8_action)
+        assert subrings == []
 
     def test_coefficient_escape_raises_the_alarm(self):
         action = build_flip_partial_action()
@@ -241,6 +245,66 @@ class TestSkewRing:
         x = ring.add(ring.inject(0, 1), ring.inject(2, 1))
         assert ring.label(x) == "(at(e, 1))*d(e) + (at(e, 1))*d(f>e)"
         assert ring.label(0) == "0"
+
+
+@pytest.fixture(scope="module")
+def skew_rings():
+    """Every skew ring that ``prime`` and ``equivalence`` build on the
+    fixtures, and the skew rings of ``generate_instance``, six draws for
+    each seed 0-59."""
+    built = {}
+    init = SkewGroupoidRing.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[id(self)] = self
+    patch = pytest.MonkeyPatch()
+    patch.setattr(SkewGroupoidRing, "__init__", recording_init)
+    try:
+        for path in sorted((ROOT / "fixtures").glob("*.json")):
+            for command in ("prime", "equivalence"):
+                cli.main([command, str(path)])
+    finally:
+        patch.undo()
+    generated = [grading.ring for _, grading in generated_corpus()]
+    return list(built.values()) + [r for r in generated if isinstance(r, SkewGroupoidRing)]
+
+
+def test_the_codec_round_trips_on_every_built_skew_ring(skew_rings):
+    assert len(skew_rings) > 100
+    for ring in skew_rings:
+        ideals = ring.action.ideals
+        table = [ring.coefficients(x) for x in range(ring.size)]
+        assert [ring.encode(coeffs) for coeffs in table] == list(range(ring.size)), ring.tag
+        # digit g runs over exactly A_g
+        assert [set(column) for column in zip(*table)] == [i.elements for i in ideals]
+        for g, ideal in enumerate(ideals):
+            for a in ideal.sorted_elements():
+                single = [0] * len(ideals)
+                single[g] = a
+                assert ring.inject(g, a) == ring.encode(single)
+                assert ring.coefficients(ring.inject(g, a)) == tuple(single)
+
+
+def test_encode_refuses_a_wrong_length_and_a_coefficient_outside_its_ideal(skew_rings):
+    refused_outside = 0
+    for ring in skew_rings:
+        ideals, amb = ring.action.ideals, ring.action.ambient
+        for coeffs in ([0] * (len(ideals) - 1), [0] * (len(ideals) + 1)):
+            with pytest.raises(MalformedInput, match="coefficients, one per morphism"):
+                ring.encode(coeffs)
+        outside = next(((g, a) for g, ideal in enumerate(ideals)
+                        for a in range(amb.size) if a not in ideal), None)
+        if outside is not None:
+            g, a = outside
+            coeffs = [0] * len(ideals)
+            coeffs[g] = a
+            with pytest.raises(MalformedInput, match="lies outside A_"):
+                ring.encode(coeffs)
+            with pytest.raises(MalformedInput, match="lies outside A_"):
+                ring.inject(g, a)
+            refused_outside += 1
+    assert refused_outside > 100
 
 
 class TestInvariantIdeals:
