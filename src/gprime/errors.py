@@ -24,7 +24,6 @@ __all__ = [
     "NotInvariant",
     "ObjectNotInSupport",
     "InternalDisagreement",
-    "ChainViolation",
     "AssociativityFailure",
 ]
 
@@ -181,10 +180,6 @@ class InternalDisagreement(GprimeError):
     def __init__(self, message: str, details: Any = None):
         self.details = details
         super().__init__(message)
-
-
-class ChainViolation(InternalDisagreement):
-    """An implication chain that must hold was observed to fail."""
 
 
 class AssociativityFailure(InternalDisagreement):

@@ -398,9 +398,12 @@ def _check_base_ring(rng: random.Random, ring: FiniteRing) -> int:
 
 
 def _element_criterion_prime(ring: FiniteRing) -> bool:
+    """No nonzero a, b with a·R·b = 0; r -> a·r·b is additive, so the
+    additive generators r suffice."""
+    gens = ring.additive_generators()
     for a in range(1, ring.size):
         for b in range(1, ring.size):
-            if all(ring.mul(ring.mul(a, r), b) == 0 for r in range(ring.size)):
+            if all(ring.mul(ring.mul(a, r), b) == 0 for r in gens):
                 return False
     return True
 
@@ -575,8 +578,7 @@ def _check_partial(action: PartialAction, grading: Grading,
     return checks
 
 
-def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid,
-                         verdict: bool, max_ring: int) -> int:
+def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid, verdict: bool) -> int:
     checks = 0
     res = connell_check(base, G)
     _ensure(res.holds == verdict,
@@ -584,7 +586,7 @@ def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid,
             reasons=list(res.reasons))
     checks += 1
     if base.one is not None and is_commutative(base):
-        orbit_density_check(G, base, 0, max_ring)
+        orbit_density_check(G, base, 0)
         checks += 1
     return checks
 
@@ -620,8 +622,7 @@ def check_instance(rng: random.Random, inst: GeneratedInstance,
     if inst.action is not None:
         checks += _check_partial(inst.action, grading, max_ring)
     if inst.base is not None and verdict is not None:
-        checks += _check_groupoid_ring(inst.base, inst.groupoid, verdict,
-                                       max_ring)
+        checks += _check_groupoid_ring(inst.base, inst.groupoid, verdict)
     return verdict, checks
 
 

@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Grading",
-    "GradedElement",
     "GradedIdeal",
     "validate_grading",
     "project",
@@ -64,9 +63,8 @@ class Grading:
     """A validated groupoid grading; construct via validate_grading.
 
     Kept on the grading once computed: the fold basis of ``decompose``, the
-    identity-component span and its ring, the invariant closures, the
-    verdict of ``is_nearly_epsilon_strong``, and each object's
-    ``isotropy_component``."""
+    identity-component span, the invariant closures, the verdict of
+    ``is_nearly_epsilon_strong``, and each object's ``isotropy_component``."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
                  components: Sequence[AdditiveSubgroup]):
@@ -75,7 +73,6 @@ class Grading:
         self.components: Tuple[AdditiveSubgroup, ...] = tuple(components)
         self._fold: Optional[_Basis] = None
         self._principal: Optional[AdditiveSubgroup] = None
-        self._principal_ring: Optional[SubRing] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
         self._nes: Optional[NESResult] = None
         self._isotropy: Dict[int, RestrictedGrading] = {}
@@ -116,34 +113,11 @@ class Grading:
                 x for e in range(G.n_objects) for x in self.components[G.identity(e)].gens])
         return self._principal
 
-    def principal_part_ring(self) -> SubRing:
-        """The identity-component span as a standalone ring."""
-        if self._principal_ring is None:
-            self._principal_ring = SubRing(self.ring, self.principal_part())
-        return self._principal_ring
-
     def support(self) -> List[int]:
         return [g for g, comp in enumerate(self.components) if not comp.is_zero()]
 
     def __repr__(self) -> str:
         return f"Grading({self.ring.tag} by {self.groupoid!r})"
-
-
-class GradedElement(Record):
-    """An element carried with its homogeneous parts."""
-
-    grading: Grading
-    parts: Tuple[int, ...]
-
-    @staticmethod
-    def of(grading: Grading, x: int) -> "GradedElement":
-        return GradedElement(grading, grading.decompose(x))
-
-    def element(self) -> int:
-        return reduce(self.grading.ring.add, self.parts, 0)
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(g for g, p in enumerate(self.parts) if p != 0)
 
 
 class GradedIdeal(Record):

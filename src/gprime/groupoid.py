@@ -38,7 +38,6 @@ __all__ = [
     "subgroups",
     "is_normal",
     "has_nontrivial_finite_normal_subgroup",
-    "is_torsion_free",
 ]
 
 SUBGROUP_ORDER_BOUND = 24
@@ -93,13 +92,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self._mul[x][a]
-            k += 1
-        return k
 
     @staticmethod
     def trivial(label: str = "1") -> "FiniteGroup":
@@ -547,8 +539,3 @@ def has_nontrivial_finite_normal_subgroup(
         if sub.order > 1 and is_normal(group, sub):
             return True, sub
     return False, None
-
-
-def is_torsion_free(group: FiniteGroup) -> bool:
-    """A finite group with any non-identity element has torsion, so: trivial or not."""
-    return group.order == 1

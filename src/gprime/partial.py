@@ -23,7 +23,7 @@ from functools import wraps
 from math import prod
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
-                     ChainViolation, DegenerateInstance, InternalDisagreement,
+                     DegenerateInstance, InternalDisagreement,
                      MalformedInput, NotSUnital, ObjectNotInSupport,
                      Record, RingMismatch)
 from .grading import (Grading, HubResult, PairCriterionResult,
@@ -60,8 +60,6 @@ __all__ = [
     "PsiCheckResult",
     "psi_check",
     "skew_support_hub",
-    "ChainResult",
-    "group_type_chain",
     "restrict_to_isotropy",
     "SkewPrimeVerdict",
     "isotropy_reduction",
@@ -69,10 +67,7 @@ __all__ = [
     "global_support_connectivity_check",
     "ConnellResult",
     "connell_check",
-    "DensityResult",
-    "r_dense",
     "orbit_density_check",
-    "has_intersection_property",
     "SufficientReport",
     "sufficient_conditions_report",
 ]
@@ -341,9 +336,11 @@ class SkewGroupoidRing(_VectorRing):
         positions = [digit.from_parent.get(a) for digit, a in zip(self._digits, coeffs)]
         if None in positions:
             g = positions.index(None)
-            raise MalformedInput(
-                f"coefficient {self.action.ambient.label(coeffs[g])} lies "
-                f"outside A_{self.action.groupoid.morphisms[g]}")
+            a, amb = coeffs[g], self.action.ambient
+            where = f"A_{self.action.groupoid.morphisms[g]}"
+            if not isinstance(a, int) or not 0 <= a < amb.size:
+                raise MalformedInput(f"coefficient {a!r} for {where} is not an ambient element")
+            raise MalformedInput(f"coefficient {amb.label(a)} lies outside {where}")
         return super().encode(positions)
 
     def coefficients(self, x: int) -> Tuple[int, ...]:
@@ -681,58 +678,6 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     return HubResult(True, witnesses, None)
 
 
-class ChainResult(Record):
-    group_type: bool
-    coefficient_membership: bool
-    nonzero_annihilation: bool
-    support_hub: bool
-
-
-def group_type_chain(action: PartialAction, e: int) -> ChainResult:
-    """Evaluate the four transport conditions at ``e`` and police their chain.
-
-    In order: the action has a transport family; every nonzero coefficient of
-    A_g lies inside A_{k^{-1}} for some k from r(g) into e; the weaker form
-    where A_{k^{-1}}·a is merely nonzero; and the hub test at e.  The first
-    implies the second implies the third, and the last two are equivalent;
-    an observed violation raises ChainViolation (an implementation bug, the
-    conditions are each computed from their own definitions).
-    """
-    G = action.groupoid
-    amb = action.ambient
-    if action.ideals[G.identity(G.check_object(e))].is_zero():
-        raise ObjectNotInSupport(
-            f"object {G.objects[e]!r} carries a zero component")
-    first = is_group_type(action).holds
-    into_e = G.morphisms_into(e)
-    membership = True
-    annihilation = True
-    for g in range(G.n_morphisms):
-        ks = [k for k in into_e if G.src[k] == G.rng[g]]
-        for a in action.ideals[g].sorted_elements():
-            if a == 0:
-                continue
-            if not any(a in action.ideals[G.inv[k]] for k in ks):
-                membership = False
-            if not any(any(amb.mul(u, a) != 0 for u in action.ideals[G.inv[k]].gens)
-                       for k in ks):
-                annihilation = False
-    hub = skew_support_hub(action, e).is_hub
-    result = ChainResult(first, membership, annihilation, hub)
-    problems = []
-    if first and not membership:
-        problems.append("a transport family exists but some coefficient is "
-                        "in no transported domain")
-    if membership and not annihilation:
-        problems.append("domain membership without nonzero annihilation "
-                        "contradicts s-unitality")
-    if annihilation != hub:
-        problems.append("the annihilation form and the hub test disagree")
-    if problems:
-        raise ChainViolation("; ".join(problems), details=result)
-    return result
-
-
 @_once_per_action
 def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     """The induced action of the loop group at ``e`` on the component there.
@@ -885,49 +830,31 @@ def connell_check(base: FiniteRing, groupoid: FiniteGroupoid) -> ConnellResult:
 
 
 # ---------------------------------------------------------------------------
-# density of object sets
+# orbit density
 # ---------------------------------------------------------------------------
 
-class DensityResult(Record):
-    dense: bool
-    #: a nonzero groupoid-ring element supported away from the set, if any
-    witness: Optional[int]
+def orbit_density_check(groupoid: FiniteGroupoid, base: FiniteRing, e: int) -> bool:
+    """Density of the orbit of ``e`` in the groupoid ring, checked against
+    connectivity.
 
-
-def r_dense(groupoid: FiniteGroupoid, base: FiniteRing, objects,
-            bound: int = SKEW_RING_BOUND) -> DensityResult:
-    """Whether every nonzero element of the groupoid ring has a nonzero
-    coefficient at some morphism whose source lies in ``objects``.
-
-    ``objects`` may hold labels or indices (UnknownObject for anything
-    else).  The elements with no such coefficient are the kernel of the
-    projection onto the coefficients at those morphisms, read off
-    ``rings._kernel`` on the additive generators; the witness is its least
-    nonzero element, the first fully escaping element in index order.
-    """
-    xs = {groupoid.object_index(x) if isinstance(x, str) else groupoid.check_object(x)
-          for x in objects}
-    ring = build_groupoid_ring(base, groupoid, bound).ring
-    rows = [(ring.encode([c if groupoid.src[g] in xs else 0
-                          for g, c in enumerate(ring.coefficients(t))]), t)
-            for t in ring.additive_generators()]
-    kernel = additive_closure(ring, _kernel(ring, rows))
-    return DensityResult(kernel.is_zero(), min(kernel.elements - {0}, default=None))
-
-
-def orbit_density_check(groupoid: FiniteGroupoid, base: FiniteRing, e: int,
-                        bound: int = SKEW_RING_BOUND) -> bool:
-    """Density of the orbit of ``e``, checked against connectivity.
-
-    For a unital commutative coefficient ring the orbit is dense exactly when
-    the groupoid is connected; both sides are computed and must agree, else
-    the falsification alarm fires.  Returns the density verdict.
+    A set of objects is dense when every nonzero element of the groupoid
+    ring has a nonzero coefficient at some morphism whose source lies in it.
+    The orbit is dense iff it holds every object: then every morphism's
+    source lies in it, and otherwise the single term at the identity of an
+    object outside it has no such coefficient.  For a
+    unital commutative coefficient ring the orbit is dense exactly when the
+    groupoid is connected; both sides are computed and must agree, else the
+    falsification alarm fires.  Returns the density verdict.
     """
     if base.one is None:
         raise MalformedInput("the coefficient ring must be unital")
     if not is_commutative(base):
         raise MalformedInput("the coefficient ring must be commutative")
-    dense = r_dense(groupoid, base, orbit(groupoid, e), bound).dense
+    groupoid.check_object(e)
+    if base.size == 1:
+        raise DegenerateInstance(
+            "the zero coefficient ring gives the zero groupoid ring")
+    dense = len(orbit(groupoid, e)) == groupoid.n_objects
     connected = is_connected(groupoid)
     if dense != connected:
         raise InternalDisagreement(
@@ -954,13 +881,6 @@ def _meets_identity_part(grading: Grading) -> bool:
                 return False
             met.add(ideal.key)
     return True
-
-
-def has_intersection_property(action: PartialAction, e: int,
-                              bound: int = SKEW_RING_BOUND) -> bool:
-    """Whether every nonzero ideal of the isotropy skew ring at ``e`` meets
-    its identity part."""
-    return _meets_identity_part(build_skew_ring(restrict_to_isotropy(action, e), bound))
 
 
 class SufficientReport(Record):

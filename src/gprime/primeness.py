@@ -89,16 +89,6 @@ class PrimenessReport(Record):
     timings: Optional[Dict[str, float]] = None
 
 
-def is_prime_oracle(grading: Grading, bound: int = PRIME_ORACLE_BOUND) -> PrimeResult:
-    """Exhaustive primeness of the carrier, ignoring the grading entirely."""
-    return is_prime_bruteforce(grading.ring, bound=bound)
-
-
-def identity_component_ring(grading: Grading, e: int) -> SubRing:
-    """The identity component at ``e`` as a standalone ring."""
-    return SubRing(grading.ring, grading.components[grading.groupoid.identity(e)])
-
-
 def _object_evidence(grading: Grading, e: int) -> ObjectEvidence:
     hub = is_support_hub(grading, e)
     restricted = isotropy_component(grading, e)
@@ -139,7 +129,7 @@ def evaluate_condition(grading: Grading, label: str,
     support = support_groupoid(grading)
     objs = support.support_objects
     if label == "i":
-        res = is_prime_oracle(grading, bound=oracle_bound)
+        res = is_prime_bruteforce(grading.ring, bound=oracle_bound)
         return res.prime, res
     leg = _CONDITIONS[label][0]
     if leg is None:
@@ -250,5 +240,6 @@ def torsion_free_shortcut(grading: Grading, e: int) -> Optional[bool]:
             f"object {grading.groupoid.objects[e]!r} carries a zero identity component")
     if len(grading.groupoid.loops(e)) != 1:
         return None
-    local = is_prime_bruteforce(identity_component_ring(grading, e))
+    local = is_prime_bruteforce(
+        SubRing(grading.ring, grading.components[grading.groupoid.identity(e)]))
     return local.prime and is_G_prime_principal(grading).holds

@@ -7,11 +7,18 @@ is the validator as it was before it checked one verdict per distinct
 subgroup and tested the domain and composition laws on generators of the
 meets: element-set meets, an inverted table per pair, and a sorted scan of
 every element of the domain of sigma_h.
+
+``group_type_chain`` evaluates four transport conditions at an object, each
+from its own definition, and raises ``ChainViolation`` when the chain of
+implications between them breaks; it exercises ``partial.is_group_type``
+and ``partial.skew_support_hub`` against each other.
 """
 
 from __future__ import annotations
 
-from gprime.errors import AxiomViolation, DegenerateInstance, MalformedInput
+from gprime import partial
+from gprime.errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
+                           MalformedInput, ObjectNotInSupport, Record)
 from gprime.partial import PartialAction
 from gprime.rings import (DirectSumRing, additive_closure, first_escape,
                           first_hom_failure, is_s_unital)
@@ -158,3 +165,59 @@ def reference_validate_partial_action(groupoid, ambient, ideal_gens, maps):
         raise AxiomViolation(tag, message,
                              violations=[f"[{t}] {m}" for t, m in violations])
     return PartialAction(G, ambient, ideals, [t for t in tables if t is not None])
+
+
+class ChainViolation(InternalDisagreement):
+    """An implication chain that must hold was observed to fail."""
+
+
+class ChainResult(Record):
+    group_type: bool
+    coefficient_membership: bool
+    nonzero_annihilation: bool
+    support_hub: bool
+
+
+def group_type_chain(action, e):
+    """Evaluate the four transport conditions at ``e`` and police their chain.
+
+    In order: the action has a transport family; every nonzero coefficient of
+    A_g lies inside A_{k^{-1}} for some k from r(g) into e; the weaker form
+    where A_{k^{-1}}·a is merely nonzero; and the hub test at e.  The first
+    implies the second implies the third, and the last two are equivalent;
+    an observed violation raises ChainViolation.  The hub test is read
+    through the module, so a test can replace it.
+    """
+    G = action.groupoid
+    amb = action.ambient
+    if action.ideals[G.identity(G.check_object(e))].is_zero():
+        raise ObjectNotInSupport(
+            f"object {G.objects[e]!r} carries a zero component")
+    first = partial.is_group_type(action).holds
+    into_e = G.morphisms_into(e)
+    membership = True
+    annihilation = True
+    for g in range(G.n_morphisms):
+        ks = [k for k in into_e if G.src[k] == G.rng[g]]
+        for a in action.ideals[g].sorted_elements():
+            if a == 0:
+                continue
+            if not any(a in action.ideals[G.inv[k]] for k in ks):
+                membership = False
+            if not any(any(amb.mul(u, a) != 0 for u in action.ideals[G.inv[k]].gens)
+                       for k in ks):
+                annihilation = False
+    hub = partial.skew_support_hub(action, e).is_hub
+    result = ChainResult(first, membership, annihilation, hub)
+    problems = []
+    if first and not membership:
+        problems.append("a transport family exists but some coefficient is "
+                        "in no transported domain")
+    if membership and not annihilation:
+        problems.append("domain membership without nonzero annihilation "
+                        "contradicts s-unitality")
+    if annihilation != hub:
+        problems.append("the annihilation form and the hub test disagree")
+    if problems:
+        raise ChainViolation("; ".join(problems), details=result)
+    return result

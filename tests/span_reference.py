@@ -23,7 +23,9 @@ morphism, and route two's element scan, one ring product per pair (u, d).
 The element sweeps that ``rings._kernel`` retired follow it:
 ``reference_centralizer`` tests every carrier element against the
 generators, ``reference_r_dense`` scans the groupoid ring for the first
-element without a coefficient at the given sources, ``reference_meet``
+element without a coefficient at the given sources (it now checks
+``partial.orbit_density_check``, which reads density off the groupoid),
+``reference_meet``
 intersects element sets, ``reference_sigma_invariant`` applies each
 sigma_g to every element of the meet, ``reference_meets_identity_part``
 scans each principal ideal for a nonzero member of the identity part, and
@@ -35,9 +37,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital
+from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital, Record
 from gprime.grading import NESResult
-from gprime.partial import DensityResult, SkewGroupoidRing, build_groupoid_ring
+from gprime.partial import SkewGroupoidRing, build_groupoid_ring
 from gprime.rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, GroupRing, MatrixRing,
                           PrimePairWitness, PrimeResult, SubRing, _basis, _coordinates, _row_packer,
                           additive_closure, first_identity, first_zero_pair, is_s_unital,
@@ -271,6 +273,12 @@ def reference_centralizer(ring, sub):
     mul = ring.mul
     return AdditiveSubgroup(ring, [t for t in ring.elements()
                                          if all(mul(t, s) == mul(s, t) for s in sub.gens)])
+
+
+class DensityResult(Record):
+    dense: bool
+    #: a nonzero groupoid-ring element supported away from the set, if any
+    witness: object
 
 
 def reference_r_dense(groupoid, base, xs, bound=4096):

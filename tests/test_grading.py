@@ -7,6 +7,8 @@ e(i+1,j+1) over GF(2) has index 2**(i*n+j), block 1 of the two-block sum is
 shifted by a factor of 256).
 """
 
+from functools import reduce
+
 import pytest
 
 from conftest import (
@@ -25,7 +27,6 @@ from gprime.errors import (
     ObjectNotInSupport,
 )
 from gprime.grading import (
-    GradedElement,
     GradedIdeal,
     conjugate,
     invariant_closure,
@@ -67,9 +68,7 @@ class TestValidation:
         x = E11 + E12 + E23  # parts at f1, f2>f1 and f3>f2
         parts = m3_grading.decompose(x)
         assert parts == (E11, 0, 0, E12, 0, 0, E23, 0, 0)
-        ge = GradedElement.of(m3_grading, x)
-        assert ge.support() == (0, 3, 6)
-        assert ge.element() == x
+        assert reduce(m3_grading.ring.add, parts, 0) == x
 
     def test_every_element_decomposes(self, m3_grading):
         ring = m3_grading.ring

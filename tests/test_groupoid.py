@@ -6,7 +6,7 @@ import pytest
 
 from gprime.errors import AxiomViolation, BoundExceeded, MalformedInput, UnknownMorphism
 from gprime.groupoid import (FiniteGroup, disjoint_union, has_nontrivial_finite_normal_subgroup,
-                             is_connected, is_normal, is_torsion_free, isotropy,
+                             is_connected, is_normal, isotropy,
                              one_object_groupoid, orbit, pair_groupoid, subgroups,
                              validate_groupoid, validate_subgroupoid)
 
@@ -202,14 +202,6 @@ class TestGroups:
     def test_trivial_group_has_none(self):
         found, witness = has_nontrivial_finite_normal_subgroup(FiniteGroup.trivial())
         assert not found and witness is None
-
-    def test_torsion_free_means_trivial(self):
-        assert is_torsion_free(FiniteGroup.trivial())
-        assert not is_torsion_free(FiniteGroup.cyclic(2))
-
-    def test_element_orders(self):
-        g = FiniteGroup.cyclic(6)
-        assert [g.element_order(a) for a in g.elements()] == [1, 6, 3, 2, 3, 6]
 
     def test_one_object_groupoid_roundtrip(self):
         g = one_object_groupoid(FiniteGroup.cyclic(3), "pt")

@@ -1,15 +1,18 @@
 """``rings._kernel`` and the sites it serves, against the element sweeps
-they replaced (``span_reference``).
+they replaced (``span_reference``), and orbit density against the
+groupoid-ring scan.
 
-``centralizer``, ``r_dense``, ``is_sigma_invariant``, ``phi``,
-``_meets_identity_part`` and the overlap witness of ``validate_grading``
-read kernels and meets off one canonical basis.  Here their whole results
-(subgroup keys, ``DensityResult`` witnesses, the first violating morphism,
-the ``NotDirectSum`` witness and message) must match the sweeps: on the
-fixture carriers, on the ``generate_instance`` corpus, and through
-hypothesis over carriers with mixed moduli.  Two guards count the work:
-``centralizer`` makes two ring products per pair of generators, and
-``r_dense`` reads the coefficients of the additive generators only.
+``centralizer``, ``is_sigma_invariant``, ``phi``, ``_meets_identity_part``
+and the overlap witness of ``validate_grading`` read kernels and meets off
+one canonical basis.  Here their whole results (subgroup keys, the first
+violating morphism, the ``NotDirectSum`` witness and message) must match the
+sweeps: on the fixture carriers, on the ``generate_instance`` corpus, and
+through hypothesis over carriers with mixed moduli.  ``orbit_density_check``
+reads density off the groupoid; its verdict must match
+``reference_r_dense``, which scans the built groupoid ring, at the orbit of
+every object.  Two guards count the work: ``centralizer`` makes two ring
+products per pair of generators, and ``orbit_density_check`` builds no
+groupoid ring and makes no ring product.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gprime import fuzz, grading as grading_module
-from gprime.errors import BoundExceeded, NotDirectSum, NotGraded
+from gprime.errors import BoundExceeded, MalformedInput, NotDirectSum, NotGraded
 from gprime.grading import GradedIdeal, phi, validate_grading
-from gprime.groupoid import FiniteGroup, one_object_groupoid, pair_groupoid, validate_groupoid
+from gprime.groupoid import (FiniteGroup, one_object_groupoid, orbit, pair_groupoid,
+                             validate_groupoid)
 from gprime.instances import build_instance, carrier_grading, parse
 from gprime.partial import (SkewGroupoidRing, _meets_identity_part, groupoid_ring_action,
-                            is_sigma_invariant, r_dense, restrict_to_isotropy)
+                            is_sigma_invariant, orbit_density_check, restrict_to_isotropy)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing, MatrixRing,
                           _kernel, additive_closure, centralizer, enumerate_ideals,
-                          is_maximal_commutative, principal_ideal)
+                          is_commutative, is_maximal_commutative, principal_ideal)
 from span_reference import (reference_centralizer, reference_meet, reference_meets_identity_part,
                             reference_overlap_witness, reference_r_dense,
                             reference_sigma_invariant)
@@ -187,16 +191,16 @@ def groupoid_rings():
     return out
 
 
-def test_r_dense_matches_the_sweep():
+def test_orbit_density_matches_the_sweep():
     verdicts = set()
     for name, G, base in groupoid_rings():
-        if base.size ** G.n_morphisms > SWEEP_BOUND:
+        if base.size ** G.n_morphisms > SWEEP_BOUND \
+                or base.one is None or not is_commutative(base):
             continue
-        for k in range(G.n_objects + 1):
-            for xs in combinations(range(G.n_objects), k):
-                expected = reference_r_dense(G, base, set(xs))
-                assert r_dense(G, base, xs) == expected, (name, xs)
-                verdicts.add(expected.dense)
+        for e in range(G.n_objects):
+            expected = reference_r_dense(G, base, orbit(G, e)).dense
+            assert orbit_density_check(G, base, e) == expected, (name, e)
+            verdicts.add(expected)
     assert verdicts == {True, False}
 
 
@@ -270,8 +274,12 @@ GROUPOIDS = (
 def test_density_and_sigma_invariance_over_mixed_moduli(index, which, data):
     base, G = carrier(index), GROUPOIDS[which]()
     assume(base.size ** G.n_morphisms <= 1024)
-    xs = data.draw(st.sets(st.integers(0, G.n_objects - 1)))
-    assert r_dense(G, base, sorted(xs)) == reference_r_dense(G, base, xs)
+    e = data.draw(st.integers(0, G.n_objects - 1))
+    if is_commutative(base):
+        assert orbit_density_check(G, base, e) == reference_r_dense(G, base, orbit(G, e)).dense
+    else:
+        with pytest.raises(MalformedInput, match="commutative"):
+            orbit_density_check(G, base, e)
     action = groupoid_ring_action(base, G)
     amb = action.ambient
     sub = additive_closure(amb, data.draw(st.lists(st.integers(0, amb.size - 1), max_size=3)))
@@ -302,16 +310,17 @@ def test_centralizer_makes_two_products_per_generator_pair():
     assert calls[0] <= 2 * len(ring.additive_generators()) * len(diagonal.gens)
 
 
-def test_r_dense_reads_the_coefficients_of_the_generators_only(monkeypatch):
+def test_orbit_density_builds_no_groupoid_ring_and_makes_no_product(monkeypatch):
     G, base = pair_groupoid(["e", "f"]), GaloisField(3)
-    reads, read = [0], SkewGroupoidRing.coefficients
+    builds, init = [0], SkewGroupoidRing.__init__
 
-    def counted(self, x):
-        reads[0] += 1
-        return read(self, x)
-    monkeypatch.setattr(SkewGroupoidRing, "coefficients", counted)
-    assert r_dense(G, base, ["e", "f"]).dense
-    assert reads[0] == G.n_morphisms * len(base.additive_generators())
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(SkewGroupoidRing, "__init__", counted)
+    calls = counting(base)
+    assert orbit_density_check(G, base, 0) and orbit_density_check(G, base, 1)
+    assert builds == [0] and calls == [0]
 
 
 def test_the_fuzz_round_trips_hand_their_graded_ideals_on(monkeypatch):

@@ -15,24 +15,24 @@ from conftest import (
     build_one_object_partial_action,
     build_zero_partial_action,
 )
-from gprime.errors import (AxiomViolation, BoundExceeded, ChainViolation,
+from gprime.errors import (AxiomViolation, BoundExceeded,
                            DegenerateInstance, InternalDisagreement, MalformedInput,
                            NotSUnital, ObjectNotInSupport, RingMismatch, UnknownMorphism,
                            UnknownObject)
 from gprime.grading import HubResult, PairCriterionResult, is_support_hub
 from gprime.instances import build_instance, parse
-from gprime.groupoid import FiniteGroup, one_object_groupoid, orbit, pair_groupoid, validate_groupoid
+from gprime.groupoid import FiniteGroup, one_object_groupoid, pair_groupoid, validate_groupoid
 from gprime.partial import (GroupTypeResult, SkewGroupoidRing, build_groupoid_ring,
                             build_skew_ring, connell_check, global_support_connectivity_check,
-                            group_type_chain, groupoid_ring_action,
-                            has_intersection_property, is_A_G_prime, is_global,
+                            groupoid_ring_action, is_A_G_prime, is_global,
                             is_group_type, is_sigma_invariant, orbit_density_check,
-                            psi_check, r_dense, restrict_to_isotropy,
+                            psi_check, restrict_to_isotropy,
                             sigma_invariant_closure, skew_prime_verdict,
                             skew_support_hub, sufficient_conditions_report,
                             validate_partial_action)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, MatrixRing,
                           SubRing, additive_closure, is_prime_bruteforce)
+from partial_reference import ChainViolation, group_type_chain
 from test_direct_sum import generated_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -307,6 +307,18 @@ def test_encode_refuses_a_wrong_length_and_a_coefficient_outside_its_ideal(skew_
     assert refused_outside > 100
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda ring: ring.encode([-1, 0, 0, 0]), "-1"),
+    (lambda ring: ring.encode([9, 0, 0, 0]), "9"),
+    (lambda ring: ring.inject(0, 100), "100"),
+], ids=["encode -1", "encode 9", "inject 100"])
+def test_encode_refuses_a_coefficient_that_is_no_ambient_element(call, value):
+    ring = build_groupoid_ring(GaloisField(3), pair_groupoid(["e", "f"])).ring
+    with pytest.raises(MalformedInput, match=f"^coefficient {value} for A_e is not an "
+                                             f"ambient element$"):
+        call(ring)
+
+
 class TestInvariantIdeals:
     def test_zero_action_splits(self, zero_action):
         amb = zero_action.ambient
@@ -443,14 +455,10 @@ class TestUnknownIndices:
         with pytest.raises(UnknownObject):
             restrict_to_isotropy(act, e)
 
-    def test_has_intersection_property(self, act):
+    @pytest.mark.parametrize("e", [1.5, -1, 2, None])
+    def test_orbit_density_objects(self, e):
         with pytest.raises(UnknownObject):
-            has_intersection_property(act, -1)
-
-    @pytest.mark.parametrize("x", [1.5, -1, 2, None])
-    def test_r_dense_objects(self, x):
-        with pytest.raises(UnknownObject):
-            r_dense(pair_groupoid(["e", "f"]), GaloisField(2), [x])
+            orbit_density_check(pair_groupoid(["e", "f"]), GaloisField(2), e)
 
 
 class TestIsotropyReduction:
@@ -577,31 +585,20 @@ class TestGroupRingCriterion:
 
 
 class TestDensity:
-    def test_all_objects_are_always_dense(self):
-        assert r_dense(pair_groupoid(["e", "f"]), GaloisField(2), ["e", "f"]).dense
-
-    def test_escape_witness_lives_off_the_set(self):
-        res = r_dense(disconnected_groupoid(), GaloisField(2), ["e"])
-        assert not res.dense
-        ring = build_groupoid_ring(GaloisField(2), disconnected_groupoid()).ring
-        assert "d(f)" in ring.label(res.witness)
-
-    def test_pair_groupoid_needs_both_objects(self):
-        res = r_dense(pair_groupoid(["e", "f"]), GaloisField(2), ["e"])
-        assert not res.dense and res.witness == 2
-
-    def test_full_orbit_is_dense(self):
-        G = pair_groupoid(["f1", "f2", "f3"])
-        assert r_dense(G, GaloisField(2), orbit(G, 0)).dense
-        assert not r_dense(G, GaloisField(2), [0]).dense
-
-    def test_unknown_objects_are_rejected(self):
-        with pytest.raises(UnknownObject):
-            r_dense(pair_groupoid(["e"]), GaloisField(2), ["nope"])
-
     def test_orbit_density_tracks_connectivity(self):
         assert orbit_density_check(pair_groupoid(["e", "f"]), GaloisField(2), 0)
         assert not orbit_density_check(disconnected_groupoid(), GaloisField(2), 0)
+        G = pair_groupoid(["f1", "f2", "f3"])
+        assert all(orbit_density_check(G, GaloisField(2), e) for e in range(3))
+
+    def test_disagreement_with_connectivity_raises_the_alarm(self, monkeypatch):
+        monkeypatch.setattr(gprime.partial, "is_connected", lambda groupoid: False)
+        with pytest.raises(InternalDisagreement, match="disagrees with connectivity"):
+            orbit_density_check(pair_groupoid(["e", "f"]), GaloisField(2), 0)
+
+    def test_the_zero_coefficient_ring_is_degenerate(self):
+        with pytest.raises(DegenerateInstance):
+            orbit_density_check(pair_groupoid(["e", "f"]), CyclicRing(1), 0)
 
     def test_coefficients_must_be_unital_and_commutative(self):
         with pytest.raises(MalformedInput, match="commutative"):
@@ -645,12 +642,6 @@ class TestSufficientConditions:
         assert (rep.trivial_isotropy_at, rep.intersection_at,
                 rep.maximal_commutative_at) == (None, None, None)
         assert not rep.guarantees_prime
-
-    def test_intersection_property_probe(self, flip_action):
-        assert has_intersection_property(flip_action, 0)
-        action = groupoid_ring_action(GaloisField(2), one_object_groupoid(FiniteGroup.cyclic(2), "e"))
-        # the ideal of 1 + t misses the identity part entirely
-        assert not has_intersection_property(action, 0)
 
     def test_contradicting_verdict_raises(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "skew_prime_verdict",

@@ -98,7 +98,8 @@ def test_matches_reference_on_fuzz_draws():
     for seed in range(60):
         for index in range(6):
             inst = generate_instance(random.Random(f"{seed}:{index}"), SKEW_RING_BOUND)
-            carriers += [inst.grading.ring, inst.grading.principal_part_ring()]
+            carriers += [inst.grading.ring, SubRing(inst.grading.ring,
+                                                    inst.grading.principal_part())]
             if inst.base is not None:
                 carriers.append(inst.base)
     verdicts = [assert_oracle_matches_reference(ring).prime

@@ -25,25 +25,24 @@ from gprime.primeness import (
     CONDITION_LABELS,
     equivalence_report,
     evaluate_condition,
-    identity_component_ring,
-    is_prime_oracle,
     torsion_free_shortcut,
 )
+from gprime.rings import SubRing, is_prime_bruteforce
 
 
 class TestOracle:
     def test_matrix_units_carrier_is_prime(self, m3_grading):
-        res = is_prime_oracle(m3_grading)
+        res = is_prime_bruteforce(m3_grading.ring)
         assert res.prime and res.witness is None
 
     def test_group_ring_carrier_is_not_prime(self, f2c2_grading):
-        res = is_prime_oracle(f2c2_grading)
+        res = is_prime_bruteforce(f2c2_grading.ring)
         assert not res.prime
         assert (res.witness.a, res.witness.b) == (3, 3)  # 1+t annihilates itself
 
     def test_large_carrier_is_refused(self):
         with pytest.raises(BoundExceeded):
-            is_prime_oracle(build_m2_gf9_grading())
+            is_prime_bruteforce(build_m2_gf9_grading().ring)
 
 
 class TestConditions:
@@ -154,7 +153,7 @@ class TestReport:
 class TestShortcut:
     def test_applies_at_trivial_isotropy(self, m3_grading):
         assert torsion_free_shortcut(m3_grading, 0) is True
-        ring = identity_component_ring(m3_grading, 0)
+        ring = SubRing(m3_grading.ring, m3_grading.components[0])
         assert ring.size == 2
 
     def test_detects_failure_through_invariant_pairs(self, disconnected_grading):
@@ -176,7 +175,7 @@ class TestShortcut:
     def test_agrees_with_oracle_where_applicable(self, m3_grading, block_grading,
                                                  disconnected_grading):
         for grading in (m3_grading, block_grading, disconnected_grading):
-            oracle = is_prime_oracle(grading).prime
+            oracle = is_prime_bruteforce(grading.ring).prime
             for e in range(grading.groupoid.n_objects):
                 shortcut = torsion_free_shortcut(grading, e)
                 if shortcut is not None:

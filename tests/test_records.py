@@ -25,7 +25,6 @@ FIELDS = {
     rings.PrimePairWitness: ("a", "b", "a_ideal", "b_ideal"),
     rings.PrimeResult: ("prime", "witness", "degenerate"),
     rings.IdealEnumeration: ("ideals", "truncated"),
-    grading.GradedElement: ("grading", "parts"),
     grading.GradedIdeal: ("grading", "ideal", "parts"),
     grading.NESResult: ("holds", "certificate", "failures"),
     grading.SupportResult: ("subgroupoid", "support_objects"),
@@ -36,12 +35,9 @@ FIELDS = {
     partial.GroupTypeResult: ("holds", "anchor", "family", "reason"),
     partial.PsiCheckResult: ("ok", "additive", "multiplicative", "bijective",
                              "primeness_match", "mismatch"),
-    partial.ChainResult: ("group_type", "coefficient_membership",
-                          "nonzero_annihilation", "support_hub"),
     partial.SkewPrimeVerdict: ("prime", "method", "isotropy_prime", "oracle"),
     partial.ConnellResult: ("holds", "connected", "coefficients_prime",
                             "isotropy_ok", "reasons"),
-    partial.DensityResult: ("dense", "witness"),
     partial.SufficientReport: ("group_type", "coefficients_G_prime", "applicable",
                                "trivial_isotropy_at", "intersection_at",
                                "maximal_commutative_at", "guarantees_prime"),
