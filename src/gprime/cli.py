@@ -51,7 +51,7 @@ from . import __version__
 from .errors import (BoundExceeded, GprimeError, InternalDisagreement,
                      MalformedInput, Record)
 from .fuzz import run_fuzz
-from .instances import (_tool_section, _with_timings, analysis_document,
+from .instances import (_tool_section, _append_timings, analysis_document,
                         build_instance, carrier_grading, equivalence_document,
                         parse, primeness_document, render_report, resolve_bound,
                         validation_document, verify_witnesses)
@@ -169,7 +169,7 @@ def _cmd_instance(args) -> Dict:
     bound = _carrier_bound(args, instance)
     built = clock("validate", lambda: build_instance(instance, bound))
     if args.command == "validate":
-        doc = validation_document(built, bound)
+        doc = validation_document(built)
     elif args.command == "analyze":
         if clock.timings is not None:
             with suppress(BoundExceeded):
@@ -182,7 +182,7 @@ def _cmd_instance(args) -> Dict:
             doc = equivalence_document(built, bound, clock)
         replayed = clock("replay", lambda: verify_witnesses(built, doc, bound))
         doc["witness_verification"] = {"replayed": replayed, "ok": True}
-    return _with_timings(doc, clock)
+    return _append_timings(doc, clock)
 
 
 def _cmd_fuzz(args) -> Dict:

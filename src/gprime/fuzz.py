@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 __all__ = ["FuzzRecord", "FuzzReport", "run_fuzz", "generate_instance",
            "check_instance", "FUZZ_TARGET_SIZE"]
 
-# Generated carriers aim below this, comfortably inside the oracle bound, so
+# Generated carriers aim below this, comfortably inside the carrier bound, so
 # a full run of several hundred instances stays in the minutes.
 FUZZ_TARGET_SIZE = 512
 
@@ -408,7 +408,7 @@ def _element_criterion_prime(ring: FiniteRing) -> bool:
     return True
 
 
-def _check_grading(rng: random.Random, grading: Grading, max_ring: int) -> int:
+def _check_grading(rng: random.Random, grading: Grading) -> int:
     checks = 0
     ring = grading.ring
     G = grading.groupoid
@@ -499,11 +499,11 @@ def _replay_pair(ring: FiniteRing, make_closure, a: int, b: int) -> None:
             "an emitted witness fails to replay", a=a, b=b)
 
 
-def _check_primeness(grading: Grading, max_ring: int) -> Tuple[bool, int]:
+def _check_primeness(grading: Grading) -> Tuple[bool, int]:
     checks = 0
     ring = grading.ring
     G = grading.groupoid
-    rep = equivalence_report(grading, oracle_bound=max_ring)
+    rep = equivalence_report(grading)
     _ensure(len(set(rep.conditions.values())) == 1,
             "the seven condition booleans differ", conditions=rep.conditions)
     checks += 1
@@ -608,8 +608,8 @@ def check_instance(rng: random.Random, inst: GeneratedInstance,
             _ensure(grading.ring.size == base.size ** (n * n),
                     "matrix carrier has the wrong cardinality")
             checks += 1
-        checks += _check_grading(rng, grading, max_ring)
-        verdict, more = _check_primeness(grading, max_ring)
+        checks += _check_grading(rng, grading)
+        verdict, more = _check_primeness(grading)
         checks += more
         if isinstance(grading.ring, DirectSumRing) \
                 and sum(1 for p in grading.ring.parts if p.size > 1) >= 2:

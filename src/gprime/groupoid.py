@@ -36,7 +36,6 @@ __all__ = [
     "is_connected",
     "orbit",
     "subgroups",
-    "is_normal",
     "has_nontrivial_finite_normal_subgroup",
 ]
 
@@ -472,17 +471,15 @@ def is_connected(groupoid: FiniteGroupoid) -> bool:
 # ---------------------------------------------------------------------------
 
 def _closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset:
-    out = {0}
-    work = [x for x in seed if x not in out]
+    """The subgroup ``seed`` generates: the products of its members, reached
+    by right multiplication from 1 (in a finite group inverses are powers)."""
+    gens = frozenset(seed)
+    out, work = {0}, [0]
     while work:
-        x = work.pop()
-        if x in out:
-            continue
-        out.add(x)
-        work.append(group.inv(x))
-        for y in list(out):
-            work.append(group.mul(x, y))
-            work.append(group.mul(y, x))
+        y = work.pop()
+        new = {group.mul(y, g) for g in gens} - out
+        out |= new
+        work.extend(new)
     return frozenset(out)
 
 
@@ -507,35 +504,34 @@ def subgroups(group: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> List[Fin
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)
-    out = []
-    for members in sorted(found, key=lambda s: (len(s), sorted(s))):
-        ordered = sorted(members)
-        pos = {g: i for i, g in enumerate(ordered)}
-        table = [[pos[group.mul(a, b)] for b in ordered] for a in ordered]
-        out.append(FiniteGroup([group.labels[g] for g in ordered], table,
-                               parent_elements=ordered, name=f"{group.name}:sub{len(ordered)}"))
-    return out
+    return [_subgroup(group, members)
+            for members in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def is_normal(group: FiniteGroup, sub: FiniteGroup) -> bool:
-    """Whether ``sub`` (given with parent_elements into ``group``) is normal."""
-    if sub.parent_elements is None:
-        raise MalformedInput("subgroup must carry parent_elements")
-    members = set(sub.parent_elements)
-    return all(group.mul(group.mul(g, x), group.inv(g)) in members
-               for g in group.elements() for x in sub.parent_elements)
+def _subgroup(group: FiniteGroup, members: Iterable[int]) -> FiniteGroup:
+    """The subgroup on ``members``, its elements in parent order."""
+    ordered = sorted(members)
+    pos = {g: i for i, g in enumerate(ordered)}
+    table = [[pos[group.mul(a, b)] for b in ordered] for a in ordered]
+    return FiniteGroup([group.labels[g] for g in ordered], table,
+                       parent_elements=ordered, name=f"{group.name}:sub{len(ordered)}")
 
 
 def has_nontrivial_finite_normal_subgroup(
-        group: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND
-) -> Tuple[bool, Optional[FiniteGroup]]:
+        group: FiniteGroup) -> Tuple[bool, Optional[FiniteGroup]]:
     """Search for a normal subgroup other than {1}; returns (found, witness).
 
-    The witness is the first hit in (order, element tuple) order, so for a
-    non-trivial group there is always one (the group itself is normal); the
-    point of the enumeration is to report the smallest.
+    The witness is the first such subgroup in (order, element tuple) order.
+    A finite group is normal in itself, so the condition holds exactly when
+    the group is not trivial.  Having the least order, the witness is a
+    minimal normal subgroup, so it is the normal closure (the subgroup the
+    conjugates generate) of each of its elements other than 1: the first of
+    the normal closures of single elements.  No subgroup is enumerated, so
+    no bound applies.
     """
-    for sub in subgroups(group, bound):
-        if sub.order > 1 and is_normal(group, sub):
-            return True, sub
-    return False, None
+    closures = [_closure(group, {group.mul(group.mul(g, x), group.inv(g))
+                                 for g in group.elements()})
+                for x in range(1, group.order)]
+    if not closures:
+        return False, None
+    return True, _subgroup(group, min(closures, key=lambda s: (len(s), sorted(s))))

@@ -603,7 +603,11 @@ def _sigma_table(spec, g: int, amb: DirectSumRing, G: FiniteGroupoid,
 
 
 def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltInstance:
-    """Construct and fully validate the structures an instance describes."""
+    """Construct and fully validate the structures an instance describes.
+
+    The carrier bound is checked here: every ring spec is sized and refused
+    above ``bound`` before it is built, as ``build_skew_ring`` refuses
+    product carriers, so no walk over a built ring checks it again."""
     G = validate_groupoid(instance.raw["groupoid"])
     sec = instance.raw[instance.kind]
     if instance.kind == "grading":
@@ -627,11 +631,9 @@ def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltIns
     return BuiltInstance(instance, G, base=build_ring(sec["base"]))
 
 
-def resolve_bound(instance: Instance, bound: Optional[int] = None) -> int:
-    """The carrier bound for this instance: explicit argument, then the
-    file's override, then the library default."""
-    if bound is not None:
-        return bound
+def resolve_bound(instance: Instance) -> int:
+    """The carrier bound for this instance: the file's override, else the
+    library default."""
     return instance.raw.get("bounds", {}).get("max_ring", SKEW_RING_BOUND)
 
 
@@ -686,7 +688,7 @@ def _pair_witness(space: str, closure: str, ring: FiniteRing,
             "a": a, "b": b, "a_label": ring.label(a), "b_label": ring.label(b)}
 
 
-def validation_document(built: BuiltInstance, bound: int) -> Dict:
+def validation_document(built: BuiltInstance) -> Dict:
     doc = {"tool": _tool_section(), "instance": _instance_section(built),
            "valid": True, "groupoid": _groupoid_facts(built.groupoid)}
     if built.kind == "grading":
@@ -746,10 +748,10 @@ def analysis_document(built: BuiltInstance, bound: int) -> Dict:
     return doc
 
 
-def _oracle(ring: FiniteRing, bound: int, witnesses: List[Dict],
+def _oracle(ring: FiniteRing, witnesses: List[Dict],
             space: str = "carrier") -> PrimeResult:
     """The oracle's verdict on ``ring``; its zero pair joins ``witnesses``."""
-    res = is_prime_bruteforce(ring, bound=bound)
+    res = is_prime_bruteforce(ring)
     if res.witness is not None:
         witnesses.append(_pair_witness(space, "ideal", ring,
                                        res.witness.a, res.witness.b))
@@ -771,26 +773,20 @@ def _objects_section(grading: Grading, per_object: Mapping,
             for e, ev in per_object.items()}
 
 
-def _grading_primeness(built: BuiltInstance, grading: Grading, method: str,
-                       bound: int, clock: StageClock) -> Dict:
+def _grading_primeness(grading: Grading, method: str, clock: StageClock) -> Dict:
     G = grading.groupoid
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
+        res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         doc.update(verdict=res.prime, method="oracle", degenerate=res.degenerate)
     elif method == "theorem":
-        value, evidence = clock("criterion", lambda: evaluate_condition(
-            grading, "vii", oracle_bound=bound))
+        value, evidence = clock("criterion", lambda: evaluate_condition(grading, "vii"))
         doc.update(verdict=value, method="theorem")
         doc["objects"] = _objects_section(grading, evidence["objects"], witnesses)
     else:
-        rep = equivalence_report(grading, oracle_bound=bound,
-                                 with_timings=clock.timings is not None)
-        if rep.timings is not None:   # its stages; total is the caller's
-            clock.timings.update((k, v) for k, v in rep.timings.items()
-                                 if k != "total")
-        doc.update(verdict=rep.verdict, method=rep.method,
+        rep = equivalence_report(grading, clock)
+        doc.update(verdict=rep.verdict, method="oracle",
                    conditions=dict(rep.conditions), degenerate=rep.degenerate)
         w = rep.witnesses
         if "oracle" in w:
@@ -836,7 +832,7 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
     witnesses: List[Dict] = []
     if method == "oracle":
         grading = clock("carrier", lambda: build_skew_ring(act, bound))
-        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
+        res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         doc.update(verdict=res.prime, method="oracle")
     elif method == "theorem":
         transport = is_group_type(act)
@@ -905,7 +901,7 @@ def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
         doc.update(verdict=criterion["holds"], method="theorem", criterion=criterion)
     else:
         grading = clock("carrier", lambda: carrier_grading(built, bound))
-        res = clock("oracle", lambda: _oracle(grading.ring, bound, witnesses))
+        res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         if method == "oracle":
             doc.update(verdict=res.prime, method="oracle")
         else:
@@ -923,14 +919,14 @@ def primeness_document(built: BuiltInstance, method: str = "all",
                        clock: Optional[StageClock] = None) -> Dict:
     """The primeness verdict by the requested route(s), with replayable
     witnesses for every claimed zero product.  The stages that run are
-    recorded on ``clock``; the caller stops it (see ``_with_timings``)."""
+    recorded on ``clock``; the caller stops it (see ``_append_timings``)."""
     if method not in ("oracle", "theorem", "all"):
         raise MalformedInput(f"unknown method {method!r}; "
                              "expected oracle, theorem or all")
     clock = StageClock(False) if clock is None else clock
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
     if built.kind == "grading":
-        doc.update(_grading_primeness(built, built.grading, method, bound, clock))
+        doc.update(_grading_primeness(built.grading, method, clock))
     elif built.kind == "partial_action":
         doc.update(_partial_primeness(built, method, bound, clock))
     else:
@@ -945,11 +941,11 @@ def equivalence_document(built: BuiltInstance, bound: int = SKEW_RING_BOUND,
     clock = StageClock(False) if clock is None else clock
     grading = clock("carrier", lambda: carrier_grading(built, bound))
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
-    doc.update(_grading_primeness(built, grading, "all", bound, clock))
+    doc.update(_grading_primeness(grading, "all", clock))
     return doc
 
 
-def _with_timings(doc: Dict, clock: StageClock) -> Dict:
+def _append_timings(doc: Dict, clock: StageClock) -> Dict:
     """``doc`` with the clock's stages in seconds, when it was on; the
     section goes last, after every stage the caller ran."""
     timings = clock.stop()

@@ -32,12 +32,11 @@ from .grading import (Grading, HubResult, PairCriterionResult,
 from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
                        isotropy, orbit, restrict, validate_subgroupoid)
-from .rings import (PRIME_ORACLE_BOUND, AdditiveSubgroup, DirectSumRing,
-                    FiniteRing, Ideal, PrimeResult, SubRing, _Closures, _VectorRing,
-                    _kernel, _memo, additive_closure, close, first_escape, first_hom_failure,
-                    first_identity, first_nonassociative, first_zero_pair,
-                    is_commutative, is_maximal_commutative, is_prime_bruteforce, is_s_unital,
-                    principal_ideal)
+from .rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, Ideal, PrimeResult, SubRing,
+                    _Closures, _VectorRing, _kernel, _memo, additive_closure, close,
+                    first_escape, first_hom_failure, first_identity, first_nonassociative,
+                    first_zero_pair, is_commutative, is_maximal_commutative,
+                    is_prime_bruteforce, is_s_unital, principal_ideal)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -568,14 +567,16 @@ def _cached_sigma_closure(action: PartialAction, a: int) -> Ideal:
 
 
 def is_A_G_prime(action: PartialAction,
-                 bound: int = PRIME_ORACLE_BOUND) -> PairCriterionResult:
+                 bound: int = SKEW_RING_BOUND) -> PairCriterionResult:
     """No two nonzero sigma-stable ideals of the ambient sum multiply to zero.
 
     Pair form over nonzero ambient elements with sigma-invariant closures in
     place of arbitrary invariant ideals; the reduction is exact since any
     offending pair of ideals contains an offending pair of closures.  Witness
     is the first failing pair in element order.  Ambients above ``bound``
-    are refused before the search, which runs once per action.
+    are refused before the search, which runs once per action.  This is the
+    one walk over a built ring with a refusal of its own: an instance bounds
+    the ambient's parts one by one, so their sum can exceed the bound.
     """
     amb = action.ambient
     if amb.size > bound:
@@ -724,7 +725,7 @@ def isotropy_reduction(action: PartialAction,
     """Alive object -> the oracle's result on its isotropy skew ring, built
     under ``bound``; with a transport family the product is prime iff one is."""
     return {e: is_prime_bruteforce(
-                build_skew_ring(restrict_to_isotropy(action, e), bound).ring, bound)
+                build_skew_ring(restrict_to_isotropy(action, e), bound).ring)
             for e in action.support_objects()}
 
 
@@ -750,7 +751,7 @@ def skew_prime_verdict(action: PartialAction,
                 "so no reduction to isotropy applies") from None
         per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
         return SkewPrimeVerdict(any(per.values()), "group-type", per, None)
-    res = is_prime_bruteforce(grading.ring, bound)
+    res = is_prime_bruteforce(grading.ring)
     per: Dict[int, bool] = {}
     if transport.holds:
         per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
@@ -798,10 +799,13 @@ def connell_check(base: FiniteRing, groupoid: FiniteGroupoid) -> ConnellResult:
     """The classical three-part primeness test for a groupoid ring.
 
     Conjunction of: the groupoid is connected, the coefficient ring is prime,
-    and no isotropy group has a nontrivial finite normal subgroup.  Each leg
-    is reported with a reason on failure.  The verdict matches the oracle on
-    every buildable carrier; that comparison lives in the test suite so the
-    check itself stays usable above the construction bound.
+    and no isotropy group has a nontrivial finite normal subgroup (Connell,
+    "On the group ring", Canad. J. Math. 15, 1963; for a finite group: it is
+    trivial).  Each leg is reported with a reason on failure.  No leg has a
+    bound of its own -- the oracle runs on ``base``, bounded where it was
+    built, and the isotropy leg takes normal closures -- so the check stays
+    usable above the construction bound.  The verdict matches the oracle on
+    every buildable carrier; that comparison lives in the test suite.
     """
     if base.size == 1:
         raise DegenerateInstance(
@@ -920,7 +924,7 @@ def sufficient_conditions_report(action: PartialAction,
     maximal_at: Optional[int] = None
     for e in action.support_objects():
         if trivial_at is None and len(G.loops(e)) == 1 \
-                and is_prime_bruteforce(amb.parts[e], bound).prime:
+                and is_prime_bruteforce(amb.parts[e]).prime:
             trivial_at = e
         if intersection_at is not None and (maximal_at is not None or not commutative):
             continue

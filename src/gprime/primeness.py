@@ -1,12 +1,14 @@
 """Primeness deciders for graded rings and the harness tying them together.
 
-The carrier-level oracle is exhaustive and authoritative within its size
-budget.  The component-level criteria -- invariant ideal pairs over the
-identity components, graded ideal pairs, and support hubs paired with prime
-isotropy components -- are each evaluated from their own definitions.  For a
-nearly epsilon-strong grading they must all agree; the report constructor
-treats any disagreement as a falsification alarm (InternalDisagreement) and
-never reconciles it.
+The carrier-level oracle is exhaustive and authoritative.  It runs on a
+ring that is already built, so it has no bound of its own: the carrier
+bound is checked once, where the ring is built.  The component-level
+criteria -- invariant ideal pairs over the identity components, graded
+ideal pairs, and support hubs paired with prime isotropy components -- are
+each evaluated from their own definitions.  For a nearly epsilon-strong
+grading they must all agree; the report constructor treats any
+disagreement as a falsification alarm (InternalDisagreement) and never
+reconciles it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import time
 
 from .errors import (
-    BoundExceeded,
     InternalDisagreement,
     MalformedInput,
     ObjectNotInSupport,
@@ -30,7 +31,7 @@ from .grading import (
     isotropy_component,
     support_groupoid,
 )
-from .rings import PRIME_ORACLE_BOUND, PrimeResult, SubRing, is_prime_bruteforce
+from .rings import PrimeResult, SubRing, is_prime_bruteforce
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -81,12 +82,10 @@ class ObjectEvidence(Record):
 
 class PrimenessReport(Record):
     verdict: bool
-    method: str                      # "oracle" or "theorem" (oracle skipped)
-    conditions: Dict[str, bool]      # labels i..vii; "i" absent when skipped
+    conditions: Dict[str, bool]      # labels i..vii
     witnesses: Dict[str, object]
     degenerate: bool
     per_object: Dict[int, ObjectEvidence]
-    timings: Optional[Dict[str, float]] = None
 
 
 def _object_evidence(grading: Grading, e: int) -> ObjectEvidence:
@@ -116,8 +115,7 @@ def _condition(label: str, pairs: Dict, flags: Dict[int, tuple]) -> bool:
     return pairs[leg].holds and quantifier(prime for _, prime in flags.values())
 
 
-def evaluate_condition(grading: Grading, label: str,
-                       oracle_bound: int = PRIME_ORACLE_BOUND):
+def evaluate_condition(grading: Grading, label: str):
     """One of the seven primeness conditions, from its own definition.
 
     Returns (bool, evidence).  The caller is responsible for only applying
@@ -129,7 +127,7 @@ def evaluate_condition(grading: Grading, label: str,
     support = support_groupoid(grading)
     objs = support.support_objects
     if label == "i":
-        res = is_prime_bruteforce(grading.ring, bound=oracle_bound)
+        res = is_prime_bruteforce(grading.ring)
         return res.prime, res
     leg = _CONDITIONS[label][0]
     if leg is None:
@@ -143,18 +141,17 @@ def evaluate_condition(grading: Grading, label: str,
 
 
 def equivalence_report(grading: Grading,
-                       oracle_bound: int = PRIME_ORACLE_BOUND,
-                       with_timings: bool = False) -> PrimenessReport:
+                       clock: Optional[StageClock] = None) -> PrimenessReport:
     """Evaluate all primeness conditions independently and insist they agree.
 
     The grading must be nearly epsilon-strong (rechecked here); all condition
-    booleans must coincide, and the common value becomes the verdict.  When
-    the carrier exceeds the oracle budget, condition (i) is skipped and the
-    method is reported as "theorem"; everything else still runs, since the
-    remaining conditions only touch components.
+    booleans must coincide, and the common value becomes the verdict.  The
+    oracle decides condition (i) on the carrier as built, whatever its size:
+    the carrier bound was checked when the grading's ring was built.  Each
+    stage is recorded on ``clock`` when one is given; the caller stops it.
     """
-    clocked = StageClock(with_timings)
-    nes = clocked("nearly_epsilon_strong", lambda: is_nearly_epsilon_strong(grading))
+    clock = StageClock(False) if clock is None else clock
+    nes = clock("nearly_epsilon_strong", lambda: is_nearly_epsilon_strong(grading))
     if not nes.holds:
         raise MalformedInput(
             "the equivalence report needs a nearly epsilon-strong grading "
@@ -162,23 +159,16 @@ def equivalence_report(grading: Grading,
     support = support_groupoid(grading, nes=True)
     objs = support.support_objects
 
-    oracle: Optional[PrimeResult]
-    try:
-        oracle = clocked("oracle", lambda: is_prime_bruteforce(grading.ring,
-                                                               bound=oracle_bound))
-    except BoundExceeded:
-        oracle = None
-    invariant_pairs = clocked("invariant_ideal_pairs",
-                              lambda: is_G_prime_principal(grading))
-    graded_pairs = clocked("graded_ideal_pairs", lambda: is_graded_prime(grading))
-    per_object = clocked("objects",
-                         lambda: {e: _object_evidence(grading, e) for e in objs})
+    oracle = clock("oracle", lambda: is_prime_bruteforce(grading.ring))
+    invariant_pairs = clock("invariant_ideal_pairs",
+                            lambda: is_G_prime_principal(grading))
+    graded_pairs = clock("graded_ideal_pairs", lambda: is_graded_prime(grading))
+    per_object = clock("objects",
+                       lambda: {e: _object_evidence(grading, e) for e in objs})
 
     pairs = {"invariant": invariant_pairs, "graded": graded_pairs}
     flags = _flags(per_object)
-    conditions: Dict[str, bool] = {}
-    if oracle is not None:
-        conditions["i"] = oracle.prime
+    conditions = {"i": oracle.prime}
     for label in _CONDITIONS:
         conditions[label] = _condition(label, pairs, flags)
 
@@ -187,7 +177,7 @@ def equivalence_report(grading: Grading,
         raise InternalDisagreement(
             "the equivalent primeness conditions disagree",
             details={"conditions": dict(conditions),
-                     "oracle_witness": None if oracle is None else oracle.witness,
+                     "oracle_witness": oracle.witness,
                      "invariant_pair": invariant_pairs.witness,
                      "graded_pair": graded_pairs.witness,
                      "objects": flags})
@@ -198,7 +188,7 @@ def equivalence_report(grading: Grading,
         witnesses["support_hub"] = next(e for e, ev in per_object.items()
                                         if ev.hub.is_hub and ev.isotropy_prime.prime)
     else:
-        if oracle is not None and oracle.witness is not None:
+        if oracle.witness is not None:
             witnesses["oracle"] = oracle.witness
         if invariant_pairs.witness is not None:
             witnesses["invariant_ideal_pair"] = invariant_pairs.witness
@@ -215,12 +205,10 @@ def equivalence_report(grading: Grading,
 
     return PrimenessReport(
         verdict=verdict,
-        method="oracle" if oracle is not None else "theorem",
         conditions=conditions,
         witnesses=witnesses,
-        degenerate=False if oracle is None else oracle.degenerate,
+        degenerate=oracle.degenerate,
         per_object=per_object,
-        timings=clocked.stop(),
     )
 
 

@@ -102,11 +102,9 @@ __all__ = [
     "is_commutative",
     "is_maximal_commutative",
     "validate_ring",
-    "PRIME_ORACLE_BOUND",
     "IDEAL_ENUMERATION_BOUND",
 ]
 
-PRIME_ORACLE_BOUND = 4096
 IDEAL_ENUMERATION_BOUND = 256
 TABLE_RING_BOUND = 256
 
@@ -1266,14 +1264,15 @@ class PrimeResult(Record):
     degenerate: bool = False
 
 
-def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> PrimeResult:
+def is_prime_bruteforce(ring: FiniteRing) -> PrimeResult:
     """Decide primeness by the right annihilators of principal ideals.
 
     A ring is prime iff for all nonzero a, b the product of the ideals they
     generate is nonzero; it suffices to range over principal ideals because
     any offending ideal pair contains an offending principal pair.  The zero
-    ring is reported not prime and degenerate.  Refuses carriers above
-    ``bound``.
+    ring is reported not prime and degenerate.  There is no size check here:
+    the ring is already built, and the carrier bound was checked where it
+    was built.
 
     Lemma: (a)(b) == 0 iff (a)b == 0.  (=>) b lies in (b).  (<=) (b) is
     spanned by the nb, rb, br' and rbr' for integers n and r, r' in R, and
@@ -1301,8 +1300,6 @@ def is_prime_bruteforce(ring: FiniteRing, bound: int = PRIME_ORACLE_BOUND) -> Pr
     at the same a, with the same ideal and the same b.  On a prime ring
     this leaves about two products per element and a few closures.
     """
-    if ring.size > bound:
-        raise BoundExceeded(f"primeness oracle bounded at {bound} elements, got {ring.size}")
     if ring.size == 1:
         return PrimeResult(False, None, degenerate=True)
 

@@ -89,7 +89,7 @@ def build_nonsunital_trivial_grading() -> Grading:
 
 
 def build_m2_gf9_grading() -> Grading:
-    """2x2 matrix units over GF(9): a 6561-element carrier, past the oracle budget."""
+    """2x2 matrix units over GF(9): a 6561-element carrier, above the default bound."""
     G = pair_groupoid(["e", "f"])
     f9 = GaloisField(3, 2)
     ring = MatrixRing(f9, 2)

@@ -97,3 +97,10 @@ def reference_restrict(sub):
     }
     small = validate_groupoid(raw)
     return small, {g: small.morphism_index(G.morphisms[g]) for g in members}
+
+
+def is_normal(group, sub):
+    """Whether ``sub`` (given with parent_elements into ``group``) is normal."""
+    members = set(sub.parent_elements)
+    return all(group.mul(group.mul(g, x), group.inv(g)) in members
+               for g in group.elements() for x in sub.parent_elements)

@@ -90,7 +90,7 @@ def test_criterion_01_seven_way_equivalence():
     assert report.count == 200
     assert report.checks > 200
     for name, grading in fixture_gradings():
-        rep = equivalence_report(grading, oracle_bound=BOUND)
+        rep = equivalence_report(grading)
         assert len(set(rep.conditions.values())) == 1, name
     elapsed = time.perf_counter() - start
     assert elapsed <= 600, f"criterion budget blown: {elapsed:.1f}s"
@@ -105,10 +105,10 @@ def test_criterion_02_oracle_concordance():
     checked = 0
     for name, grading in corpus:
         try:
-            oracle = is_prime_bruteforce(grading.ring, bound=BOUND)
+            oracle = is_prime_bruteforce(grading.ring)
         except BoundExceeded:
             continue
-        value, _ = evaluate_condition(grading, "vii", oracle_bound=BOUND)
+        value, _ = evaluate_condition(grading, "vii")
         assert value == oracle.prime, name
         checked += 1
     assert checked >= 40
@@ -120,10 +120,10 @@ def test_criterion_03_m3_fixture():
     built = build_instance(parse(ROOT / "fixtures" / "m3_pair_groupoid.json"))
     grading = built.grading
     assert is_nearly_epsilon_strong(grading).holds
-    rep = equivalence_report(grading, oracle_bound=BOUND)
+    rep = equivalence_report(grading)
     assert rep.conditions == {c: True for c in
                               ("i", "ii", "iii", "iv", "v", "vi", "vii")}
-    assert is_prime_bruteforce(grading.ring, bound=BOUND).prime
+    assert is_prime_bruteforce(grading.ring).prime
     assert time.perf_counter() - start <= 5.0
 
 
@@ -142,7 +142,7 @@ def test_criterion_04_block_diagonal():
                    for x in grading.components[g].elements if x]
     assert a in homogeneous and c in homogeneous
     assert not ia.is_zero() and not ic.is_zero() and is_zero_product(ia, ic)
-    assert not is_prime_bruteforce(grading.ring, bound=BOUND).prime
+    assert not is_prime_bruteforce(grading.ring).prime
 
 
 @criterion(5, "disconnected groupoid ring is not prime")
@@ -180,8 +180,7 @@ def test_criterion_06_connell_grid():
             except BoundExceeded:
                 skipped.append((bname, gname))
                 continue
-            oracle = is_prime_bruteforce(grading.ring,
-                                         bound=max(BOUND, grading.ring.size))
+            oracle = is_prime_bruteforce(grading.ring)
             assert connell_check(base, G).holds == oracle.prime, (bname, gname)
             verdicts[(bname, gname)] = oracle.prime
     # 4 bases x 6 groupoids; F3/Z4/F2+F2 over P3 and G8 stay unbuilt

@@ -6,9 +6,29 @@ import pytest
 
 from gprime.errors import AxiomViolation, BoundExceeded, MalformedInput, UnknownMorphism
 from gprime.groupoid import (FiniteGroup, disjoint_union, has_nontrivial_finite_normal_subgroup,
-                             is_connected, is_normal, isotropy,
+                             is_connected, isotropy,
                              one_object_groupoid, orbit, pair_groupoid, subgroups,
                              validate_groupoid, validate_subgroupoid)
+from groupoid_reference import is_normal
+
+
+def permutation_group(name, *generators):
+    """The group the permutations ``generators`` of 0..n-1 generate, as a
+    multiplication table: elements in tuple order, so the identity first."""
+    identity = tuple(range(len(generators[0])))
+    found = {identity}
+    work = [identity]
+    while work:
+        p = work.pop()
+        for g in generators:
+            q = tuple(p[i] for i in g)
+            if q not in found:
+                found.add(q)
+                work.append(q)
+    perms = sorted(found)
+    index = {p: k for k, p in enumerate(perms)}
+    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table, name=name)
 
 
 @pytest.fixture
@@ -202,6 +222,28 @@ class TestGroups:
     def test_trivial_group_has_none(self):
         found, witness = has_nontrivial_finite_normal_subgroup(FiniteGroup.trivial())
         assert not found and witness is None
+
+    @pytest.mark.parametrize("group", [FiniteGroup.cyclic(n) for n in range(1, 25)] + [
+        FiniteGroup.klein_four(),
+        permutation_group("S3", (1, 0, 2), (1, 2, 0)),
+        permutation_group("D4", (1, 2, 3, 0), (0, 3, 2, 1)),
+        permutation_group("A4", (1, 2, 0, 3), (1, 0, 3, 2)),
+        permutation_group("S4", (1, 0, 2, 3), (1, 2, 3, 0))], ids=lambda g: g.name)
+    def test_normal_subgroup_witness_matches_enumeration(self, group):
+        """The first normal closure of one element is the first normal
+        subgroup other than {1} that the subgroup enumeration lists."""
+        expected = next((s for s in subgroups(group) if s.order > 1 and is_normal(group, s)),
+                        None)
+        found, witness = has_nontrivial_finite_normal_subgroup(group)
+        assert found == (expected is not None)
+        if expected is not None:
+            assert witness.parent_elements == expected.parent_elements
+            assert (witness.labels, witness.name) == (expected.labels, expected.name)
+
+    def test_normal_subgroup_search_is_unbounded(self):
+        """C25 is past the subgroup enumeration's bound; the search still answers."""
+        found, witness = has_nontrivial_finite_normal_subgroup(FiniteGroup.cyclic(25))
+        assert found and witness.parent_elements == (0, 5, 10, 15, 20)
 
     def test_one_object_groupoid_roundtrip(self):
         g = one_object_groupoid(FiniteGroup.cyclic(3), "pt")

@@ -259,7 +259,6 @@ class TestBuild:
     def test_resolve_bound_order(self):
         inst = parse_data(minimal_raw(bounds={"max_ring": 99}))
         assert resolve_bound(inst) == 99
-        assert resolve_bound(inst, 7) == 7
         assert resolve_bound(parse_data(minimal_raw())) == 4096
 
 
@@ -268,7 +267,7 @@ class TestDocuments:
 
     def test_validation_document(self):
         built = build_instance(parse(fixture("m3_pair_groupoid.json")))
-        doc = validation_document(built, 4096)
+        doc = validation_document(built)
         assert doc["valid"] is True
         assert doc["groupoid"]["connected"] is True
         assert doc["carrier"] == {"tag": "M3(GF(2))", "size": 512, "unital": True}

@@ -30,7 +30,7 @@ from gprime.fuzz import generate_instance, run_fuzz
 from gprime.groupoid import FiniteGroup, pair_groupoid
 from gprime.partial import SKEW_RING_BOUND, SkewGroupoidRing, build_groupoid_ring
 from gprime.rings import (CyclicRing, GaloisField, GroupRing, MatrixRing,
-                          PRIME_ORACLE_BOUND, SubRing, TableRing, is_prime_bruteforce)
+                          SubRing, TableRing, is_prime_bruteforce)
 from span_reference import reference_prime
 from test_s_unital import one_sided
 from test_span_engine import CARRIER_CLASSES, NON_UNIT_PIVOTS, SMALL, relabelled
@@ -62,7 +62,7 @@ def built_carriers():
         run_fuzz(5, 8)
     finally:
         patch.undo()
-    return [ring for ring in built.values() if ring.size <= PRIME_ORACLE_BOUND]
+    return [ring for ring in built.values() if ring.size <= SKEW_RING_BOUND]
 
 
 def test_matches_reference_on_built_carriers(built_carriers, capsys):
@@ -103,7 +103,7 @@ def test_matches_reference_on_fuzz_draws():
             if inst.base is not None:
                 carriers.append(inst.base)
     verdicts = [assert_oracle_matches_reference(ring).prime
-                for ring in carriers if ring.size <= PRIME_ORACLE_BOUND]
+                for ring in carriers if ring.size <= SKEW_RING_BOUND]
     assert len(verdicts) > 800 and set(verdicts) == {True, False}
 
 

@@ -157,7 +157,7 @@ class TestPrimenessConcordance:
     @given(st.integers(0, 9999))
     def test_seven_conditions_agree(self, seed):
         inst = generated(seed)
-        rep = equivalence_report(inst.grading, oracle_bound=SIZE_CAP)
+        rep = equivalence_report(inst.grading)
         assert len(set(rep.conditions.values())) == 1
         assert rep.verdict == next(iter(rep.conditions.values()))
 
@@ -165,7 +165,7 @@ class TestPrimenessConcordance:
     @given(st.integers(0, 9999))
     def test_hub_and_isotropy_structure(self, seed):
         inst = generated(seed)
-        rep = equivalence_report(inst.grading, oracle_bound=SIZE_CAP)
+        rep = equivalence_report(inst.grading)
         if rep.verdict:
             assert all(ev.isotropy_prime.prime for ev in rep.per_object.values())
         if any(ev.hub.is_hub and ev.isotropy_prime.prime
@@ -201,8 +201,7 @@ class TestGroupoidRings:
     def test_criterion_matches_oracle(self, seed):
         base, G, grading = generated_groupoid_ring(seed)
         crit = connell_check(base, G)
-        oracle = is_prime_bruteforce(grading.ring,
-                                     bound=max(SIZE_CAP, grading.ring.size))
+        oracle = is_prime_bruteforce(grading.ring)
         assert crit.holds == oracle.prime
 
     @settings(max_examples=12, **COMMON)
@@ -212,5 +211,4 @@ class TestGroupoidRings:
         if not is_connected(G):
             crit = connell_check(base, G)
             assert not crit.holds
-            assert not is_prime_bruteforce(
-                grading.ring, bound=max(SIZE_CAP, grading.ring.size)).prime
+            assert not is_prime_bruteforce(grading.ring).prime

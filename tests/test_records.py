@@ -42,8 +42,8 @@ FIELDS = {
                                "trivial_isotropy_at", "intersection_at",
                                "maximal_commutative_at", "guarantees_prime"),
     primeness.ObjectEvidence: ("obj", "hub", "isotropy_prime", "isotropy_size"),
-    primeness.PrimenessReport: ("verdict", "method", "conditions", "witnesses",
-                                "degenerate", "per_object", "timings"),
+    primeness.PrimenessReport: ("verdict", "conditions", "witnesses", "degenerate",
+                                "per_object"),
     fuzz.GeneratedInstance: ("kind", "groupoid", "grading", "action", "base",
                              "size", "carrier"),
     fuzz.FuzzRecord: ("index", "kind", "carrier", "size", "verdict", "checks"),

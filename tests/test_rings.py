@@ -224,10 +224,6 @@ class TestPrimenessOracle:
         res = is_prime_bruteforce(CyclicRing(1))
         assert not res.prime and res.degenerate and res.witness is None
 
-    def test_oracle_bound(self):
-        with pytest.raises(BoundExceeded):
-            is_prime_bruteforce(MatrixRing(GaloisField(2), 3), bound=100)
-
     def test_principal_ideal_cache_is_consistent(self):
         z8 = CyclicRing(8)
         assert principal_ideal(z8, 2) is principal_ideal(z8, 2)
