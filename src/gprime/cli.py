@@ -53,7 +53,7 @@ from .errors import (BoundExceeded, GprimeError, InternalDisagreement,
 from .fuzz import run_fuzz
 from .instances import (_tool_section, _append_timings, analysis_document,
                         build_instance, carrier_grading, equivalence_document,
-                        parse, primeness_document, render_report, resolve_bound,
+                        parse, primeness_document, render_report,
                         validation_document, verify_witnesses)
 from .partial import SKEW_RING_BOUND
 from .primeness import StageClock
@@ -142,8 +142,8 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _carrier_bound(args, instance=None) -> int:
-    """Resolve the bound: flag, then environment, then the instance file."""
+def _carrier_bound(args) -> Optional[int]:
+    """The flag's bound, else the environment's; None leaves it to the file."""
     if args.max_ring is not None:
         return args.max_ring
     env = os.environ.get("GPRIME_MAX_RING")
@@ -152,35 +152,33 @@ def _carrier_bound(args, instance=None) -> int:
             return _positive_int(env)
         except argparse.ArgumentTypeError as exc:
             raise MalformedInput(f"GPRIME_MAX_RING {exc}") from None
-    if instance is not None:
-        return resolve_bound(instance)
-    return SKEW_RING_BOUND
+    return None
 
 
 def _cmd_instance(args) -> Dict:
-    """validate, analyze, prime and equivalence: parse the file, resolve the
-    bound, build the instance, then emit the command's document; prime and
+    """validate, analyze, prime and equivalence: parse the file, build the
+    instance under its bound, then emit the command's document; prime and
     equivalence reports are replayed before they are returned.  One clock
     times parse and validate on every command, then each command's own
     stages: carrier and analysis for analyze, the decision stages and the
     witness replay for prime and equivalence."""
     clock = StageClock(args.timings)
     instance = clock("parse", lambda: parse(args.file))
-    bound = _carrier_bound(args, instance)
+    bound = _carrier_bound(args)
     built = clock("validate", lambda: build_instance(instance, bound))
     if args.command == "validate":
         doc = validation_document(built)
     elif args.command == "analyze":
         if clock.timings is not None:
             with suppress(BoundExceeded):
-                clock("carrier", lambda: carrier_grading(built, bound))
-        doc = clock("analysis", lambda: analysis_document(built, bound))
+                clock("carrier", lambda: carrier_grading(built))
+        doc = clock("analysis", lambda: analysis_document(built))
     else:
         if args.command == "prime":
-            doc = primeness_document(built, args.method, bound, clock)
+            doc = primeness_document(built, args.method, clock)
         else:
-            doc = equivalence_document(built, bound, clock)
-        replayed = clock("replay", lambda: verify_witnesses(built, doc, bound))
+            doc = equivalence_document(built, clock)
+        replayed = clock("replay", lambda: verify_witnesses(built, doc))
         doc["witness_verification"] = {"replayed": replayed, "ok": True}
     return _append_timings(doc, clock)
 
@@ -192,7 +190,7 @@ def _cmd_fuzz(args) -> Dict:
             print(f"[{record.index + 1}/{args.count}] {record.kind} "
                   f"carrier={record.carrier} size={record.size} "
                   f"checks={record.checks}", file=sys.stderr)
-    report = run_fuzz(args.seed, args.count, _carrier_bound(args),
+    report = run_fuzz(args.seed, args.count, _carrier_bound(args) or SKEW_RING_BOUND,
                       progress=progress)
     doc = {"tool": _tool_section()}
     doc.update(report.summary())

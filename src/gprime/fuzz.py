@@ -33,7 +33,7 @@ from .primeness import equivalence_report, torsion_free_shortcut
 from .rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, FiniteRing,
                     GaloisField, MatrixRing, additive_closure,
                     enumerate_ideals, ideal_generated, is_commutative, is_s_unital,
-                    is_zero_product, principal_ideal, set_product)
+                    is_zero_ideal_pair, is_zero_product, principal_ideal, set_product)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -250,7 +250,8 @@ def _sunital_ideals(fibre: FiniteRing) -> List[AdditiveSubgroup]:
             if is_s_unital(ideal)]
 
 
-def _random_partial_action(rng: random.Random, target: int) -> PartialAction:
+def _random_partial_action(rng: random.Random, target: int,
+                           max_ring: int = SKEW_RING_BOUND) -> PartialAction:
     while True:
         G = _random_groupoid(rng)
         components = []
@@ -313,7 +314,7 @@ def _random_partial_action(rng: random.Random, target: int) -> PartialAction:
                 & ({0} | {amb.inject(s, sigma[inv][y]) for y in chosen[r]})
             maps[g] = {x: amb.inject(r, sigma[g][amb.decode(x)[s]])
                        for x in domain}
-        return validate_partial_action(G, amb, gens, maps)
+        return validate_partial_action(G, amb, gens, maps, max_ring)
 
 
 class GeneratedInstance(Record):
@@ -338,8 +339,8 @@ def generate_instance(rng: random.Random, max_ring: int) -> GeneratedInstance:
         grading = build_groupoid_ring(base, G, max_ring)
         return GeneratedInstance(kind, G, grading, None, base,
                                  grading.ring.size, grading.ring.tag)
-    action = _random_partial_action(rng, target)
-    grading = build_skew_ring(action, max_ring)
+    action = _random_partial_action(rng, target, max_ring)
+    grading = build_skew_ring(action)
     return GeneratedInstance(kind, action.groupoid, grading, action, None,
                              grading.ring.size, grading.ring.tag)
 
@@ -492,11 +493,15 @@ def _check_grading(rng: random.Random, grading: Grading) -> int:
     return checks
 
 
-def _replay_pair(ring: FiniteRing, make_closure, a: int, b: int) -> None:
-    ia, ib = make_closure(a), make_closure(b)
-    _ensure(a != 0 and b != 0 and not ia.is_zero() and not ib.is_zero()
-            and is_zero_product(ia, ib),
-            "an emitted witness fails to replay", a=a, b=b)
+def _replay_pair(ring: FiniteRing, a: int, b: int, make_closure=None) -> None:
+    """An emitted zero pair must replay: an ideal pair on generators, by
+    ``rings.is_zero_ideal_pair``, any other on its regenerated closures."""
+    if make_closure is None:
+        zero = is_zero_ideal_pair(ring, a, b)
+    else:
+        ia, ib = make_closure(a), make_closure(b)
+        zero = not ia.is_zero() and not ib.is_zero() and is_zero_product(ia, ib)
+    _ensure(a != 0 and b != 0 and zero, "an emitted witness fails to replay", a=a, b=b)
 
 
 def _check_primeness(grading: Grading) -> Tuple[bool, int]:
@@ -518,8 +523,7 @@ def _check_primeness(grading: Grading) -> Tuple[bool, int]:
 
     witness = rep.witnesses.get("oracle")
     if witness is not None:
-        _replay_pair(ring, lambda x: principal_ideal(ring, x),
-                     witness.a, witness.b)
+        _replay_pair(ring, witness.a, witness.b)
         hub_objects = [e for e, ev in rep.per_object.items() if ev.hub.is_hub]
         for e in hub_objects[:1]:
             iso_hs = [g for g in range(G.n_morphisms)
@@ -539,11 +543,11 @@ def _check_primeness(grading: Grading) -> Tuple[bool, int]:
         checks += 1
     if "invariant_ideal_pair" in rep.witnesses:
         a, b = rep.witnesses["invariant_ideal_pair"][:2]
-        _replay_pair(ring, lambda x: invariant_closure(grading, [x]), a, b)
+        _replay_pair(ring, a, b, lambda x: invariant_closure(grading, [x]))
         checks += 1
     if "graded_ideal_pair" in rep.witnesses:
         a, b = rep.witnesses["graded_ideal_pair"][:2]
-        _replay_pair(ring, lambda x: principal_ideal(ring, x), a, b)
+        _replay_pair(ring, a, b)
         checks += 1
 
     support = support_groupoid(grading, nes=True)
@@ -558,10 +562,9 @@ def _check_primeness(grading: Grading) -> Tuple[bool, int]:
     return rep.verdict, checks
 
 
-def _check_partial(action: PartialAction, grading: Grading,
-                   max_ring: int) -> int:
+def _check_partial(action: PartialAction) -> int:
     checks = 0
-    res = psi_check(action, max_ring)
+    res = psi_check(action)
     _ensure(res.ok, "the identity-part embedding check failed",
             mismatch=res.mismatch)
     checks += 1
@@ -573,7 +576,7 @@ def _check_partial(action: PartialAction, grading: Grading,
         global_support_connectivity_check(action)
         checks += 2
     if is_group_type(action).holds:
-        skew_prime_verdict(action, max_ring)  # oracle vs reduction cross-check
+        skew_prime_verdict(action)  # oracle vs reduction cross-check
         checks += 1
     return checks
 
@@ -591,8 +594,8 @@ def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid, verdict: bool) -> 
     return checks
 
 
-def check_instance(rng: random.Random, inst: GeneratedInstance,
-                   max_ring: int) -> Tuple[Optional[bool], int]:
+def check_instance(rng: random.Random,
+                   inst: GeneratedInstance) -> Tuple[Optional[bool], int]:
     """Every cross-check that applies to the instance; returns the primeness
     verdict and the number of check groups run."""
     checks = _check_groupoid(inst.groupoid)
@@ -620,7 +623,7 @@ def check_instance(rng: random.Random, inst: GeneratedInstance,
                     "the element criterion disagrees with the ideal-pair oracle")
             checks += 1
     if inst.action is not None:
-        checks += _check_partial(inst.action, grading, max_ring)
+        checks += _check_partial(inst.action)
     if inst.base is not None and verdict is not None:
         checks += _check_groupoid_ring(inst.base, inst.groupoid, verdict)
     return verdict, checks
@@ -686,7 +689,7 @@ def run_fuzz(seed: int, count: int, max_ring: int = SKEW_RING_BOUND,
         _ensure((inst.kind, inst.carrier, inst.size)
                 == (twin.kind, twin.carrier, twin.size),
                 "instance generation is not deterministic")
-        verdict, checks = check_instance(rng, inst, max_ring)
+        verdict, checks = check_instance(rng, inst)
         record = FuzzRecord(index, inst.kind, inst.carrier, inst.size,
                             verdict, checks + 1)
         records.append(record)

@@ -26,7 +26,7 @@ from .errors import (AxiomViolation, DegenerateInstance, InternalDisagreement,
                      ObjectNotInSupport, Record)
 from .groupoid import FiniteGroupoid, Subgroupoid, restrict, validate_subgroupoid
 from .rings import (AdditiveSubgroup, FiniteRing, Ideal, SubRing, _Basis, _Closures,
-                    _Coordinates, _basis, _coordinates, _kernel, _memo, _radix_tuples,
+                    _Coordinates, _basis, _coordinates, _kernel, _memo, _once, _radix_tuples,
                     additive_closure, close, first_escape, first_zero_pair,
                     ideal_generated, is_s_unital, principal_ideal, set_product)
 
@@ -63,8 +63,7 @@ class Grading:
     """A validated groupoid grading; construct via validate_grading.
 
     Kept on the grading once computed: the fold basis of ``decompose``, the
-    identity-component span, the invariant closures, the verdict of
-    ``is_nearly_epsilon_strong``, and each object's ``isotropy_component``."""
+    invariant closures, and (``rings._once``) each fact derived from it."""
 
     def __init__(self, groupoid: FiniteGroupoid, ring: FiniteRing,
                  components: Sequence[AdditiveSubgroup]):
@@ -72,10 +71,7 @@ class Grading:
         self.ring = ring
         self.components: Tuple[AdditiveSubgroup, ...] = tuple(components)
         self._fold: Optional[_Basis] = None
-        self._principal: Optional[AdditiveSubgroup] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
-        self._nes: Optional[NESResult] = None
-        self._isotropy: Dict[int, RestrictedGrading] = {}
 
     def component(self, g: int) -> AdditiveSubgroup:
         return self.components[g]
@@ -105,13 +101,12 @@ class Grading:
         return ((g, x) for g, comp in enumerate(self.components)
                 for x in comp.sorted_elements() if x != 0)
 
+    @_once
     def principal_part(self) -> AdditiveSubgroup:
         """The additive span of the identity components, in ambient indices."""
-        if self._principal is None:
-            G = self.groupoid
-            self._principal = additive_closure(self.ring, [
-                x for e in range(G.n_objects) for x in self.components[G.identity(e)].gens])
-        return self._principal
+        G = self.groupoid
+        return additive_closure(self.ring, [
+            x for e in range(G.n_objects) for x in self.components[G.identity(e)].gens])
 
     def support(self) -> List[int]:
         return [g for g, comp in enumerate(self.components) if not comp.is_zero()]
@@ -235,6 +230,7 @@ class NESResult(Record):
     failures: Tuple[str, ...]
 
 
+@_once
 def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
     """Decide near epsilon-strongness by two routes and insist they agree.
 
@@ -259,8 +255,6 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
     The result is computed once per grading and kept on it, so every
     caller on the same grading shares one ``NESResult``.
     """
-    if grading._nes is not None:
-        return grading._nes
     G = grading.groupoid
     route_one = True
     route_two = True
@@ -300,8 +294,7 @@ def is_nearly_epsilon_strong(grading: Grading) -> NESResult:
             details={"s_unital_route": route_one, "unit_route": route_two,
                      "failures": failures})
     holds = route_one
-    grading._nes = NESResult(holds, certificate if holds else {}, tuple(failures))
-    return grading._nes
+    return NESResult(holds, certificate if holds else {}, tuple(failures))
 
 
 def _with_coefficients(sub: AdditiveSubgroup) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -560,6 +553,7 @@ class PairCriterionResult(Record):
     witness: Optional[Tuple[int, int, AdditiveSubgroup, AdditiveSubgroup]]
 
 
+@_once
 def is_graded_prime(grading: Grading) -> PairCriterionResult:
     """No two nonzero graded ideals multiply to zero.
 
@@ -568,20 +562,21 @@ def is_graded_prime(grading: Grading) -> PairCriterionResult:
     homogeneous element is graded, and any offending graded pair contains an
     offending homogeneous pair, so the reduction is exact and needs no
     structural hypotheses.)  Witness is the first failing pair in (morphism,
-    element) order.
+    element) order.  Kept on the grading.
     """
     pair = first_zero_pair([a for _, a in grading.homogeneous()],
                            lambda a: principal_ideal(grading.ring, a))
     return PairCriterionResult(pair is None, pair)
 
 
+@_once
 def is_G_prime_principal(grading: Grading) -> PairCriterionResult:
     """No two nonzero conjugation-stable ideals of the identity-component
     ring multiply to zero.
 
     Pair form over nonzero elements of the identity-component ring with
     invariant closures in place of principal ideals; the reduction is exact
-    for the same reason as in the graded case.
+    for the same reason as in the graded case.  Kept on the grading.
     """
     members = [x for x in grading.principal_part().sorted_elements() if x != 0]
     pair = first_zero_pair(members, lambda a: _cached_invariant_closure(grading, a))
@@ -611,9 +606,9 @@ def restrict_grading(parent: Grading, sub: Subgroupoid) -> RestrictedGrading:
     return RestrictedGrading(validate_grading(small, carrier, comps), parent, mor_map, carrier)
 
 
+@_once
 def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
     """The group-graded ring sitting over the isotropy group at ``e``,
     built once per object and kept on the grading."""
     G = parent.groupoid
-    return _memo(parent._isotropy, G.check_object(e),
-                 lambda e: restrict_grading(parent, validate_subgroupoid(G, G.loops(e))))
+    return restrict_grading(parent, validate_subgroupoid(G, G.loops(G.check_object(e))))

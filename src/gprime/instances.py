@@ -37,6 +37,9 @@ Galois-field digit by x -> x^p when asked.
 
 Everything semantic reuses the library validators, so an instance that
 builds has passed every axiom check those enforce.
+The carrier bound is resolved once per instance, by ``build_instance``, and
+kept on the built instance and its partial action, where every later step
+reads it.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       validate_partial_action)
 from .primeness import StageClock, equivalence_report, evaluate_condition
 from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
-                    GroupRing, MatrixRing, PrimeResult, TableRing,
-                    additive_closure, is_prime_bruteforce, is_zero_product,
-                    principal_ideal)
+                    GroupRing, MatrixRing, PrimeResult, TableRing, _once,
+                    additive_closure, is_prime_bruteforce, is_zero_ideal_pair,
+                    is_zero_product)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -552,14 +555,15 @@ def parse_element(text: str, ring: FiniteRing) -> int:
 # ---------------------------------------------------------------------------
 
 class BuiltInstance(Record, frozen=False):
+    """The structures an instance describes, and the carrier bound of its
+    rings; the product ring is kept in its ``_derived`` memo once built."""
+
     instance: Instance
     groupoid: FiniteGroupoid
+    bound: int
     grading: Optional[Grading] = None
     action: Optional[PartialAction] = None
     base: Optional[FiniteRing] = None
-    #: the groupoid ring of ``base`` (a Grading), kept once built: not a
-    #: field, so never an argument
-    carrier = None
 
     @property
     def kind(self) -> str:
@@ -602,12 +606,16 @@ def _sigma_table(spec, g: int, amb: DirectSumRing, G: FiniteGroupoid,
             for x in domain}
 
 
-def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltInstance:
+def build_instance(instance: Instance, bound: Optional[int] = None) -> BuiltInstance:
     """Construct and fully validate the structures an instance describes.
 
-    The carrier bound is checked here: every ring spec is sized and refused
-    above ``bound`` before it is built, as ``build_skew_ring`` refuses
-    product carriers, so no walk over a built ring checks it again."""
+    The carrier bound, ``bound`` else the file's ``bounds.max_ring`` else
+    ``SKEW_RING_BOUND``, is kept on the result and checked here: every ring
+    spec is sized and refused above it before it is built, as
+    ``build_skew_ring`` refuses product carriers, so no walk over a built
+    ring checks it again."""
+    if bound is None:
+        bound = instance.raw.get("bounds", {}).get("max_ring", SKEW_RING_BOUND)
     G = validate_groupoid(instance.raw["groupoid"])
     sec = instance.raw[instance.kind]
     if instance.kind == "grading":
@@ -615,7 +623,7 @@ def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltIns
         ring = build_ring(sec["ring"])
         comps = {G.morphism_index(label): [parse_element(s, ring) for s in exprs]
                  for label, exprs in sec["components"].items()}
-        return BuiltInstance(instance, G, grading=validate_grading(G, ring, comps))
+        return BuiltInstance(instance, G, bound, grading=validate_grading(G, ring, comps))
     if instance.kind == "partial_action":
         for obj in G.objects:
             _refuse_above(sec["parts"][obj], bound, f"the ambient part at {obj!r}")
@@ -625,16 +633,10 @@ def build_instance(instance: Instance, bound: int = SKEW_RING_BOUND) -> BuiltIns
                 for label, exprs in sec.get("ideals", {}).items()}
         maps = {G.morphism_index(label): _sigma_table(spec, G.morphism_index(label), amb, G, gens)
                 for label, spec in sec.get("maps", {}).items()}
-        return BuiltInstance(instance, G,
-                             action=validate_partial_action(G, amb, gens, maps))
+        return BuiltInstance(instance, G, bound,
+                             action=validate_partial_action(G, amb, gens, maps, bound))
     _refuse_above(sec["base"], bound, "the coefficient ring")
-    return BuiltInstance(instance, G, base=build_ring(sec["base"]))
-
-
-def resolve_bound(instance: Instance) -> int:
-    """The carrier bound for this instance: the file's override, else the
-    library default."""
-    return instance.raw.get("bounds", {}).get("max_ring", SKEW_RING_BOUND)
+    return BuiltInstance(instance, G, bound, base=build_ring(sec["base"]))
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +664,14 @@ def _groupoid_facts(G: FiniteGroupoid) -> Dict:
                                 for e in range(G.n_objects)}}
 
 
-def carrier_grading(built: BuiltInstance, bound: int) -> Grading:
-    """The graded product ring of the instance, built on demand and reused
-    while it fits under ``bound``."""
+@_once
+def carrier_grading(built: BuiltInstance) -> Grading:
+    """The graded product ring of the instance, built once under its bound."""
     if built.grading is not None:
         return built.grading
     if built.action is not None:
-        return build_skew_ring(built.action, bound)
-    if built.carrier is None or built.carrier.ring.size > bound:
-        built.carrier = build_groupoid_ring(built.base, built.groupoid, bound)
-    return built.carrier
+        return build_skew_ring(built.action)
+    return build_groupoid_ring(built.base, built.groupoid, built.bound)
 
 
 def _criterion_section(built: BuiltInstance) -> Dict:
@@ -703,13 +703,13 @@ def validation_document(built: BuiltInstance) -> Dict:
     return doc
 
 
-def analysis_document(built: BuiltInstance, bound: int) -> Dict:
+def analysis_document(built: BuiltInstance) -> Dict:
     doc = {"tool": _tool_section(), "instance": _instance_section(built),
            "groupoid": _groupoid_facts(built.groupoid)}
     G = built.groupoid
     grading: Optional[Grading]
     try:
-        grading = carrier_grading(built, bound)
+        grading = carrier_grading(built)
         doc["carrier"] = _ring_facts(grading.ring)
     except BoundExceeded as exc:
         grading = None
@@ -811,27 +811,26 @@ def _grading_primeness(grading: Grading, method: str, clock: StageClock) -> Dict
     return doc
 
 
-def _isotropy_skew_witnesses(act: PartialAction, per: Mapping[int, PrimeResult],
-                             bound: int) -> List[Dict]:
+def _isotropy_skew_witnesses(act: PartialAction,
+                             per: Mapping[int, PrimeResult]) -> List[Dict]:
     """The zero pairs the isotropy reduction found, on its cached rings."""
     G = act.groupoid
     out: List[Dict] = []
     for e, res in sorted(per.items()):
         if res.witness is not None:
-            sub = build_skew_ring(restrict_to_isotropy(act, e), bound).ring
+            sub = build_skew_ring(restrict_to_isotropy(act, e)).ring
             out.append(_pair_witness(f"isotropy-skew:{G.objects[e]}", "ideal", sub,
                                      res.witness.a, res.witness.b))
     return out
 
 
-def _partial_primeness(built: BuiltInstance, method: str, bound: int,
-                       clock: StageClock) -> Dict:
+def _partial_primeness(built: BuiltInstance, method: str, clock: StageClock) -> Dict:
     act = built.action
     G = act.groupoid
     doc: Dict = {}
     witnesses: List[Dict] = []
     if method == "oracle":
-        grading = clock("carrier", lambda: build_skew_ring(act, bound))
+        grading = clock("carrier", lambda: build_skew_ring(act))
         res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         doc.update(verdict=res.prime, method="oracle")
     elif method == "theorem":
@@ -839,35 +838,33 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
         if not transport.holds:
             raise MalformedInput("the isotropy reduction needs a transport "
                                  f"family: {transport.reason}")
-        per = clock("isotropy_reduction", lambda: isotropy_reduction(act, bound))
+        per = clock("isotropy_reduction", lambda: isotropy_reduction(act))
         doc.update(verdict=any(r.prime for r in per.values()), method="theorem",
                    isotropy_prime={G.objects[e]: r.prime for e, r in per.items()})
-        witnesses.extend(_isotropy_skew_witnesses(act, per, bound))
+        witnesses.extend(_isotropy_skew_witnesses(act, per))
     else:
         # skew_prime_verdict builds the carrier, runs the oracle and, given a
         # transport family, the isotropy reduction; the first and last are
         # cached per action, so running them first clocks each stage apart
         try:
-            clock("carrier", lambda: build_skew_ring(act, bound))
+            clock("carrier", lambda: build_skew_ring(act))
             stage = "oracle"
         except BoundExceeded:
             stage = "verdict"   # the isotropy reduction's, or a refusal
         if is_group_type(act).holds:
-            clock("isotropy_reduction", lambda: isotropy_reduction(act, bound))
-        verdict = clock(stage, lambda: skew_prime_verdict(act, bound))
+            clock("isotropy_reduction", lambda: isotropy_reduction(act))
+        verdict = clock(stage, lambda: skew_prime_verdict(act))
         doc.update(verdict=verdict.prime, method=verdict.method,
                    isotropy_prime={G.objects[e]: v
                                    for e, v in verdict.isotropy_prime.items()})
         if verdict.method == "group-type":
-            witnesses.extend(_isotropy_skew_witnesses(
-                act, isotropy_reduction(act, bound), bound))
-        if verdict.oracle is not None and verdict.oracle.witness is not None:
-            grading = build_skew_ring(act, bound)
-            witnesses.append(_pair_witness("carrier", "ideal", grading.ring,
-                                           verdict.oracle.witness.a,
-                                           verdict.oracle.witness.b))
+            witnesses.extend(_isotropy_skew_witnesses(act, isotropy_reduction(act)))
+        w = verdict.oracle and verdict.oracle.witness
+        if w is not None:
+            witnesses.append(_pair_witness("carrier", "ideal", build_skew_ring(act).ring,
+                                           w.a, w.b))
         try:
-            pair = clock("coefficients_G_prime", lambda: is_A_G_prime(act, bound))
+            pair = clock("coefficients_G_prime", lambda: is_A_G_prime(act))
             doc["coefficients_G_prime"] = pair.holds
             if pair.witness is not None:
                 witnesses.append(_pair_witness("ambient", "sigma", act.ambient,
@@ -876,15 +873,13 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
             doc["coefficients_G_prime"] = None
         try:
             rep = clock("sufficient_conditions",
-                        lambda: sufficient_conditions_report(act, bound))
+                        lambda: sufficient_conditions_report(act))
+            name = dict(enumerate(G.objects)).get     # None stays None
             doc["sufficient_conditions"] = {
                 "applicable": rep.applicable,
-                "trivial_isotropy_at": None if rep.trivial_isotropy_at is None
-                else G.objects[rep.trivial_isotropy_at],
-                "intersection_at": None if rep.intersection_at is None
-                else G.objects[rep.intersection_at],
-                "maximal_commutative_at": None if rep.maximal_commutative_at is None
-                else G.objects[rep.maximal_commutative_at],
+                "trivial_isotropy_at": name(rep.trivial_isotropy_at),
+                "intersection_at": name(rep.intersection_at),
+                "maximal_commutative_at": name(rep.maximal_commutative_at),
                 "guarantees_prime": rep.guarantees_prime}
         except BoundExceeded:
             doc["sufficient_conditions"] = None
@@ -892,7 +887,7 @@ def _partial_primeness(built: BuiltInstance, method: str, bound: int,
     return doc
 
 
-def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
+def _groupoid_ring_primeness(built: BuiltInstance, method: str,
                              clock: StageClock) -> Dict:
     doc: Dict = {}
     witnesses: List[Dict] = []
@@ -900,7 +895,7 @@ def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
     if method == "theorem":
         doc.update(verdict=criterion["holds"], method="theorem", criterion=criterion)
     else:
-        grading = clock("carrier", lambda: carrier_grading(built, bound))
+        grading = clock("carrier", lambda: carrier_grading(built))
         res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         if method == "oracle":
             doc.update(verdict=res.prime, method="oracle")
@@ -915,7 +910,6 @@ def _groupoid_ring_primeness(built: BuiltInstance, method: str, bound: int,
 
 
 def primeness_document(built: BuiltInstance, method: str = "all",
-                       bound: int = SKEW_RING_BOUND,
                        clock: Optional[StageClock] = None) -> Dict:
     """The primeness verdict by the requested route(s), with replayable
     witnesses for every claimed zero product.  The stages that run are
@@ -928,18 +922,18 @@ def primeness_document(built: BuiltInstance, method: str = "all",
     if built.kind == "grading":
         doc.update(_grading_primeness(built.grading, method, clock))
     elif built.kind == "partial_action":
-        doc.update(_partial_primeness(built, method, bound, clock))
+        doc.update(_partial_primeness(built, method, clock))
     else:
-        doc.update(_groupoid_ring_primeness(built, method, bound, clock))
+        doc.update(_groupoid_ring_primeness(built, method, clock))
     return doc
 
 
-def equivalence_document(built: BuiltInstance, bound: int = SKEW_RING_BOUND,
+def equivalence_document(built: BuiltInstance,
                          clock: Optional[StageClock] = None) -> Dict:
     """The seven-way harness over the instance's product ring, its stages
     recorded on ``clock`` as in ``primeness_document``."""
     clock = StageClock(False) if clock is None else clock
-    grading = clock("carrier", lambda: carrier_grading(built, bound))
+    grading = clock("carrier", lambda: carrier_grading(built))
     doc = {"tool": _tool_section(), "instance": _instance_section(built)}
     doc.update(_grading_primeness(grading, "all", clock))
     return doc
@@ -958,61 +952,58 @@ def _append_timings(doc: Dict, clock: StageClock) -> Dict:
 # witness replay
 # ---------------------------------------------------------------------------
 
-def replay_witness(built: BuiltInstance, witness: Mapping,
-                   bound: int = SKEW_RING_BOUND) -> bool:
+def replay_witness(built: BuiltInstance, witness: Mapping) -> bool:
     """Replay a reported zero-ideal pair on the rings the report used.
 
-    True only when both named elements are nonzero, their labels match the
-    instance's rings, and the ideals they regenerate multiply to zero,
-    recomputed by ``is_zero_product`` on the rings kept on the instance's
-    grading and action (an "isotropy:" witness on the kept isotropy
-    component).
+    True only when both named elements are nonzero elements of the ring
+    kept on the instance's grading or action (an "isotropy:" witness on the
+    kept isotropy component), their labels match, and the ideals they
+    generate multiply to zero.  An "ideal" pair replays on generators, by
+    ``rings.is_zero_ideal_pair``, with no closure; an "invariant" or "sigma"
+    pair regenerates both closures and multiplies them.
     """
     space, closure = witness["space"], witness["closure"]
     a, b = witness["a"], witness["b"]
-    if a == 0 or b == 0:
-        return False
     act = built.action
-    if space == "ambient":
-        if act is None or closure != "sigma":
-            return False
+    regenerate = None
+    if space == "ambient" and closure == "sigma" and act is not None:
         ring = act.ambient
-        ia, ib = (sigma_invariant_closure(act, [a]),
-                  sigma_invariant_closure(act, [b]))
+        regenerate = lambda x: sigma_invariant_closure(act, [x])
     elif space == "carrier" and closure == "invariant":
-        grading = carrier_grading(built, bound)
+        grading = carrier_grading(built)
         ring = grading.ring
-        ia, ib = invariant_closure(grading, [a]), invariant_closure(grading, [b])
+        regenerate = lambda x: invariant_closure(grading, [x])
+    elif closure != "ideal":
+        return False
+    elif space == "carrier":
+        ring = carrier_grading(built).ring
+    elif space.startswith("isotropy-skew:") and act is not None:
+        e = act.groupoid.object_index(space.split(":", 1)[1])
+        ring = build_skew_ring(restrict_to_isotropy(act, e)).ring
+    elif space.startswith("isotropy:"):
+        grading = carrier_grading(built)
+        e = grading.groupoid.object_index(space.split(":", 1)[1])
+        ring = isotropy_component(grading, e).ring
     else:
-        if space.startswith("isotropy-skew:"):
-            if act is None:
-                return False
-            e = act.groupoid.object_index(space.split(":", 1)[1])
-            ring = build_skew_ring(restrict_to_isotropy(act, e), bound).ring
-        elif space.startswith("isotropy:"):
-            grading = carrier_grading(built, bound)
-            e = grading.groupoid.object_index(space.split(":", 1)[1])
-            ring = isotropy_component(grading, e).ring
-        elif space == "carrier":
-            ring = carrier_grading(built, bound).ring
-        else:
-            return False
-        ia, ib = principal_ideal(ring, a), principal_ideal(ring, b)
+        return False
+    if not (0 < a < ring.size and 0 < b < ring.size):
+        return False
     if witness.get("a_label") not in (None, ring.label(a)):
         return False
     if witness.get("b_label") not in (None, ring.label(b)):
         return False
-    return (not ia.is_zero() and not ib.is_zero()
-            and is_zero_product(ia, ib))
+    if regenerate is None:
+        return is_zero_ideal_pair(ring, a, b)
+    ia, ib = regenerate(a), regenerate(b)
+    return not ia.is_zero() and not ib.is_zero() and is_zero_product(ia, ib)
 
 
-def verify_witnesses(built: BuiltInstance, doc: Mapping,
-                     bound: int = SKEW_RING_BOUND) -> int:
+def verify_witnesses(built: BuiltInstance, doc: Mapping) -> int:
     """Replay every witness in a report; raise the falsification alarm on
     the first one that does not reproduce.  Returns the number replayed."""
     replayed = 0
     for witness in doc.get("witnesses", []):
-        if not replay_witness(built, witness, bound):
+        if not replay_witness(built, witness):
             raise InternalDisagreement(
                 "a reported witness does not replay",
                 details={"witness": dict(witness)})

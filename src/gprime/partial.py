@@ -10,6 +10,9 @@ the equivalence report) applies to it unchanged.  Groupoid rings are the
 special case where every ideal is a full component and every map is the
 identity transport.
 
+An action keeps the carrier bound it was validated under, the one every
+ring built from it obeys, and every fact derived from it (``rings._once``).
+
 Everything that can be cross-checked is: built products are checked for
 associativity (their other ring laws hold by construction) and the grading
 axioms, reductions to isotropy are compared with the oracle whenever both are
@@ -19,7 +22,6 @@ falsification alarm instead of being smoothed over.
 
 from __future__ import annotations
 
-from functools import wraps
 from math import prod
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
@@ -33,7 +35,7 @@ from .groupoid import (FiniteGroupoid, Subgroupoid,
                        has_nontrivial_finite_normal_subgroup, is_connected,
                        isotropy, orbit, restrict, validate_subgroupoid)
 from .rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, Ideal, PrimeResult, SubRing,
-                    _Closures, _VectorRing, _kernel, _memo, additive_closure, close,
+                    _Closures, _VectorRing, _kernel, _memo, _once, additive_closure, close,
                     first_escape, first_hom_failure, first_identity, first_nonassociative,
                     first_zero_pair, is_commutative, is_maximal_commutative,
                     is_prime_bruteforce, is_s_unital, principal_ideal)
@@ -75,18 +77,18 @@ SKEW_RING_BOUND = 4096
 
 
 class PartialAction:
-    """A validated partial action; construct via validate_partial_action."""
+    """A validated partial action, with the carrier bound of its skew product
+    and ambient; construct via validate_partial_action."""
 
     def __init__(self, groupoid: FiniteGroupoid, ambient: DirectSumRing,
                  ideals: Sequence[AdditiveSubgroup],
-                 maps: Sequence[Dict[int, int]]):
+                 maps: Sequence[Dict[int, int]], bound: int = SKEW_RING_BOUND):
         self.groupoid = groupoid
         self.ambient = ambient
         self.ideals: Tuple[AdditiveSubgroup, ...] = tuple(ideals)
         self.maps: Tuple[Dict[int, int], ...] = tuple(maps)
+        self.bound = bound
         self._closure_cache = _Closures(Ideal)
-        self._skew: Optional[Grading] = None
-        self._derived: Dict[tuple, object] = {}
 
     def sigma(self, g: int, x: int) -> int:
         """Apply sigma_g to x; x must lie in A_{g^{-1}}."""
@@ -108,21 +110,10 @@ class PartialAction:
                 f"{self.groupoid.n_morphisms} morphisms)")
 
 
-def _once_per_action(fn):
-    """Decorate ``fn(action, *args)`` to run once per action and argument
-    tuple, its result kept on the action."""
-    @wraps(fn)
-    def cached(action: PartialAction, *args):
-        key = (fn.__name__, *args)
-        if key not in action._derived:
-            action._derived[key] = fn(action, *args)
-        return action._derived[key]
-    return cached
-
-
 def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
                             ideal_gens: Dict[int, Iterable[int]],
-                            maps: Dict[int, Dict[int, int]]) -> PartialAction:
+                            maps: Dict[int, Dict[int, int]],
+                            bound: int = SKEW_RING_BOUND) -> PartialAction:
     """Close the generator sets, fill in forced data, and check every axiom.
 
     ``ideal_gens`` maps morphism indices to generator lists over the ambient
@@ -145,7 +136,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     D = A_{g^-1} n A_h: sigma_h^-1(D) is spanned by sigma_h^-1(Y), and both
     sides of each law are additive there, every table being a proven
     additive bijection; a failing generator starts the element scan that
-    names the least witness.
+    names the least witness.  The action keeps ``bound``.
     """
     if not isinstance(ambient, DirectSumRing) or ambient.keys != groupoid.objects:
         raise MalformedInput(
@@ -286,7 +277,7 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         tag, message = violations[0]
         raise AxiomViolation(tag, message,
                              violations=[f"[{t}] {m}" for t, m in violations])
-    return PartialAction(G, ambient, ideals, [t for t in tables if t is not None])
+    return PartialAction(G, ambient, ideals, [t for t in tables if t is not None], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +301,12 @@ class SkewGroupoidRing(_VectorRing):
     input error.
     """
 
-    def __init__(self, action: PartialAction, bound: int = SKEW_RING_BOUND):
+    def __init__(self, action: PartialAction):
         G = action.groupoid
         amb = action.ambient
-        if prod(len(ideal) for ideal in action.ideals) > bound:
-            raise BoundExceeded(f"skew product carrier would exceed {bound} elements; "
-                                f"refusing to build")
+        if prod(len(ideal) for ideal in action.ideals) > action.bound:
+            raise BoundExceeded(f"skew product carrier would exceed {action.bound} "
+                                f"elements; refusing to build")
         subrings: Dict[frozenset, SubRing] = {}     # equal ideals share one digit ring
         super().__init__([_memo(subrings, ideal.key, lambda _: SubRing(amb, ideal))
                           for ideal in action.ideals],
@@ -386,26 +377,26 @@ class SkewGroupoidRing(_VectorRing):
         return first_identity(self, [self.encode(coeffs)], self.additive_generators())
 
 
-def build_skew_ring(action: PartialAction, bound: int = SKEW_RING_BOUND) -> Grading:
-    """Materialize the skew product and hand it back as a validated grading.
+@_once
+def build_skew_ring(action: PartialAction) -> Grading:
+    """Materialize the skew product, once per action, and hand it back as a
+    validated grading.
 
-    The carrier is refused (never truncated) above ``bound``.  The grading
-    axioms are checked first, then of the ring laws only associativity: the
-    addition is coordinatewise on subgroups A_g of a validated ring, and the
-    product, a sum of terms sigma_g(sigma_{g^{-1}}(a) b), is biadditive since
-    ``first_hom_failure`` proved every sigma additive.  So generator triples
-    a in S_g, b in S_h, c in S_k suffice, and only those with g*h and h*k
-    defined, in generator order: on any other ab = 0, or bc lies in S_hk
-    with g*hk undefined, so both sides are 0 and the first failure is the
-    one a scan of all triples finds.  AssociativityFailure signals an
-    invalid action that slipped through validation (a product that breaks
-    the grading axioms too raises their AxiomViolation first); a grading
-    that is not nearly epsilon-strong raises the falsification alarm.
+    The carrier is refused (never truncated) above the action's bound.  The
+    grading axioms are checked first, then of the ring laws only
+    associativity: the addition is coordinatewise on subgroups A_g of a
+    validated ring, and the product, a sum of terms sigma_g(sigma_{g^{-1}}(a)
+    b), is biadditive since ``first_hom_failure`` proved every sigma
+    additive.  So generator triples a in S_g, b in S_h, c in S_k suffice,
+    and only those with g*h and h*k defined, in generator order: on any
+    other ab = 0, or bc lies in S_hk with g*hk undefined, so both sides are
+    0 and the first failure is the one a scan of all triples finds.
+    AssociativityFailure signals an invalid action that slipped through
+    validation (a product that breaks the grading axioms too raises their
+    AxiomViolation first); a grading that is not nearly epsilon-strong
+    raises the falsification alarm.
     """
-    cached = action._skew
-    if cached is not None and cached.ring.size <= bound:
-        return cached
-    ring = SkewGroupoidRing(action, bound)
+    ring = SkewGroupoidRing(action)
     raw = {g: [ring.inject(g, a) for a in action.ideals[g].gens]
            for g in range(action.groupoid.n_morphisms)}
     grading = validate_grading(action.groupoid, ring, raw)
@@ -421,13 +412,13 @@ def build_skew_ring(action: PartialAction, bound: int = SKEW_RING_BOUND) -> Grad
         raise InternalDisagreement(
             "a skew product of s-unital ideals must be nearly epsilon-strong",
             details=nes.failures)
-    action._skew = grading
     return grading
 
 
-def groupoid_ring_action(base: FiniteRing, groupoid: FiniteGroupoid) -> PartialAction:
+def groupoid_ring_action(base: FiniteRing, groupoid: FiniteGroupoid,
+                         bound: int = SKEW_RING_BOUND) -> PartialAction:
     """The global action with every component a copy of ``base`` and every
-    map the identity transport between copies."""
+    map the identity transport between copies, under carrier bound ``bound``."""
     G = groupoid
     amb = DirectSumRing([base] * G.n_objects, keys=G.objects)
     gens: Dict[int, List[int]] = {}
@@ -438,7 +429,7 @@ def groupoid_ring_action(base: FiniteRing, groupoid: FiniteGroupoid) -> PartialA
         s, r = G.src[g], G.rng[g]
         gens[g] = [amb.inject(r, c) for c in base.additive_generators()]
         tables[g] = {amb.inject(s, v): amb.inject(r, v) for v in base.elements()}
-    return validate_partial_action(G, amb, gens, tables)
+    return validate_partial_action(G, amb, gens, tables, bound)
 
 
 def build_groupoid_ring(base: FiniteRing, groupoid: FiniteGroupoid,
@@ -446,9 +437,10 @@ def build_groupoid_ring(base: FiniteRing, groupoid: FiniteGroupoid,
     """The groupoid ring of ``groupoid`` over ``base`` as a validated grading.
 
     Realized through the induced global action, under which the skew product
-    rule collapses to a b delta_{gh} on composable pairs.
+    rule collapses to a b delta_{gh} on composable pairs.  The carrier is
+    refused above ``bound``.
     """
-    return build_skew_ring(groupoid_ring_action(base, groupoid), bound)
+    return build_skew_ring(groupoid_ring_action(base, groupoid, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +462,7 @@ class GroupTypeResult(Record):
     reason: Optional[str]
 
 
-@_once_per_action
+@_once
 def is_group_type(action: PartialAction) -> GroupTypeResult:
     """Search for an anchor object with a transport family of morphisms.
 
@@ -566,26 +558,21 @@ def _cached_sigma_closure(action: PartialAction, a: int) -> Ideal:
     return _memo(action._closure_cache, a, lambda x: sigma_invariant_closure(action, (x,)))
 
 
-def is_A_G_prime(action: PartialAction,
-                 bound: int = SKEW_RING_BOUND) -> PairCriterionResult:
+@_once
+def is_A_G_prime(action: PartialAction) -> PairCriterionResult:
     """No two nonzero sigma-stable ideals of the ambient sum multiply to zero.
 
     Pair form over nonzero ambient elements with sigma-invariant closures in
     place of arbitrary invariant ideals; the reduction is exact since any
     offending pair of ideals contains an offending pair of closures.  Witness
-    is the first failing pair in element order.  Ambients above ``bound``
-    are refused before the search, which runs once per action.  This is the
-    one walk over a built ring with a refusal of its own: an instance bounds
-    the ambient's parts one by one, so their sum can exceed the bound.
+    is the first failing pair in element order.  Ambients above the action's
+    bound are refused before the search, which runs once per action.  This
+    is the one walk over a built ring with a refusal of its own: an instance
+    bounds the ambient's parts one by one, so their sum can exceed the bound.
     """
     amb = action.ambient
-    if amb.size > bound:
-        raise BoundExceeded(f"ambient carrier {amb.size} exceeds {bound}")
-    return _ambient_pair_search(action)
-
-
-@_once_per_action
-def _ambient_pair_search(action: PartialAction) -> PairCriterionResult:
+    if amb.size > action.bound:
+        raise BoundExceeded(f"ambient carrier {amb.size} exceeds {action.bound}")
     pair = first_zero_pair(range(1, action.ambient.size),
                            lambda a: _cached_sigma_closure(action, a))
     return PairCriterionResult(pair is None, pair)
@@ -600,7 +587,7 @@ class PsiCheckResult(Record):
     mismatch: Optional[str]
 
 
-def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND) -> PsiCheckResult:
+def psi_check(action: PartialAction) -> PsiCheckResult:
     """Check that collecting object components onto the identity morphisms
     embeds the ambient sum isomorphically into the skew product, and that the
     ambient pair criterion agrees with the identity-part criterion there.
@@ -611,7 +598,7 @@ def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND) -> PsiCheckRe
     comparison.  Mismatches are reported, not raised: a false return flags an
     implementation bug, not bad input.
     """
-    grading = build_skew_ring(action, bound)
+    grading = build_skew_ring(action)
     ring = grading.ring
     amb = action.ambient
     G = action.groupoid
@@ -630,7 +617,7 @@ def psi_check(action: PartialAction, bound: int = SKEW_RING_BOUND) -> PsiCheckRe
                             amb.additive_generators())
     additive = bad is None or bad[0] != "additive"
     multiplicative = bad is None
-    primeness_match = (is_A_G_prime(action, bound).holds
+    primeness_match = (is_A_G_prime(action).holds
                        == is_G_prime_principal(grading).holds)
     checks = {"additive": additive, "multiplicative": multiplicative,
               "bijective": bijective, "primeness-comparison": primeness_match}
@@ -679,13 +666,13 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     return HubResult(True, witnesses, None)
 
 
-@_once_per_action
+@_once
 def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     """The induced action of the loop group at ``e`` on the component there.
 
     Coefficients transfer along the component projection onto a fresh
     one-object carrier; the result is re-validated from scratch rather than
-    trusted, and cached per object.
+    trusted, keeps the action's bound, and is cached per object.
     """
     G = action.groupoid
     if action.ideals[G.identity(G.check_object(e))].is_zero():
@@ -703,7 +690,7 @@ def restrict_to_isotropy(action: PartialAction, e: int) -> PartialAction:
     gens = {local[g]: [transfer(x) for x in action.ideals[g].gens] for g in loops[1:]}
     tables = {local[g]: {transfer(a): transfer(b) for a, b in action.maps[g].items()}
               for g in loops[1:]}
-    return validate_partial_action(sub_groupoid, new_amb, gens, tables)
+    return validate_partial_action(sub_groupoid, new_amb, gens, tables, action.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +706,18 @@ class SkewPrimeVerdict(Record):
     oracle: Optional[PrimeResult]
 
 
-@_once_per_action
-def isotropy_reduction(action: PartialAction,
-                       bound: int = SKEW_RING_BOUND) -> Dict[int, PrimeResult]:
+@_once
+def isotropy_reduction(action: PartialAction) -> Dict[int, PrimeResult]:
     """Alive object -> the oracle's result on its isotropy skew ring, built
-    under ``bound``; with a transport family the product is prime iff one is."""
+    under the action's bound; with a transport family the product is prime
+    iff one is."""
     return {e: is_prime_bruteforce(
-                build_skew_ring(restrict_to_isotropy(action, e), bound).ring)
+                build_skew_ring(restrict_to_isotropy(action, e)).ring)
             for e in action.support_objects()}
 
 
-@_once_per_action
-def skew_prime_verdict(action: PartialAction,
-                       bound: int = SKEW_RING_BOUND) -> SkewPrimeVerdict:
+@_once
+def skew_prime_verdict(action: PartialAction) -> SkewPrimeVerdict:
     """Primeness of the skew product, by oracle when buildable and through
     the isotropy reduction otherwise.
 
@@ -743,18 +729,18 @@ def skew_prime_verdict(action: PartialAction,
     """
     transport = is_group_type(action)
     try:
-        grading = build_skew_ring(action, bound)
+        grading = build_skew_ring(action)
     except BoundExceeded:
         if not transport.holds:
             raise BoundExceeded(
                 "the carrier exceeds the bound and no transport family exists, "
                 "so no reduction to isotropy applies") from None
-        per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
+        per = {e: r.prime for e, r in isotropy_reduction(action).items()}
         return SkewPrimeVerdict(any(per.values()), "group-type", per, None)
     res = is_prime_bruteforce(grading.ring)
     per: Dict[int, bool] = {}
     if transport.holds:
-        per = {e: r.prime for e, r in isotropy_reduction(action, bound).items()}
+        per = {e: r.prime for e, r in isotropy_reduction(action).items()}
         if any(per.values()) != res.prime:
             raise InternalDisagreement(
                 "isotropy reduction disagrees with the oracle on a "
@@ -903,8 +889,7 @@ class SufficientReport(Record):
     guarantees_prime: bool
 
 
-def sufficient_conditions_report(action: PartialAction,
-                                 bound: int = SKEW_RING_BOUND) -> SufficientReport:
+def sufficient_conditions_report(action: PartialAction) -> SufficientReport:
     """Evaluate the three sufficient conditions object by object.
 
     Each condition is searched over the alive objects in order and the first
@@ -916,7 +901,7 @@ def sufficient_conditions_report(action: PartialAction,
     G = action.groupoid
     amb = action.ambient
     transport = is_group_type(action).holds
-    ambient_prime = is_A_G_prime(action, bound).holds
+    ambient_prime = is_A_G_prime(action).holds
     applicable = transport or ambient_prime
     commutative = is_commutative(amb)
     trivial_at: Optional[int] = None
@@ -929,8 +914,8 @@ def sufficient_conditions_report(action: PartialAction,
         if intersection_at is not None and (maximal_at is not None or not commutative):
             continue
         sub = restrict_to_isotropy(action, e)
-        sub_grading = build_skew_ring(sub, bound)
-        component_prime = is_A_G_prime(sub, bound).holds
+        sub_grading = build_skew_ring(sub)
+        component_prime = is_A_G_prime(sub).holds
         if intersection_at is None and component_prime \
                 and _meets_identity_part(sub_grading):
             intersection_at = e
@@ -941,7 +926,7 @@ def sufficient_conditions_report(action: PartialAction,
     hits = (trivial_at, intersection_at, maximal_at)
     guarantees = applicable and any(h is not None for h in hits)
     if guarantees:
-        verdict = skew_prime_verdict(action, bound)
+        verdict = skew_prime_verdict(action)
         if not verdict.prime:
             raise InternalDisagreement(
                 "a satisfied sufficient condition contradicts the prime verdict",

@@ -57,7 +57,7 @@ N", ESA 1998), so rows (f(g), g) over generators g give ker f, and rows
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import reduce, wraps
 from itertools import accumulate, chain, combinations
 from math import isqrt, lcm, prod
 from operator import pos, xor
@@ -97,6 +97,7 @@ __all__ = [
     "is_prime_bruteforce",
     "is_zero_product",
     "first_zero_pair",
+    "is_zero_ideal_pair",
     "enumerate_ideals",
     "centralizer",
     "is_commutative",
@@ -1109,6 +1110,22 @@ def _memo(cache: Dict, key, compute: Callable):
     return hit
 
 
+def _once(fn: Callable) -> Callable:
+    """Decorate ``fn(owner, *args)`` to run once per owner and argument tuple,
+    its result kept in the owner's ``_derived`` dict, set on first use as
+    ``_pid_cache`` sets its cache; a call that raises keeps nothing."""
+    @wraps(fn)
+    def once(owner, *args):
+        derived = getattr(owner, "_derived", None)
+        if derived is None:
+            derived = owner._derived = {}
+        key = (fn, *args)
+        if key not in derived:
+            derived[key] = fn(owner, *args)
+        return derived[key]
+    return once
+
+
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     """The ideal generated by one element, cached per ring."""
     return _memo(_pid_cache(ring), a, lambda x: ideal_generated(ring, [x]))
@@ -1120,6 +1137,15 @@ def is_zero_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> bool:
         raise RingMismatch("operands live in different rings")
     mul = x.ring.mul
     return all(mul(a, b) == 0 for a in x.gens for b in y.gens)
+
+
+def is_zero_ideal_pair(ring: FiniteRing, a: int, b: int) -> bool:
+    """Whether (a)(b) == {0}, with no closure: iff ab == 0 and agb == 0 for
+    every additive generator g (Lam, "A First Course in Noncommutative
+    Rings", §10), since (a) is spanned by the na, ra, ar', rar', so a product
+    of spanning elements of (a) and (b) is ab or atb between outer factors."""
+    mul = ring.mul
+    return mul(a, b) == 0 and all(mul(mul(a, g), b) == 0 for g in ring.additive_generators())
 
 
 def first_zero_pair(members: Sequence[int],

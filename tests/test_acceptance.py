@@ -64,7 +64,7 @@ def fixture_gradings(max_size=None):
     for path in FIXTURES:
         built = build_instance(parse(path))
         try:
-            grading = carrier_grading(built, BOUND)
+            grading = carrier_grading(built)
         except BoundExceeded:
             continue
         if max_size is None or grading.ring.size <= max_size:
@@ -77,9 +77,9 @@ def handwritten_gradings():
             ("block", build_block_grading()),
             ("group-ring", build_group_ring_grading()),
             ("disconnected", build_disconnected_grading()),
-            ("zero-action", build_skew_ring(build_zero_partial_action(), BOUND)),
-            ("flip-action", build_skew_ring(build_flip_partial_action(), BOUND)),
-            ("one-object", build_skew_ring(build_one_object_partial_action(), BOUND))]
+            ("zero-action", build_skew_ring(build_zero_partial_action())),
+            ("flip-action", build_skew_ring(build_flip_partial_action())),
+            ("one-object", build_skew_ring(build_one_object_partial_action()))]
 
 
 @criterion(1, "seven-way equivalence, fuzzed corpus")
@@ -149,7 +149,7 @@ def test_criterion_04_block_diagonal():
 def test_criterion_05_disconnected_fixture():
     built = build_instance(parse(ROOT / "fixtures" /
                                  "disconnected_groupoid_ring.json"))
-    grading = carrier_grading(built, BOUND)
+    grading = carrier_grading(built)
     assert not is_prime_bruteforce(grading.ring).prime
     res = connell_check(built.base, built.groupoid)
     assert not res.holds
@@ -255,7 +255,7 @@ def test_criterion_09_global_action_chain():
         global_support_connectivity_check(act)
         transport = is_group_type(act)
         if transport.holds:
-            verdict = skew_prime_verdict(act, BOUND)
+            verdict = skew_prime_verdict(act)
             assert verdict.prime == any(verdict.isotropy_prime.values())
             reduced += 1
     assert reduced >= 5
@@ -265,7 +265,7 @@ def test_criterion_09_global_action_chain():
 def test_criterion_10_partial_fixtures():
     zero = build_instance(parse(ROOT / "fixtures" /
                                 "zero_component_partial_action.json"))
-    zero_grading = build_skew_ring(zero.action, BOUND)
+    zero_grading = build_skew_ring(zero.action)
     assert not is_graded_prime(zero_grading).holds
     assert not is_prime_bruteforce(zero_grading.ring).prime
 
@@ -274,8 +274,8 @@ def test_criterion_10_partial_fixtures():
     act = gf4.action
     e = act.groupoid.object_index("e")
     # the coefficient fibre at e is not prime under its own loop action
-    assert not is_A_G_prime(restrict_to_isotropy(act, e), BOUND).holds
-    verdict = skew_prime_verdict(act, BOUND)
+    assert not is_A_G_prime(restrict_to_isotropy(act, e)).holds
+    verdict = skew_prime_verdict(act)
     assert verdict.method == "group-type"
     assert not verdict.prime
 
@@ -288,14 +288,14 @@ def test_criterion_11_witness_replay():
         built = build_instance(parse(path))
         for method in ("oracle", "theorem", "all"):
             try:
-                doc = primeness_document(built, method, BOUND)
+                doc = primeness_document(built, method)
             except (BoundExceeded, MalformedInput):
                 continue
             if doc["witnesses"]:
                 assert not doc["verdict"], (path.name, method)
                 carrying += 1
             # raises InternalDisagreement on the first witness that fails
-            n = verify_witnesses(built, doc, BOUND)
+            n = verify_witnesses(built, doc)
             assert n == len(doc["witnesses"])
             replayed += n
     assert carrying >= 10

@@ -38,7 +38,7 @@ def fixture_corpus():
     out = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         try:
-            grading = carrier_grading(build_instance(parse(path)), BOUND)
+            grading = carrier_grading(build_instance(parse(path)))
         except BoundExceeded:
             continue
         out.append((path.stem, grading))
@@ -192,4 +192,4 @@ def test_a_fault_in_decompose_propagates_out_of_check_instance(monkeypatch):
     monkeypatch.setattr(fuzz, "project", project)
     monkeypatch.setattr(Grading, "decompose", broken)
     with pytest.raises(KeyError):
-        fuzz.check_instance(random.Random(0), inst, BOUND)
+        fuzz.check_instance(random.Random(0), inst)

@@ -111,7 +111,7 @@ def test_isotropy_component_and_restrict_to_isotropy_share_one_groupoid(name, ac
     fits under the bound, the isotropy component of its grading is compared too."""
     G = action.groupoid
     try:
-        grading = build_skew_ring(action, BOUND)
+        grading = build_skew_ring(action)
     except BoundExceeded:
         grading = None
     alive = action.support_objects()
@@ -129,7 +129,7 @@ def test_most_fixture_actions_fit_the_skew_ring_bound():
     fits = 0
     for _, action in fixture_actions():
         try:
-            build_skew_ring(action, BOUND)
+            build_skew_ring(action)
             fits += 1
         except BoundExceeded:
             pass

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gprime import cli
-from gprime.errors import (AxiomViolation, InternalDisagreement,
+from gprime import cli, grading, partial, rings
+from gprime.errors import (AxiomViolation, BoundExceeded, InternalDisagreement,
                            MalformedInput, ParseError, SchemaError)
 from gprime.groupoid import FiniteGroup
 from gprime.instances import (analysis_document, build_instance,
-                              canonical_json, equivalence_document,
-                              instance_digest, parse, parse_data,
+                              canonical_json, carrier_grading,
+                              equivalence_document, instance_digest, parse, parse_data,
                               parse_element, primeness_document,
-                              render_report, replay_witness, resolve_bound,
+                              render_report, replay_witness,
                               validation_document, verify_witnesses)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
                           MatrixRing, is_prime_bruteforce)
@@ -257,9 +258,26 @@ class TestBuild:
             build_instance(parse_data(raw))
 
     def test_resolve_bound_order(self):
+        """The caller's bound, else the file's, else the default, kept on
+        the built instance and its partial action."""
         inst = parse_data(minimal_raw(bounds={"max_ring": 99}))
-        assert resolve_bound(inst) == 99
-        assert resolve_bound(parse_data(minimal_raw())) == 4096
+        assert build_instance(inst).bound == 99
+        assert build_instance(inst, 7).bound == 7
+        assert build_instance(parse_data(minimal_raw())).bound == 4096
+        flip = parse(fixture("global_flip_partial_action.json"))
+        assert build_instance(flip, 8).action.bound == 8
+
+    def test_raised_bound_reaches_the_oracle_document(self):
+        """GF(2)[C13] (8192 elements) built under 10000 gets its oracle
+        verdict from Python, with no bound passed again."""
+        inst = parse_data(minimal_raw(groupoid_ring={"base": {"group_ring": {
+            "base": {"field": 2}, "group": {"cyclic": 13}}}}))
+        with pytest.raises(BoundExceeded):
+            build_instance(inst)
+        built = build_instance(inst, 10000)
+        doc = primeness_document(built, "oracle")
+        assert doc["verdict"] is False and doc["method"] == "oracle"
+        assert verify_witnesses(built, doc) == len(doc["witnesses"]) == 1
 
 
 class TestDocuments:
@@ -274,7 +292,7 @@ class TestDocuments:
 
     def test_analysis_group_type_family(self):
         built = build_instance(parse(fixture("gf4_frobenius_group_type.json")))
-        doc = analysis_document(built, 4096)
+        doc = analysis_document(built)
         pa = doc["partial_action"]
         # the line ideals are proper, so the action is not global,
         # yet whole-fibre transports exist along l
@@ -288,7 +306,7 @@ class TestDocuments:
 
     def test_analysis_disconnected_criterion(self):
         built = build_instance(parse(fixture("disconnected_groupoid_ring.json")))
-        doc = analysis_document(built, 4096)
+        doc = analysis_document(built)
         crit = doc["groupoid_ring"]["criterion"]
         assert crit["holds"] is False
         assert crit["connected"] is False
@@ -297,55 +315,89 @@ class TestDocuments:
     @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
     def test_primeness_verdicts(self, name):
         built = build_instance(parse(fixture(name)))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         assert doc["verdict"] == EXPECTED_VERDICTS[name]
         # non-prime verdicts come with at least one replayable pair
         if not doc["verdict"]:
             assert doc["witnesses"]
-        assert verify_witnesses(built, doc, 4096) == len(doc["witnesses"])
+        assert verify_witnesses(built, doc) == len(doc["witnesses"])
 
     def test_gf4_goes_through_isotropy_reduction(self):
         built = build_instance(parse(fixture("gf4_frobenius_group_type.json")))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         assert doc["method"] == "group-type"
         assert doc["isotropy_prime"] == {"e": False, "f": False}
         assert doc["coefficients_G_prime"] is False
 
     def test_equivalence_document_m3(self):
         built = build_instance(parse(fixture("m3_pair_groupoid.json")))
-        doc = equivalence_document(built, 4096)
+        doc = equivalence_document(built)
         assert doc["conditions"] == {c: True for c in
                                      ("i", "ii", "iii", "iv", "v", "vi", "vii")}
 
     def test_tampered_witness_fails_replay(self):
         built = build_instance(parse(fixture("block_diagonal.json")))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         witness = dict(doc["witnesses"][0])
-        assert replay_witness(built, witness, 4096)
+        assert replay_witness(built, witness)
         witness["b"] = witness["a"]  # same ideal twice: product is not zero
-        assert not replay_witness(built, witness, 4096)
+        assert not replay_witness(built, witness)
         with pytest.raises(InternalDisagreement, match="does not replay"):
-            verify_witnesses(built, {"witnesses": [witness]}, 4096)
+            verify_witnesses(built, {"witnesses": [witness]})
+
+    def test_ideal_witnesses_replay_with_no_closure(self, monkeypatch):
+        """"ideal" pairs on the carrier, an isotropy component and an
+        isotropy skew ring replay on generators: on a fresh build of the
+        instance, its rings built but no ideal of them cached, replay runs
+        no ``close``."""
+        pairs = []
+        for name, method in (("block_diagonal.json", "all"),
+                             ("gf4_frobenius_group_type.json", "theorem")):
+            doc = primeness_document(build_instance(parse(fixture(name))), method)
+            fresh = build_instance(parse(fixture(name)))
+            for w in doc["witnesses"]:
+                kind, _, obj = w["space"].partition(":")
+                if w["closure"] != "ideal":
+                    continue
+                if kind == "isotropy-skew":
+                    e = fresh.groupoid.object_index(obj)
+                    partial.build_skew_ring(partial.restrict_to_isotropy(fresh.action, e))
+                elif kind == "isotropy":
+                    e = fresh.groupoid.object_index(obj)
+                    grading.isotropy_component(carrier_grading(fresh), e)
+                else:
+                    carrier_grading(fresh)
+                pairs.append((fresh, w))
+        assert {w["space"].partition(":")[0] for _, w in pairs} == {
+            "carrier", "isotropy", "isotropy-skew"}
+        closes = []
+        for module in (rings, grading, partial):
+            def counting(*args, close=module.close):
+                closes.append(args)
+                return close(*args)
+            monkeypatch.setattr(module, "close", counting)
+        assert all(replay_witness(built, w) for built, w in pairs)
+        assert closes == []
 
     def test_zero_witness_rejected(self):
         built = build_instance(parse(fixture("block_diagonal.json")))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         witness = dict(doc["witnesses"][0])
         witness["a"] = 0
-        assert not replay_witness(built, witness, 4096)
+        assert not replay_witness(built, witness)
 
     def test_wrong_label_rejected(self):
         built = build_instance(parse(fixture("block_diagonal.json")))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         witness = dict(doc["witnesses"][0])
         witness["a_label"] = "not the label"
-        assert not replay_witness(built, witness, 4096)
+        assert not replay_witness(built, witness)
 
 
 class TestRendering:
     def test_json_is_deterministic(self):
         built = build_instance(parse(fixture("m3_pair_groupoid.json")))
-        doc = primeness_document(built, "all", 4096)
+        doc = primeness_document(built, "all")
         assert render_report(doc, "json") == render_report(doc, "json")
         assert render_report(doc, "json").endswith("\n")
 
@@ -545,7 +597,8 @@ class TestCLI:
         proc = subprocess.run(
             [sys.executable, "-m", "gprime.cli", "prime",
              str(fixture("f2_p2_groupoid_ring.json")), "--output", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] is True
 

@@ -64,7 +64,7 @@ def fixture_gradings():
     out = []
     for name, built in fixture_instances():
         try:
-            out.append((name, carrier_grading(built, BOUND)))
+            out.append((name, carrier_grading(built)))
         except BoundExceeded:
             continue
     return out

@@ -37,7 +37,6 @@ from test_direct_sum import fixture_corpus, generated_corpus
 from test_s_unital import drawn_member, one_sided
 
 ROOT = Path(__file__).resolve().parents[1]
-BOUND = 4096
 
 BASES = (lambda: CyclicRing(4), lambda: GaloisField(3), lambda: GaloisField(2),
          lambda: DirectSumRing([CyclicRing(4), GaloisField(3)]))
@@ -184,14 +183,14 @@ def test_one_nes_per_grading(monkeypatch):
                             or handed_out[-1])
 
     built = build_instance(parse(ROOT / "fixtures" / "global_flip_partial_action.json"))
-    grading = carrier_grading(built, BOUND)
+    grading = carrier_grading(built)
     built_searches = len(searches)
     assert built_searches > 0
     first = is_nearly_epsilon_strong(grading)
     assert first.holds
 
     equivalence_report(grading)
-    analysis_document(built, BOUND)
+    analysis_document(built)
     assert len(handed_out) == 2 and all(res is first for res in handed_out)
     assert len(searches) == built_searches
 

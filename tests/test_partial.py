@@ -371,7 +371,7 @@ class TestPrincipalPartComparison:
 
     def test_mismatch_is_reported_not_repaired(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "is_A_G_prime",
-                            lambda action, bound=0: PairCriterionResult(False, None))
+                            lambda action: PairCriterionResult(False, None))
         res = psi_check(flip_action)
         assert not res.ok and res.mismatch == "primeness-comparison"
 
@@ -645,7 +645,7 @@ class TestSufficientConditions:
 
     def test_contradicting_verdict_raises(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "skew_prime_verdict",
-                            lambda action, bound: SkewPrimeVerdictStub)
+                            lambda action: SkewPrimeVerdictStub)
         with pytest.raises(InternalDisagreement):
             sufficient_conditions_report(flip_action)
 

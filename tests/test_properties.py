@@ -180,7 +180,7 @@ class TestPartialActions:
     @given(st.integers(0, 9999))
     def test_skew_hubs_match_grading_hubs(self, seed):
         act = generated_action(seed)
-        grading = build_skew_ring(act, SIZE_CAP)
+        grading = build_skew_ring(act)
         for e in act.support_objects():
             assert (skew_support_hub(act, e).is_hub
                     == is_support_hub(grading, e).is_hub)

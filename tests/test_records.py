@@ -49,7 +49,7 @@ FIELDS = {
     fuzz.FuzzRecord: ("index", "kind", "carrier", "size", "verdict", "checks"),
     fuzz.FuzzReport: ("seed", "count", "max_ring", "records"),
     instances.Instance: ("name", "kind", "digest", "raw"),
-    instances.BuiltInstance: ("instance", "groupoid", "grading", "action", "base"),
+    instances.BuiltInstance: ("instance", "groupoid", "bound", "grading", "action", "base"),
 }
 
 
@@ -118,16 +118,19 @@ class TestRecordBase:
             del p.y
         assert p == Pair(1, 2)
 
-    def test_built_instance_is_mutable_and_carrier_is_no_argument(self):
+    def test_built_instance_is_mutable_and_its_carrier_is_no_field(self):
         inst = instances.Instance("n", "groupoid_ring", "d", {})
         G = pair_groupoid(["a"], FiniteGroup.cyclic(1))
+        base = CyclicRing(3)
         with pytest.raises(TypeError):
-            BuiltInstance(inst, G, carrier="ring")
-        built = BuiltInstance(inst, G)
-        assert built.carrier is None and built.kind == "groupoid_ring"
-        built.carrier = "ring"
-        assert built.carrier == "ring"
-        assert built == BuiltInstance(inst, G)     # carrier is not a field
+            BuiltInstance(inst, G, 4096, carrier="ring")
+        built = BuiltInstance(inst, G, 4096, base=base)
+        assert built.kind == "groupoid_ring"
+        carrier = instances.carrier_grading(built)
+        assert carrier.ring.size == 3 and instances.carrier_grading(built) is carrier
+        assert built == BuiltInstance(inst, G, 4096, base=base)   # the memo is no field
+        built.bound = 2
+        assert built.bound == 2
         with pytest.raises(TypeError):
             hash(built)
 

@@ -3,7 +3,8 @@
 ``first_zero_pair`` groups members by closure and tests each pair of distinct
 closures once.  The reference below tests every ordered member pair, with no
 grouping, and returns the first hit of the double loop; the two must report
-the same pair on any member list, in any order.
+the same pair on any member list, in any order.  The last test counts the
+searches one pass of the fuzz workload makes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import (build_block_grading, build_disconnected_grading,
                       build_group_ring_grading, build_m3_grading)
-from gprime.fuzz import _random_partial_action, generate_instance
+import gprime.grading as grading_module
+import gprime.partial as partial_module
+from gprime.fuzz import _random_partial_action, generate_instance, run_fuzz
 from gprime.grading import invariant_closure
 from gprime.groupoid import FiniteGroup
 from gprime.partial import sigma_invariant_closure
@@ -129,3 +132,20 @@ class TestFirstZeroPair:
         ring = carrier(len(CARRIERS) - 1)
         a, b, _, _ = first_zero_pair([3, 1, 2], lambda x: principal_ideal(ring, x))
         assert (a, b) == (3, 3)
+
+
+def test_each_pair_criterion_runs_once_per_grading(monkeypatch):
+    """The fuzz workload's four runs ask for the pair criteria on the same
+    gradings again and again (the harness, the equivalence report, the
+    trivial-isotropy shortcut and the psi check); each grading keeps its
+    verdicts, so the searches run at most 43 times, against 99 when they
+    were recomputed."""
+    calls = []
+    for module in (grading_module, partial_module):
+        def counting(members, closure, search=module.first_zero_pair):
+            calls.append(1)
+            return search(members, closure)
+        monkeypatch.setattr(module, "first_zero_pair", counting)
+    for seed, count in ((2, 8), (5, 8), (32, 1), (38, 1)):
+        run_fuzz(seed, count)
+    assert 0 < len(calls) <= 43
