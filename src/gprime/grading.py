@@ -53,7 +53,6 @@ __all__ = [
     "PairCriterionResult",
     "is_graded_prime",
     "is_G_prime_principal",
-    "RestrictedGrading",
     "restrict_grading",
     "isotropy_component",
 ]
@@ -72,9 +71,6 @@ class Grading:
         self.components: Tuple[AdditiveSubgroup, ...] = tuple(components)
         self._fold: Optional[_Basis] = None
         self._inv_cache = _Closures(AdditiveSubgroup)
-
-    def component(self, g: int) -> AdditiveSubgroup:
-        return self.components[g]
 
     def decompose(self, x: int) -> Tuple[int, ...]:
         """The unique per-morphism parts summing to x.
@@ -108,9 +104,6 @@ class Grading:
         return additive_closure(self.ring, [
             x for e in range(G.n_objects) for x in self.components[G.identity(e)].gens])
 
-    def support(self) -> List[int]:
-        return [g for g, comp in enumerate(self.components) if not comp.is_zero()]
-
     def __repr__(self) -> str:
         return f"Grading({self.ring.tag} by {self.groupoid!r})"
 
@@ -118,7 +111,6 @@ class Grading:
 class GradedIdeal(Record):
     """An ideal equal to the sum of its homogeneous parts."""
 
-    grading: Grading
     ideal: Ideal
     parts: Tuple[frozenset, ...]
 
@@ -136,8 +128,8 @@ class GradedIdeal(Record):
                         f"{grading.ring.label(p)} at {grading.groupoid.morphisms[g]!r} "
                         f"outside the ideal")
                 parts[g].append(p)
-        return GradedIdeal(grading, ideal, tuple(additive_closure(grading.ring, p).elements
-                                                 for p in parts))
+        return GradedIdeal(ideal, tuple(additive_closure(grading.ring, p).elements
+                                        for p in parts))
 
 
 def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
@@ -391,27 +383,22 @@ def support_groupoid(grading: Grading, nes: Optional[bool] = None) -> SupportRes
 # conjugation and invariant ideals of the identity-component ring
 # ---------------------------------------------------------------------------
 
-def conjugate(grading: Grading, subset, g: int) -> AdditiveSubgroup:
-    """The span of S_g^-1 * subset * S_g.
-
-    ``subset`` may be an additive subgroup (generators suffice) or a bare
-    iterable of elements (used verbatim).
-    """
+def conjugate(grading: Grading, sub: AdditiveSubgroup, g: int) -> AdditiveSubgroup:
+    """The span of S_g^-1 * sub * S_g; generators suffice."""
     G = grading.groupoid
     G.check_morphism(g)
     mul = grading.ring.mul
     ugens = grading.components[G.inv[g]].gens
     vgens = grading.components[g].gens
-    mids = subset.gens if isinstance(subset, AdditiveSubgroup) else tuple(subset)
     return additive_closure(grading.ring,
-                            (mul(mul(u, x), v) for u in ugens for x in mids for v in vgens))
+                            (mul(mul(u, x), v) for u in ugens for x in sub.gens for v in vgens))
 
 
-def is_invariant(grading: Grading, sub: AdditiveSubgroup,
-                 hs: Optional[Iterable[int]] = None) -> Tuple[bool, Optional[int]]:
-    """Whether conjugation by every morphism in ``hs`` (default: all) stays inside."""
+def is_invariant(grading: Grading, sub: AdditiveSubgroup) -> Tuple[bool, Optional[int]]:
+    """Whether conjugation by every morphism stays inside ``sub``; the second
+    value is the first morphism that leaves it, if any."""
     G = grading.groupoid
-    for g in (range(G.n_morphisms) if hs is None else [G.check_morphism(h) for h in hs]):
+    for g in range(G.n_morphisms):
         if not all(x in sub for x in conjugate(grading, sub, g).gens):
             return False, g
     return True, None
@@ -510,8 +497,7 @@ def psi(grading: Grading, sub: AdditiveSubgroup) -> GradedIdeal:
 
 class HubResult(Record):
     is_hub: bool
-    #: (morphism, element) -> (outgoing h with a*S_h != 0, incoming k with S_k*a != 0)
-    witnesses: Dict[Tuple[int, int], Tuple[int, int]]
+    #: the first (morphism, element) that multiplies to zero through the object
     blocking: Optional[Tuple[int, int]]
 
 
@@ -520,9 +506,9 @@ def is_support_hub(grading: Grading, e: int) -> HubResult:
     through the object ``e`` on both sides.
 
     For each nonzero a in S_g this needs some h with src(h) == e and
-    a*S_h != {0}, and some k with rng(k) == e and S_k*a != {0}.  Searches run
-    in morphism order; the witness map records the first (h, k) per element,
-    and on failure ``blocking`` is the first element with no such pair.
+    a*S_h != {0}, and some k with rng(k) == e and S_k*a != {0}.  Elements
+    are taken in (morphism, element) order and each search stops at its
+    first hit; on failure ``blocking`` is the first element lacking h or k.
     """
     G = grading.groupoid
     if grading.components[G.identity(G.check_object(e))].is_zero():
@@ -531,16 +517,11 @@ def is_support_hub(grading: Grading, e: int) -> HubResult:
     mul = grading.ring.mul
     out_h = G.morphisms_from(e)
     in_k = G.morphisms_into(e)
-    witnesses: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for g, a in grading.homogeneous():
-        h_hit = next((h for h in out_h
-                      if any(mul(a, v) != 0 for v in grading.components[h].gens)), None)
-        k_hit = next((k for k in in_k
-                      if any(mul(u, a) != 0 for u in grading.components[k].gens)), None)
-        if h_hit is None or k_hit is None:
-            return HubResult(False, witnesses, (g, a))
-        witnesses[(g, a)] = (h_hit, k_hit)
-    return HubResult(True, witnesses, None)
+        if not (any(mul(a, v) != 0 for h in out_h for v in grading.components[h].gens)
+                and any(mul(u, a) != 0 for k in in_k for u in grading.components[k].gens)):
+            return HubResult(False, (g, a))
+    return HubResult(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -587,27 +568,21 @@ def is_G_prime_principal(grading: Grading) -> PairCriterionResult:
 # restriction to subgroupoids and isotropy components
 # ---------------------------------------------------------------------------
 
-class RestrictedGrading(Record):
-    """A grading restricted to a subgroupoid, with translation tables."""
+def restrict_grading(parent: Grading, sub: Subgroupoid) -> Grading:
+    """The grading induced on the span of the components over a subgroupoid.
 
-    grading: Grading                      # the restricted structure
-    parent: Grading
-    morphism_map: Dict[int, int]          # parent morphism -> restricted morphism
-    ring: SubRing                         # restricted carrier (subring of parent's)
-
-
-def restrict_grading(parent: Grading, sub: Subgroupoid) -> RestrictedGrading:
-    """The grading induced on the span of the components over a subgroupoid."""
+    Its ring is a ``SubRing`` of the parent's carrier, and its groupoid is
+    ``groupoid.restrict(sub)``, whose morphism map renumbers the members."""
     small, mor_map = restrict(sub)
     span = additive_closure(parent.ring, [x for g in sub.members for x in parent.components[g].gens])
     carrier = SubRing(parent.ring, span)
     comps = {mor_map[g]: [carrier.from_parent[x] for x in parent.components[g].gens]
              for g in sub.members}
-    return RestrictedGrading(validate_grading(small, carrier, comps), parent, mor_map, carrier)
+    return validate_grading(small, carrier, comps)
 
 
 @_once
-def isotropy_component(parent: Grading, e: int) -> RestrictedGrading:
+def isotropy_component(parent: Grading, e: int) -> Grading:
     """The group-graded ring sitting over the isotropy group at ``e``,
     built once per object and kept on the grading."""
     G = parent.groupoid

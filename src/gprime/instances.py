@@ -65,8 +65,7 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
 from .primeness import StageClock, equivalence_report, evaluate_condition
 from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
                     GroupRing, MatrixRing, PrimeResult, TableRing, _once,
-                    additive_closure, is_prime_bruteforce, is_zero_ideal_pair,
-                    is_zero_product)
+                    additive_closure, is_prime_bruteforce, is_zero_ideal_pair)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -958,9 +957,9 @@ def replay_witness(built: BuiltInstance, witness: Mapping) -> bool:
     True only when both named elements are nonzero elements of the ring
     kept on the instance's grading or action (an "isotropy:" witness on the
     kept isotropy component), their labels match, and the ideals they
-    generate multiply to zero.  An "ideal" pair replays on generators, by
-    ``rings.is_zero_ideal_pair``, with no closure; an "invariant" or "sigma"
-    pair regenerates both closures and multiplies them.
+    generate multiply to zero, by ``rings.is_zero_ideal_pair``: an "ideal"
+    pair on generators, with no closure; an "invariant" or "sigma" pair on
+    both regenerated closures.
     """
     space, closure = witness["space"], witness["closure"]
     a, b = witness["a"], witness["b"]
@@ -992,10 +991,7 @@ def replay_witness(built: BuiltInstance, witness: Mapping) -> bool:
         return False
     if witness.get("b_label") not in (None, ring.label(b)):
         return False
-    if regenerate is None:
-        return is_zero_ideal_pair(ring, a, b)
-    ia, ib = regenerate(a), regenerate(b)
-    return not ia.is_zero() and not ib.is_zero() and is_zero_product(ia, ib)
+    return is_zero_ideal_pair(ring, a, b, regenerate)
 
 
 def verify_witnesses(built: BuiltInstance, doc: Mapping) -> int:

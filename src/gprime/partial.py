@@ -26,14 +26,12 @@ from math import prod
 
 from .errors import (AssociativityFailure, AxiomViolation, BoundExceeded,
                      DegenerateInstance, InternalDisagreement,
-                     MalformedInput, NotSUnital, ObjectNotInSupport,
-                     Record, RingMismatch)
+                     MalformedInput, NotSUnital, ObjectNotInSupport, Record)
 from .grading import (Grading, HubResult, PairCriterionResult,
                       is_G_prime_principal, is_nearly_epsilon_strong,
                       validate_grading)
-from .groupoid import (FiniteGroupoid, Subgroupoid,
-                       has_nontrivial_finite_normal_subgroup, is_connected,
-                       isotropy, orbit, restrict, validate_subgroupoid)
+from .groupoid import (FiniteGroupoid, has_nontrivial_finite_normal_subgroup,
+                       is_connected, isotropy, orbit, restrict, validate_subgroupoid)
 from .rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, Ideal, PrimeResult, SubRing,
                     _Closures, _VectorRing, _kernel, _memo, _once, additive_closure, close,
                     first_escape, first_hom_failure, first_identity, first_nonassociative,
@@ -55,7 +53,6 @@ __all__ = [
     "is_global",
     "GroupTypeResult",
     "is_group_type",
-    "is_sigma_invariant",
     "sigma_invariant_closure",
     "is_A_G_prime",
     "PsiCheckResult",
@@ -284,6 +281,12 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
 # the skew product ring
 # ---------------------------------------------------------------------------
 
+def _refuse_carrier(size: int, bound: int) -> None:
+    if size > bound:
+        raise BoundExceeded(f"skew product carrier would exceed {bound} elements; "
+                            f"refusing to build")
+
+
 class SkewGroupoidRing(_VectorRing):
     """Formal sums over the morphisms with coefficients in the attached ideals.
 
@@ -304,9 +307,7 @@ class SkewGroupoidRing(_VectorRing):
     def __init__(self, action: PartialAction):
         G = action.groupoid
         amb = action.ambient
-        if prod(len(ideal) for ideal in action.ideals) > action.bound:
-            raise BoundExceeded(f"skew product carrier would exceed {action.bound} "
-                                f"elements; refusing to build")
+        _refuse_carrier(prod(len(ideal) for ideal in action.ideals), action.bound)
         subrings: Dict[frozenset, SubRing] = {}     # equal ideals share one digit ring
         super().__init__([_memo(subrings, ideal.key, lambda _: SubRing(amb, ideal))
                           for ideal in action.ideals],
@@ -437,9 +438,11 @@ def build_groupoid_ring(base: FiniteRing, groupoid: FiniteGroupoid,
     """The groupoid ring of ``groupoid`` over ``base`` as a validated grading.
 
     Realized through the induced global action, under which the skew product
-    rule collapses to a b delta_{gh} on composable pairs.  The carrier is
-    refused above ``bound``.
+    rule collapses to a b delta_{gh} on composable pairs.  The carrier has
+    |base|^|morphisms| elements, so it is refused above ``bound`` before the
+    action's ambient sum and tables are built.
     """
+    _refuse_carrier(base.size ** groupoid.n_morphisms, bound)
     return build_skew_ring(groupoid_ring_action(base, groupoid, bound))
 
 
@@ -497,27 +500,6 @@ def is_group_type(action: PartialAction) -> GroupTypeResult:
 # ---------------------------------------------------------------------------
 # invariant ideals of the ambient sum
 # ---------------------------------------------------------------------------
-
-def is_sigma_invariant(action: PartialAction, sub: AdditiveSubgroup,
-                       hs=None) -> Tuple[bool, Optional[int]]:
-    """Whether sigma_g(sub ∩ A_{g^{-1}}) stays inside ``sub`` for each g.
-
-    ``hs`` restricts the morphisms checked (a Subgroupoid or morphism
-    indices, else UnknownMorphism; all by default).  sigma_g is additive, so
-    it is tested on the generators of the meet from ``rings._kernel``.  The
-    second return value is the first violating morphism, if any.
-    """
-    if sub.ring is not action.ambient:
-        raise RingMismatch("the subgroup lives in a different carrier")
-    G = action.groupoid
-    morphs = (range(G.n_morphisms) if hs is None else sorted(hs.members)
-              if isinstance(hs, Subgroupoid) else [G.check_morphism(h) for h in hs])
-    for g in morphs:
-        meet = [(a, a) for a in action.ideals[G.inv[g]].gens] + [(b, 0) for b in sub.gens]
-        if any(action.maps[g][x] not in sub for x in _kernel(action.ambient, meet)):
-            return False, g
-    return True, None
-
 
 def sigma_invariant_closure(action: PartialAction, seed: Iterable[int]) -> Ideal:
     """The smallest ideal of the ambient sum containing ``seed`` and stable
@@ -580,10 +562,7 @@ def is_A_G_prime(action: PartialAction) -> PairCriterionResult:
 
 class PsiCheckResult(Record):
     ok: bool
-    additive: bool
-    multiplicative: bool
-    bijective: bool
-    primeness_match: bool
+    #: the first failing check, in the order the docstring of psi_check lists
     mismatch: Optional[str]
 
 
@@ -592,11 +571,13 @@ def psi_check(action: PartialAction) -> PsiCheckResult:
     embeds the ambient sum isomorphically into the skew product, and that the
     ambient pair criterion agrees with the identity-part criterion there.
 
-    Every check is exact: additivity, then multiplicativity (False whenever
-    additivity fails), by ``rings.first_hom_failure`` on the ambient's
-    additive generators; bijectivity onto the identity part; the criterion
-    comparison.  Mismatches are reported, not raised: a false return flags an
-    implementation bug, not bad input.
+    Every check is exact: additivity, then multiplicativity, by
+    ``rings.first_hom_failure`` on the ambient's additive generators
+    (which names the law that fails first); bijectivity onto the identity
+    part; the criterion comparison.  The first that fails is named in
+    ``mismatch`` ("additive", "multiplicative", "bijective" or
+    "primeness-comparison").  Mismatches are reported, not raised: a false
+    return flags an implementation bug, not bad input.
     """
     grading = build_skew_ring(action)
     ring = grading.ring
@@ -615,15 +596,10 @@ def psi_check(action: PartialAction) -> PsiCheckResult:
                  and set(images) == set(principal.elements))
     bad = first_hom_failure(amb, ring, images.__getitem__, amb.elements(),
                             amb.additive_generators())
-    additive = bad is None or bad[0] != "additive"
-    multiplicative = bad is None
-    primeness_match = (is_A_G_prime(action).holds
-                       == is_G_prime_principal(grading).holds)
-    checks = {"additive": additive, "multiplicative": multiplicative,
-              "bijective": bijective, "primeness-comparison": primeness_match}
-    mismatch = next((name for name, good in checks.items() if not good), None)
-    return PsiCheckResult(mismatch is None, additive, multiplicative,
-                          bijective, primeness_match, mismatch)
+    criteria_agree = is_A_G_prime(action).holds == is_G_prime_principal(grading).holds
+    mismatch = (bad[0] if bad is not None else "bijective" if not bijective
+                else None if criteria_agree else "primeness-comparison")
+    return PsiCheckResult(mismatch is None, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +612,9 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     A coefficient a in A_g multiplies nontrivially against A_h delta_h from
     the left exactly when sigma_{g^{-1}}(a)·A_h is nonzero, and absorbs
     A_k delta_k from the left exactly when A_{k^{-1}}·a is nonzero, so the
-    search never materializes the product ring.  Keys of the witness map are
-    (morphism, ambient coefficient); agrees with the grading-side hub test on
-    every buildable carrier.
+    search never materializes the product ring.  On failure ``blocking`` is
+    the first (morphism, ambient coefficient) lacking h or k; agrees with the
+    grading-side hub test on every buildable carrier.
     """
     G = action.groupoid
     amb = action.ambient
@@ -648,22 +624,17 @@ def skew_support_hub(action: PartialAction, e: int) -> HubResult:
     mul = amb.mul
     out_h = G.morphisms_from(e)
     in_k = G.morphisms_into(e)
-    witnesses: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for g in range(G.n_morphisms):
         for a in action.ideals[g].sorted_elements():
             if a == 0:
                 continue
             pulled = action.sigma(G.inv[g], a)
-            h_hit = next((h for h in out_h if G.composable(g, h)
-                          and any(mul(pulled, v) != 0
-                                  for v in action.ideals[h].gens)), None)
-            k_hit = next((k for k in in_k if G.composable(k, g)
-                          and any(mul(u, a) != 0
-                                  for u in action.ideals[G.inv[k]].gens)), None)
-            if h_hit is None or k_hit is None:
-                return HubResult(False, witnesses, (g, a))
-            witnesses[(g, a)] = (h_hit, k_hit)
-    return HubResult(True, witnesses, None)
+            if not (any(mul(pulled, v) != 0 for h in out_h if G.composable(g, h)
+                        for v in action.ideals[h].gens)
+                    and any(mul(u, a) != 0 for k in in_k if G.composable(k, g)
+                            for u in action.ideals[G.inv[k]].gens)):
+                return HubResult(False, (g, a))
+    return HubResult(True, None)
 
 
 @_once
@@ -874,9 +845,8 @@ def _meets_identity_part(grading: Grading) -> bool:
 
 
 class SufficientReport(Record):
-    group_type: bool
-    coefficients_G_prime: bool
-    #: the two hypotheses above, at least one of which must hold to conclude
+    #: a transport family exists or the ambient sum is A-G-prime; the
+    #: conditions conclude nothing otherwise
     applicable: bool
     #: first alive object with trivial loop group and a prime component
     trivial_isotropy_at: Optional[int]
@@ -901,7 +871,7 @@ def sufficient_conditions_report(action: PartialAction) -> SufficientReport:
     G = action.groupoid
     amb = action.ambient
     transport = is_group_type(action).holds
-    ambient_prime = is_A_G_prime(action).holds
+    ambient_prime = is_A_G_prime(action).holds     # refused above the bound
     applicable = transport or ambient_prime
     commutative = is_commutative(amb)
     trivial_at: Optional[int] = None
@@ -931,5 +901,4 @@ def sufficient_conditions_report(action: PartialAction) -> SufficientReport:
             raise InternalDisagreement(
                 "a satisfied sufficient condition contradicts the prime verdict",
                 details={"conditions": hits, "verdict": verdict})
-    return SufficientReport(transport, ambient_prime, applicable,
-                            trivial_at, intersection_at, maximal_at, guarantees)
+    return SufficientReport(applicable, trivial_at, intersection_at, maximal_at, guarantees)

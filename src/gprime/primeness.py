@@ -74,10 +74,8 @@ class StageClock:
 class ObjectEvidence(Record):
     """Per-object ingredients: hub status and primeness of the isotropy component."""
 
-    obj: int
     hub: HubResult
     isotropy_prime: PrimeResult
-    isotropy_size: int
 
 
 class PrimenessReport(Record):
@@ -90,15 +88,14 @@ class PrimenessReport(Record):
 
 def _object_evidence(grading: Grading, e: int) -> ObjectEvidence:
     hub = is_support_hub(grading, e)
-    restricted = isotropy_component(grading, e)
-    prime = is_prime_bruteforce(restricted.ring)
+    prime = is_prime_bruteforce(isotropy_component(grading, e).ring)
     if prime.degenerate:
         # e is in the support, so its isotropy carrier contains the nonzero
         # identity component; a zero carrier here is an implementation bug
         raise InternalDisagreement(
             f"isotropy component at {grading.groupoid.objects[e]!r} collapsed "
             "to the zero ring although the object is in the support")
-    return ObjectEvidence(e, hub, prime, restricted.ring.size)
+    return ObjectEvidence(hub, prime)
 
 
 def _flags(per_object: Dict[int, ObjectEvidence]) -> Dict[int, tuple]:

@@ -1139,11 +1139,22 @@ def is_zero_product(x: AdditiveSubgroup, y: AdditiveSubgroup) -> bool:
     return all(mul(a, b) == 0 for a in x.gens for b in y.gens)
 
 
-def is_zero_ideal_pair(ring: FiniteRing, a: int, b: int) -> bool:
-    """Whether (a)(b) == {0}, with no closure: iff ab == 0 and agb == 0 for
-    every additive generator g (Lam, "A First Course in Noncommutative
-    Rings", §10), since (a) is spanned by the na, ra, ar', rar', so a product
-    of spanning elements of (a) and (b) is ab or atb between outer factors."""
+def is_zero_ideal_pair(ring: FiniteRing, a: int, b: int,
+                       closure: Optional[Callable[[int], AdditiveSubgroup]] = None) -> bool:
+    """Whether a and b are nonzero and the ideals they generate multiply to
+    zero; the rule every emitted zero pair is replayed by.
+
+    Without ``closure`` the ideals are not built: (a)(b) == {0} iff ab == 0
+    and agb == 0 for every additive generator g (Lam, "A First Course in
+    Noncommutative Rings", §10), since (a) is spanned by the na, ra, ar',
+    rar', so a product of spanning elements of (a) and (b) is ab or atb
+    between outer factors.  With ``closure`` (an invariant closure, say)
+    both closures are regenerated, must be nonzero, and are multiplied."""
+    if a == 0 or b == 0:
+        return False
+    if closure is not None:
+        ia, ib = closure(a), closure(b)
+        return not ia.is_zero() and not ib.is_zero() and is_zero_product(ia, ib)
     mul = ring.mul
     return mul(a, b) == 0 and all(mul(mul(a, g), b) == 0 for g in ring.additive_generators())
 
@@ -1276,12 +1287,12 @@ def is_s_unital(x) -> bool:
 # ---------------------------------------------------------------------------
 
 class PrimePairWitness(Record):
-    """Two nonzero elements whose generated ideals multiply to zero."""
+    """Two nonzero elements whose generated ideals multiply to zero, and the
+    ideal a generates."""
 
     a: int
     b: int
     a_ideal: Ideal
-    b_ideal: Ideal
 
 
 class PrimeResult(Record):
@@ -1346,8 +1357,7 @@ def is_prime_bruteforce(ring: FiniteRing) -> PrimeResult:
                 if image.size() < ring.size:
                     b = next(b for b in range(1, ring.size)
                              if all(mul(g, b) == 0 for g in ideal.gens))
-                    return PrimeResult(False, PrimePairWitness(a, b, ideal,
-                                                               principal_ideal(ring, b)))
+                    return PrimeResult(False, PrimePairWitness(a, b, ideal))
                 faithful.add(ideal.key)
         proven[a] = 1
     return PrimeResult(True, None)
@@ -1362,16 +1372,17 @@ class IdealEnumeration(Record):
     truncated: bool
 
 
-def enumerate_ideals(ring: FiniteRing, cap: int = 256,
-                     size_bound: int = IDEAL_ENUMERATION_BOUND) -> IdealEnumeration:
+def enumerate_ideals(ring: FiniteRing, cap: int = 256) -> IdealEnumeration:
     """All two-sided ideals: principal ideals closed under pairwise sums.
 
     Every ideal is a finite sum of principal ideals, so the join-closure of
     the principal ones is complete.  Stops (deterministically, in discovery
-    order) with truncated=True once more than ``cap`` ideals appear.
+    order) with truncated=True once more than ``cap`` ideals appear.  Rings
+    above ``IDEAL_ENUMERATION_BOUND`` elements are refused.
     """
-    if ring.size > size_bound:
-        raise BoundExceeded(f"ideal enumeration bounded at {size_bound} elements, got {ring.size}")
+    if ring.size > IDEAL_ENUMERATION_BOUND:
+        raise BoundExceeded(f"ideal enumeration bounded at {IDEAL_ENUMERATION_BOUND} "
+                            f"elements, got {ring.size}")
     zero = Ideal(ring, ())
     ideals: List[Ideal] = [zero]
     keys = {zero.key}

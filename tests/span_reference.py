@@ -118,13 +118,13 @@ def s_unit_for(x, members):
 def reference_prime(ring):
     """Primeness of ``ring`` as a ``PrimeResult``: the principal ideal of
     every nonzero element is closed, and the witness is the first (a, b) in
-    element order whose ideals multiply to zero."""
+    element order whose ideals multiply to zero, with a's ideal."""
     if ring.size == 1:
         return PrimeResult(False, None, degenerate=True)
     pair = first_zero_pair(range(1, ring.size), lambda a: principal_ideal(ring, a))
     if pair is None:
         return PrimeResult(True, None)
-    return PrimeResult(False, PrimePairWitness(*pair))
+    return PrimeResult(False, PrimePairWitness(*pair[:3]))
 
 
 def _digits(ring, a):

@@ -17,6 +17,7 @@ address space, where building it would run out of memory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -60,10 +61,10 @@ def test_oversized_spec_is_refused_before_building(probe, argv):
     assert run.stdout == b""
 
 
-def _write_one_object_ring(folder, isotropy: int, base) -> str:
-    """The groupoid ring of ``base`` over the one-object groupoid with
-    cyclic isotropy of order ``isotropy``, written as an instance file."""
-    G = pair_groupoid(["o0"], FiniteGroup.cyclic(isotropy))
+def _write_groupoid_ring(folder, isotropy: int, base, objects=("o0",)) -> str:
+    """The groupoid ring of ``base`` over the pair groupoid on ``objects``
+    with cyclic isotropy of order ``isotropy``, written as an instance file."""
+    G = pair_groupoid(list(objects), FiniteGroup.cyclic(isotropy))
     names, objects = G.morphisms, G.objects
     arrows = range(G.n_objects, G.n_morphisms)
     doc = {"groupoid": {
@@ -91,16 +92,36 @@ def _write_one_object_ring(folder, isotropy: int, base) -> str:
 ], ids=["gf2_c13-equivalence", "z5003-analyze", "z5003-prime", "gf2_c25-analyze",
         "gf2_c25-prime-theorem"])
 def test_raised_bound_reaches_every_walk(tmp_path, isotropy, base, argv, expected):
-    path = _write_one_object_ring(tmp_path, isotropy, base)
+    path = _write_groupoid_ring(tmp_path, isotropy, base)
     run = _probe([argv[0], path, *argv[1:]])
     assert run.returncode == 0, run.stderr.decode()[-2000:]
     assert expected in run.stdout.decode()
 
 
+def test_refused_groupoid_ring_validates_no_action(tmp_path, monkeypatch, capsys):
+    """Z/16 over the pair groupoid on five objects has 16^25 elements: the
+    groupoid ring is refused from |base|^|morphisms| with the message
+    ``SkewGroupoidRing`` gives, so ``analyze`` prints the same report
+    without building the action's ambient sum and transport tables."""
+    monkeypatch.delenv("GPRIME_MAX_RING", raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_groupoid_ring(Path("."), 1, {"cyclic": 16}, objects=[f"o{i}" for i in range(5)])
+    validated = []
+    monkeypatch.setattr(partial, "validate_partial_action",
+                        lambda *args: validated.append(args))
+    assert cli.main(["analyze", "c1.json"]) == 0
+    report = capsys.readouterr().out
+    assert ("carrier:\n  built: no\n  reason: skew product carrier would exceed 4096 "
+            "elements; refusing to build\n") in report
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "27c719b4af937be4871e92dacb8f472886327cb2c812c89ad719eb46d47f9aaf"
+    assert validated == []
+
+
 def test_unbuildable_carrier_is_still_refused(tmp_path):
     """GF(2)[C25] has 2^25 elements: the default ``prime`` builds the
     carrier for its oracle, and that is refused."""
-    run = _probe(["prime", _write_one_object_ring(tmp_path, 25, {"field": 2})])
+    run = _probe(["prime", _write_groupoid_ring(tmp_path, 25, {"field": 2})])
     assert run.returncode == 2
     assert "refusing to build" in run.stderr.decode()
     assert run.stdout == b""

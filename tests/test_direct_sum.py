@@ -44,7 +44,7 @@ def fixture_corpus():
         out.append((path.stem, grading))
         for e in range(grading.groupoid.n_objects):
             try:
-                out.append((f"{path.stem} isotropy {e}", isotropy_component(grading, e).grading))
+                out.append((f"{path.stem} isotropy {e}", isotropy_component(grading, e)))
             except DegenerateInstance:
                 continue
     return out

@@ -121,7 +121,7 @@ def test_isotropy_component_and_restrict_to_isotropy_share_one_groupoid(name, ac
         assert tables(via_action) == tables(
             reference_restrict(validate_subgroupoid(G, G.loops(e)))[0]), (name, e)
         if grading is not None:
-            assert tables(isotropy_component(grading, e).grading.groupoid) == \
+            assert tables(isotropy_component(grading, e).groupoid) == \
                 tables(via_action), (name, e)
 
 

@@ -2,12 +2,13 @@
 they replaced (``span_reference``), and orbit density against the
 groupoid-ring scan.
 
-``centralizer``, ``is_sigma_invariant``, ``phi``, ``_meets_identity_part``
-and the overlap witness of ``validate_grading`` read kernels and meets off
-one canonical basis.  Here their whole results (subgroup keys, the first
-violating morphism, the ``NotDirectSum`` witness and message) must match the
-sweeps: on the fixture carriers, on the ``generate_instance`` corpus, and
-through hypothesis over carriers with mixed moduli.  ``orbit_density_check``
+``centralizer``, ``phi``, ``_meets_identity_part`` and the overlap witness
+of ``validate_grading`` read kernels and meets off one canonical basis.
+Here their whole results (subgroup keys, the ``NotDirectSum`` witness and
+message) must match the sweeps: on the fixture carriers, on the
+``generate_instance`` corpus, and through hypothesis over carriers with
+mixed moduli, where every ``sigma_invariant_closure`` must also pass the
+sweep's sigma-invariance test.  ``orbit_density_check``
 reads density off the groupoid; its verdict must match
 ``reference_r_dense``, which scans the built groupoid ring, at the orbit of
 every object.  Two guards count the work: ``centralizer`` makes two ring
@@ -33,7 +34,7 @@ from gprime.groupoid import (FiniteGroup, one_object_groupoid, orbit, pair_group
                              validate_groupoid)
 from gprime.instances import build_instance, carrier_grading, parse
 from gprime.partial import (SkewGroupoidRing, _meets_identity_part, groupoid_ring_action,
-                            is_sigma_invariant, orbit_density_check, restrict_to_isotropy)
+                            orbit_density_check, sigma_invariant_closure)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing, MatrixRing,
                           _kernel, additive_closure, centralizer, enumerate_ideals,
                           is_commutative, is_maximal_commutative, principal_ideal)
@@ -153,36 +154,6 @@ def test_phi_is_the_element_set_meet():
     assert compared > 50
 
 
-def actions():
-    """Every partial action of the fixtures and the corpus, with the
-    isotropy restrictions of the fixtures' ones."""
-    out = []
-    for name, built in fixture_instances():
-        if built.action is not None:
-            out.append((name, built.action))
-            for e in built.action.support_objects():
-                out.append((f"{name} isotropy {e}", restrict_to_isotropy(built.action, e)))
-    out += [(name, inst.action) for name, inst in generated() if inst.action is not None]
-    out += [(f"{name} groupoid ring", groupoid_ring_action(inst.base, inst.groupoid))
-            for name, inst in generated() if inst.base is not None and inst.base.size ** 2 <= 64]
-    return out
-
-
-def test_sigma_invariance_matches_the_element_sweep():
-    verdicts = set()
-    for name, action in actions():
-        amb, n = action.ambient, action.groupoid.n_morphisms
-        subs = list(action.ideals) + [additive_closure(amb, [x]) for x in range(amb.size)]
-        subs += [principal_ideal(amb, x) for x in range(amb.size)]
-        for sub in subs:
-            expected = reference_sigma_invariant(action, sub, range(n))
-            assert is_sigma_invariant(action, sub) == expected, name
-            assert is_sigma_invariant(action, sub, reversed(range(n))) == \
-                reference_sigma_invariant(action, sub, reversed(range(n))), name
-            verdicts.add(expected[0])
-    assert verdicts == {True, False}
-
-
 def groupoid_rings():
     out = [(name, built.groupoid, built.base) for name, built in fixture_instances()
            if built.base is not None]
@@ -281,10 +252,10 @@ def test_density_and_sigma_invariance_over_mixed_moduli(index, which, data):
         with pytest.raises(MalformedInput, match="commutative"):
             orbit_density_check(G, base, e)
     action = groupoid_ring_action(base, G)
-    amb = action.ambient
-    sub = additive_closure(amb, data.draw(st.lists(st.integers(0, amb.size - 1), max_size=3)))
-    hs = data.draw(st.lists(st.integers(0, G.n_morphisms - 1), max_size=4))
-    assert is_sigma_invariant(action, sub, hs) == reference_sigma_invariant(action, sub, hs)
+    seed = data.draw(st.lists(st.integers(0, action.ambient.size - 1), max_size=3))
+    closure = sigma_invariant_closure(action, seed)
+    assert set(seed) <= closure.elements
+    assert reference_sigma_invariant(action, closure, range(G.n_morphisms)) == (True, None)
 
 
 # ---------------------------------------------------------------------------

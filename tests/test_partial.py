@@ -17,15 +17,14 @@ from conftest import (
 )
 from gprime.errors import (AxiomViolation, BoundExceeded,
                            DegenerateInstance, InternalDisagreement, MalformedInput,
-                           NotSUnital, ObjectNotInSupport, RingMismatch, UnknownMorphism,
-                           UnknownObject)
+                           NotSUnital, ObjectNotInSupport, UnknownObject)
 from gprime.grading import HubResult, PairCriterionResult, is_support_hub
 from gprime.instances import build_instance, parse
 from gprime.groupoid import FiniteGroup, one_object_groupoid, pair_groupoid, validate_groupoid
 from gprime.partial import (GroupTypeResult, SkewGroupoidRing, build_groupoid_ring,
                             build_skew_ring, connell_check, global_support_connectivity_check,
                             groupoid_ring_action, is_A_G_prime, is_global,
-                            is_group_type, is_sigma_invariant, orbit_density_check,
+                            is_group_type, orbit_density_check,
                             psi_check, restrict_to_isotropy,
                             sigma_invariant_closure, skew_prime_verdict,
                             skew_support_hub, sufficient_conditions_report,
@@ -33,6 +32,7 @@ from gprime.partial import (GroupTypeResult, SkewGroupoidRing, build_groupoid_ri
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, MatrixRing,
                           SubRing, additive_closure, is_prime_bruteforce)
 from partial_reference import ChainViolation, group_type_chain
+from span_reference import reference_sigma_invariant
 from test_direct_sum import generated_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -323,7 +323,7 @@ class TestInvariantIdeals:
     def test_zero_action_splits(self, zero_action):
         amb = zero_action.ambient
         left = additive_closure(amb, [1])
-        assert is_sigma_invariant(zero_action, left) == (True, None)
+        assert sigma_invariant_closure(zero_action, [1]).elements == left.elements
         res = is_A_G_prime(zero_action)
         assert not res.holds
         a, b, ia, ib = res.witness
@@ -331,13 +331,11 @@ class TestInvariantIdeals:
         assert sorted(ia.elements) == [0, 1] and sorted(ib.elements) == [0, 2]
 
     def test_flip_merges_the_summands(self, flip_action):
-        amb = flip_action.ambient
-        left = additive_closure(amb, [1])
-        ok, bad = is_sigma_invariant(flip_action, left)
-        assert not ok and bad == flip_action.groupoid.morphism_index("e>f")
-        # restricting to the morphisms that fix e makes it invariant again
-        assert is_sigma_invariant(flip_action, left, [0, 1, 2]) == (True, None)
-        assert len(sigma_invariant_closure(flip_action, [1])) == 4
+        G = flip_action.groupoid
+        closure = sigma_invariant_closure(flip_action, [1])
+        assert len(closure) == 4
+        assert reference_sigma_invariant(flip_action, closure, range(G.n_morphisms)) \
+            == (True, None)
         assert is_A_G_prime(flip_action).holds
 
     def test_restricted_g8_component_pair(self, g8_action):
@@ -353,11 +351,6 @@ class TestInvariantIdeals:
         with pytest.raises(MalformedInput):
             sigma_invariant_closure(zero_action, [99])
 
-    def test_foreign_subgroup_is_rejected(self, zero_action):
-        other = additive_closure(GaloisField(2), [1])
-        with pytest.raises(RingMismatch):
-            is_sigma_invariant(zero_action, other)
-
 
 class TestPrincipalPartComparison:
     @pytest.mark.parametrize("build", [build_zero_partial_action,
@@ -366,8 +359,6 @@ class TestPrincipalPartComparison:
     def test_translation_preserves_primeness(self, build):
         res = psi_check(build())
         assert res.ok and res.mismatch is None
-        assert res.additive and res.multiplicative and res.bijective
-        assert res.primeness_match
 
     def test_mismatch_is_reported_not_repaired(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "is_A_G_prime",
@@ -420,25 +411,20 @@ class TestHubsAndChain:
 
     def test_broken_chain_raises_the_alarm(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "skew_support_hub",
-                            lambda action, e: HubResult(False, {}, (0, 1)))
+                            lambda action, e: HubResult(False, (0, 1)))
         with pytest.raises(ChainViolation):
             group_type_chain(flip_action, 0)
 
 
 class TestUnknownIndices:
-    """An index that names no object or morphism of the global flip fixture
-    raises UnknownObject or UnknownMorphism at every public entry point:
-    never an answer for a wrapped-around index, an IndexError or the
-    falsification alarm."""
+    """An index that names no object of the global flip fixture raises
+    UnknownObject at every public entry point that takes an object: never an
+    answer for a wrapped-around index, an IndexError or the falsification
+    alarm."""
 
     @pytest.fixture(scope="class")
     def act(self):
         return build_instance(parse(ROOT / "fixtures" / "global_flip_partial_action.json")).action
-
-    @pytest.mark.parametrize("h", [-1, 99, 1.5])
-    def test_sigma_invariance_morphisms(self, act, h):
-        with pytest.raises(UnknownMorphism):
-            is_sigma_invariant(act, additive_closure(act.ambient, [1]), [h])
 
     @pytest.mark.parametrize("e", [-1, 7])
     def test_skew_support_hub(self, act, e):
@@ -540,7 +526,7 @@ class TestGlobalConnectivity:
 
     def test_quantifier_disagreement_raises(self, flip_action, monkeypatch):
         monkeypatch.setattr(gprime.partial, "skew_support_hub",
-                            lambda action, e: HubResult(False, {}, (0, 1)))
+                            lambda action, e: HubResult(False, (0, 1)))
         with pytest.raises(InternalDisagreement):
             global_support_connectivity_check(flip_action)
 
@@ -610,7 +596,8 @@ class TestDensity:
 class TestSufficientConditions:
     def test_flip_fires_all_three_clauses(self, flip_action):
         rep = sufficient_conditions_report(flip_action)
-        assert rep.group_type and rep.coefficients_G_prime and rep.applicable
+        assert is_group_type(flip_action).holds and is_A_G_prime(flip_action).holds
+        assert rep.applicable
         assert rep.trivial_isotropy_at == 0
         assert rep.intersection_at == 0
         assert rep.maximal_commutative_at == 0
@@ -620,7 +607,7 @@ class TestSufficientConditions:
         # clauses fire pointwise, but neither hypothesis holds, so the
         # report stays silent about the (in fact non-prime) product
         rep = sufficient_conditions_report(zero_action)
-        assert not rep.group_type and not rep.coefficients_G_prime
+        assert not is_group_type(zero_action).holds and not is_A_G_prime(zero_action).holds
         assert not rep.applicable
         assert rep.trivial_isotropy_at == 0
         assert not rep.guarantees_prime
@@ -637,7 +624,7 @@ class TestSufficientConditions:
 
     def test_g8_components_fail_the_loop_group_test(self, g8_action):
         rep = sufficient_conditions_report(g8_action)
-        assert rep.group_type and not rep.coefficients_G_prime
+        assert is_group_type(g8_action).holds and not is_A_G_prime(g8_action).holds
         assert rep.applicable
         assert (rep.trivial_isotropy_at, rep.intersection_at,
                 rep.maximal_commutative_at) == (None, None, None)

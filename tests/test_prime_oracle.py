@@ -5,7 +5,7 @@ The reference (``span_reference.reference_prime``) closes the principal
 ideal of every nonzero element and returns the first pair in element order
 whose ideals multiply to zero.  The oracle, run first on a cold closure
 cache, must give the same verdict, degenerate flag and witness (both
-elements and both ideals) on every carrier of at most 4096 elements that
+elements and a's ideal) on every carrier of at most 4096 elements that
 the four instance commands build on the bundled fixtures or that
 ``run_fuzz(2, 8)`` and ``run_fuzz(5, 8)`` build, on the carrier, the
 principal-part ring and the base of the first six draws of
@@ -13,7 +13,8 @@ principal-part ring and the base of the first six draws of
 and M2(GF(7)), on non-unital carriers, and on carriers whose Hermite pivots
 are not units.  On prime rings the oracle closes only a few principal
 ideals: every other element has a product with an additive generator that
-is already proven faithful.
+is already proven faithful.  On a ring that is not prime the oracle
+closes no ideal for the witness's b.
 """
 
 from __future__ import annotations
@@ -131,6 +132,32 @@ def test_oracle_closes_few_principal_ideals_on_prime_rings(name, monkeypatch):
     monkeypatch.setattr(rings, "close", counted)
     assert is_prime_bruteforce(ring).prime
     assert count <= most, count
+
+
+# (ring, the oracle's witness (a, b), the seeds it closes): the elements
+# before a that no product proved faithful, then a, and nothing for b
+NOT_PRIME = {
+    "GF(2)[C7]": (lambda: GroupRing(GaloisField(2), FiniteGroup.cyclic(7)),
+                  (3, 127), [[1], [3]]),
+    "GF(3)[C4]": (lambda: GroupRing(GaloisField(3), FiniteGroup.cyclic(4)),
+                  (4, 50), [[1], [2], [4]]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PRIME)
+def test_oracle_closes_no_ideal_for_the_witness_b(name, monkeypatch):
+    make, pair, closed = NOT_PRIME[name]
+    seeds = []
+    close = rings.close
+
+    def recording(ring, seed, *rest):
+        seeds.append(list(seed))
+        return close(ring, seeds[-1], *rest)
+
+    monkeypatch.setattr(rings, "close", recording)
+    witness = is_prime_bruteforce(make()).witness
+    assert (witness.a, witness.b) == pair
+    assert seeds == closed
 
 
 def zero_product(ring):

@@ -19,7 +19,7 @@ from gprime.errors import (
     MalformedInput,
     ObjectNotInSupport,
 )
-from gprime.grading import PairCriterionResult
+from gprime.grading import PairCriterionResult, isotropy_component
 from gprime.primeness import (
     CONDITION_LABELS,
     StageClock,
@@ -59,7 +59,7 @@ class TestConditions:
         middle = evidence["objects"][1]
         assert middle.hub.is_hub                  # f2 is a hub...
         assert not middle.isotropy_prime.prime    # ...but its isotropy ring splits
-        assert middle.isotropy_size == 4
+        assert isotropy_component(block_grading, 1).ring.size == 4
         outer = evidence["objects"][0]
         assert not outer.hub.is_hub
 
@@ -94,7 +94,7 @@ class TestReport:
         assert w["non_prime_isotropy"][0] is not None
         ev = report.per_object[0]
         assert ev.hub.is_hub and not ev.isotropy_prime.prime
-        assert ev.isotropy_size == 4
+        assert isotropy_component(f2c2_grading, 0).ring.size == 4
 
     def test_disconnected_all_false(self, disconnected_grading):
         report = equivalence_report(disconnected_grading)

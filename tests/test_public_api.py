@@ -2,14 +2,18 @@
 
 A deletion that leaves a stale ``__all__`` entry breaks ``from gprime.<module>
 import *``; this test names the entry instead.  Only the functions that make
-an object keeping a carrier bound take one.
+an object keeping a carrier bound take one.  Every public module-level
+function and class has a reader in the package besides its own definition
+and its ``__all__`` entry.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,29 @@ def test_only_object_makers_take_a_bound(name):
     takers = {fn.__name__ for fn in public
               if {"bound", "max_ring"} & set(inspect.signature(fn).parameters)}
     assert takers == TAKE_A_BOUND[name]
+
+
+#: public names that need no reader in the package: the console script
+#: ``gprime`` of pyproject.toml
+ENTRY_POINTS = {"gprime.cli.main"}
+
+
+def test_every_public_definition_has_a_reader():
+    """A name counts as read where some other top-level statement of the
+    package loads it, by name or as an attribute; imports, ``__all__``
+    strings and a definition's own body do not count."""
+    statements = [(f"gprime.{path.stem}", node)
+                  for path in sorted(Path(gprime.__file__).parent.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    unread = []
+    for module, definition in statements:
+        if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) \
+                or definition.name.startswith("_"):
+            continue
+        readers = (node for _, stmt in statements if stmt is not definition
+                   for node in ast.walk(stmt))
+        if not any(isinstance(node, ast.Name) and node.id == definition.name
+                   or isinstance(node, ast.Attribute) and node.attr == definition.name
+                   for node in readers):
+            unread.append(f"{module}.{definition.name}")
+    assert sorted(set(unread) - ENTRY_POINTS) == []
