@@ -326,6 +326,30 @@ class TestHubs:
         assert not right.is_hub
         assert right.blocking == (0, 1)   # e(1,1) cannot reach object f3
 
+    @pytest.mark.parametrize("fixture", ["m3_grading", "block_grading", "f2c2_grading",
+                                         "disconnected_grading", "one_sided"])
+    def test_blocking_matches_the_element_sweep(self, fixture, request):
+        """``blocking`` is the first nonzero homogeneous element, in (morphism,
+        element) order, whose products with every element of S_h (src(h) = e)
+        on the right or of S_k (rng(k) = e) on the left all vanish."""
+        grading = (build_one_sided_grading() if fixture == "one_sided"
+                   else request.getfixturevalue(fixture))
+        G, mul = grading.groupoid, grading.ring.mul
+        for e in range(G.n_objects):
+            if grading.components[G.identity(e)].is_zero():
+                continue
+
+            def reaches(a, ends, left):
+                return any(mul(y, a) if left else mul(a, y)
+                           for m in ends for y in grading.components[m].elements)
+
+            expected = next(((g, a) for g in range(G.n_morphisms)
+                             for a in sorted(grading.components[g].elements)
+                             if a and not (reaches(a, G.morphisms_from(e), False)
+                                           and reaches(a, G.morphisms_into(e), True))), None)
+            res = is_support_hub(grading, e)
+            assert (res.is_hub, res.blocking) == (expected is None, expected), (fixture, e)
+
 
 class TestPairCriteria:
     def test_matrix_units_grading_is_graded_prime(self, m3_grading):

@@ -34,7 +34,7 @@ from gprime.groupoid import (FiniteGroup, one_object_groupoid, orbit, pair_group
                              validate_groupoid)
 from gprime.instances import build_instance, carrier_grading, parse
 from gprime.partial import (SkewGroupoidRing, _meets_identity_part, groupoid_ring_action,
-                            orbit_density_check, sigma_invariant_closure)
+                            orbit_density_check, restrict_to_isotropy, sigma_invariant_closure)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing, MatrixRing,
                           _kernel, additive_closure, centralizer, enumerate_ideals,
                           is_commutative, is_maximal_commutative, principal_ideal)
@@ -152,6 +152,37 @@ def test_phi_is_the_element_set_meet():
             assert phi(grading, graded).key == expected, name
             compared += 1
     assert compared > 50
+
+
+def actions():
+    """Every partial action of the fixtures and the corpus, with the
+    isotropy restrictions of the fixtures' ones."""
+    out = []
+    for name, built in fixture_instances():
+        if built.action is not None:
+            out.append((name, built.action))
+            for e in built.action.support_objects():
+                out.append((f"{name} isotropy {e}", restrict_to_isotropy(built.action, e)))
+    out += [(name, inst.action) for name, inst in generated() if inst.action is not None]
+    out += [(f"{name} groupoid ring", groupoid_ring_action(inst.base, inst.groupoid))
+            for name, inst in generated() if inst.base is not None and inst.base.size ** 2 <= 64]
+    return out
+
+
+def test_sigma_invariance_matches_the_element_sweep():
+    """An ideal is sigma-invariant exactly when ``sigma_invariant_closure``
+    of its generators gives it back, and every closure passes the sweep."""
+    verdicts = set()
+    for name, action in actions():
+        amb, n = action.ambient, action.groupoid.n_morphisms
+        subs = list(action.ideals) + [principal_ideal(amb, x) for x in range(amb.size)]
+        for sub in subs:
+            expected = reference_sigma_invariant(action, sub, range(n))[0]
+            closure = sigma_invariant_closure(action, sub.gens)
+            assert (closure.elements == sub.elements) == expected, name
+            assert reference_sigma_invariant(action, closure, range(n)) == (True, None), name
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def groupoid_rings():

@@ -366,6 +366,22 @@ class TestPrincipalPartComparison:
         res = psi_check(flip_action)
         assert not res.ok and res.mismatch == "primeness-comparison"
 
+    @pytest.mark.parametrize("law", ["additive", "multiplicative"])
+    def test_failing_law_is_named(self, law, monkeypatch):
+        action = build_flip_partial_action()
+        build_skew_ring(action)     # built before the patch, which psi_check alone sees
+        monkeypatch.setattr(gprime.partial, "first_hom_failure", lambda *args: (law, 1, 1))
+        res = psi_check(action)
+        assert not res.ok and res.mismatch == law
+
+    def test_image_off_the_identity_part_is_named(self, monkeypatch):
+        action = build_flip_partial_action()
+        grading = build_skew_ring(action)
+        monkeypatch.setattr(grading, "principal_part",
+                            lambda: additive_closure(grading.ring, []))
+        res = psi_check(action)
+        assert not res.ok and res.mismatch == "bijective"
+
 
 class TestHubsAndChain:
     def test_zero_action_chain_is_all_false(self, zero_action):
