@@ -4,7 +4,7 @@ from __future__ import annotations
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Any, List, Optional
+    from typing import Any, Optional
 
 __all__ = [
     "Record",
@@ -123,15 +123,13 @@ class AxiomViolation(GprimeError):
     """A structure fails one of its defining axioms.
 
     ``axiom`` is a short tag naming the failed law and ``witness`` carries the
-    offending data (labels or element indices).  ``violations`` lists every
-    failure found in the same validation pass, first one first.
+    offending data (labels or element indices).  Validators raise it at the
+    first failure they meet, so it names one law.
     """
 
-    def __init__(self, axiom: str, message: str, witness: Any = None,
-                 violations: Optional[List[str]] = None):
+    def __init__(self, axiom: str, message: str, witness: Any = None):
         self.axiom = axiom
         self.witness = witness
-        self.violations = violations if violations is not None else [message]
         super().__init__(f"[{axiom}] {message}")
 
 

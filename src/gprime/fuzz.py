@@ -418,7 +418,7 @@ def _check_grading(rng: random.Random, grading: Grading) -> int:
             failures=list(nes.failures))
     checks += 1
 
-    support = support_groupoid(grading, nes=True)
+    support = support_groupoid(grading)
     alive = support.support_objects
     for e in alive:
         _ensure(is_s_unital(grading.components[e]),
@@ -545,7 +545,7 @@ def _check_primeness(grading: Grading) -> Tuple[bool, int]:
         _replay_pair(ring, a, b)
         checks += 1
 
-    support = support_groupoid(grading, nes=True)
+    support = support_groupoid(grading)
     for e in support.support_objects:
         if len(G.loops(e)) == 1:
             shortcut = torsion_free_shortcut(grading, e)

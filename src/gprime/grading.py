@@ -164,7 +164,6 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
     if all(c.is_zero() for c in comps):
         raise DegenerateInstance("all components are zero")
 
-    violations: List[str] = []
     mul = ring.mul
     for g in range(n):
         for h in range(n):
@@ -172,18 +171,15 @@ def validate_grading(groupoid: FiniteGroupoid, ring: FiniteRing,
             for a in comps[g].gens:
                 for b in comps[h].gens:
                     p = mul(a, b)
-                    if target is None:
-                        if p != 0:
-                            violations.append(
-                                f"compatibility: S_{groupoid.morphisms[g]} * "
-                                f"S_{groupoid.morphisms[h]} is nonzero on a non-composable pair "
-                                f"(witness {ring.label(a)} * {ring.label(b)} = {ring.label(p)})")
-                    elif p not in target:
-                        violations.append(
-                            f"compatibility: {ring.label(a)} * {ring.label(b)} = {ring.label(p)} "
-                            f"escapes S_{groupoid.morphisms[groupoid.compose(g, h)]}")
-    if violations:
-        raise AxiomViolation("grading", violations[0], violations=violations)
+                    if target is None and p != 0:
+                        raise AxiomViolation(
+                            "grading", f"compatibility: S_{groupoid.morphisms[g]} * "
+                            f"S_{groupoid.morphisms[h]} is nonzero on a non-composable pair "
+                            f"(witness {ring.label(a)} * {ring.label(b)} = {ring.label(p)})")
+                    if target is not None and p not in target:
+                        raise AxiomViolation(
+                            "grading", f"compatibility: {ring.label(a)} * {ring.label(b)} = "
+                            f"{ring.label(p)} escapes S_{groupoid.morphisms[groupoid.compose(g, h)]}")
 
     coords = _coordinates(ring)
     span, size = _basis(coords), 1
@@ -353,13 +349,13 @@ class SupportResult(Record):
     support_objects: Tuple[int, ...]
 
 
-def support_groupoid(grading: Grading, nes: Optional[bool] = None) -> SupportResult:
+def support_groupoid(grading: Grading) -> SupportResult:
     """Morphisms whose endpoint objects both carry nonzero identity components.
 
-    When the grading is known to be nearly epsilon-strong, also asserts that
-    every component outside the support vanishes (InternalDisagreement
-    otherwise -- that would falsify the structure theory this package rests
-    on, not merely reject the input).
+    When the grading is nearly epsilon-strong, also asserts that every
+    component outside the support vanishes (InternalDisagreement otherwise
+    -- that would falsify the structure theory this package rests on, not
+    merely reject the input).
     """
     G = grading.groupoid
     alive = [e for e in range(G.n_objects)
@@ -370,7 +366,7 @@ def support_groupoid(grading: Grading, nes: Optional[bool] = None) -> SupportRes
     if not members:
         raise DegenerateInstance("no object carries a nonzero identity component")
     sub = validate_subgroupoid(G, members)
-    if nes:
+    if is_nearly_epsilon_strong(grading).holds:
         for g in range(G.n_morphisms):
             if g not in members and not grading.components[g].is_zero():
                 raise InternalDisagreement(

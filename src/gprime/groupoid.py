@@ -19,7 +19,7 @@ from .errors import (AxiomViolation, BoundExceeded, MalformedInput, Record, Unkn
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+    from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 __all__ = [
     "FiniteGroup",
@@ -93,8 +93,8 @@ class FiniteGroup:
         return range(self.order)
 
     @staticmethod
-    def trivial(label: str = "1") -> "FiniteGroup":
-        return FiniteGroup([label], [[0]], name="C1")
+    def trivial() -> "FiniteGroup":
+        return FiniteGroup(["1"], [[0]], name="C1")
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
@@ -213,7 +213,7 @@ def validate_groupoid(raw: dict) -> FiniteGroupoid:
     ``[g, h, g*h]`` covering at least every composable non-identity pair) and
     ``inverse`` (a map that, together with its mirror image, covers every
     non-identity morphism).  Labels resolve to indices for ``groupoid_from_tables``,
-    which raises AxiomViolation carrying the full list of violations found.
+    which raises AxiomViolation at the first violation.
     """
     if not isinstance(raw, dict):
         raise MalformedInput("groupoid description must be a mapping")
@@ -254,7 +254,7 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
     Morphism k < len(objects) is the identity of object k, labeled by it, and
     ``arrows`` lists the others as (label, src, rng).  ``inverse`` holds pairs
     (g, g^-1), read with their mirror images, ``compose`` triples (g, h, g*h);
-    identity products are filled in.  AxiomViolation lists every violation."""
+    identity products are filled in.  AxiomViolation names the first violation."""
     n_obj = len(objects)
     labels = list(objects) + [a[0] for a in arrows]
     if len(set(labels)) != len(labels):     # the first repeat names the error
@@ -264,38 +264,36 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
     src = list(range(n_obj)) + [a[1] for a in arrows]
     rng = list(range(n_obj)) + [a[2] for a in arrows]
     n = len(labels)
-    violations: List[str] = []
+
+    def fail(message: str) -> NoReturn:
+        raise AxiomViolation("groupoid", message)
 
     # inverses: identities are self-inverse; the declared map is symmetrized.
     inv: List[Optional[int]] = [i if i < n_obj else None for i in range(n)]
     for a, b in inverse:
         for x, y in ((a, b), (b, a)):
             if inv[x] is not None and inv[x] != y:
-                violations.append(f"inverse: conflicting inverses for {labels[x]!r}")
+                fail(f"inverse: conflicting inverses for {labels[x]!r}")
             inv[x] = y
     for g in range(n):
         if inv[g] is None:
-            violations.append(f"inverse: no inverse declared for {labels[g]!r}")
-            inv[g] = g  # placeholder so later checks can proceed
-        elif src[inv[g]] != rng[g] or rng[inv[g]] != src[g]:
-            violations.append(f"inverse: {labels[inv[g]]!r} does not reverse {labels[g]!r}")
+            fail(f"inverse: no inverse declared for {labels[g]!r}")
+        if src[inv[g]] != rng[g] or rng[inv[g]] != src[g]:
+            fail(f"inverse: {labels[inv[g]]!r} does not reverse {labels[g]!r}")
 
     # composition: declared entries, then identity compositions.
     comp: Dict[Tuple[int, int], int] = {}
     for g, h, r in compose:
         if src[g] != rng[h]:
-            violations.append(
-                f"composability: compose({labels[g]!r}, {labels[h]!r}) declared but "
-                f"src({labels[g]!r}) != rng({labels[h]!r})")
-            continue
+            fail(f"composability: compose({labels[g]!r}, {labels[h]!r}) declared but "
+                 f"src({labels[g]!r}) != rng({labels[h]!r})")
         if comp.get((g, h), r) != r:
-            violations.append(
-                f"composition: conflicting products for ({labels[g]!r}, {labels[h]!r})")
+            fail(f"composition: conflicting products for ({labels[g]!r}, {labels[h]!r})")
         comp[(g, h)] = r
     for g in range(n):
         for pair, want in (((g, src[g]), g), ((rng[g], g), g)):
             if comp.get(pair, want) != want:
-                violations.append(f"identity: {labels[g]!r} composed with an identity is wrong")
+                fail(f"identity: {labels[g]!r} composed with an identity is wrong")
             comp[pair] = want
 
     into: Dict[int, List[int]] = {}     # object -> the morphisms into it, in order
@@ -304,28 +302,23 @@ def groupoid_from_tables(objects: Sequence[str], arrows: Sequence[Tuple[str, int
     for g in range(n):
         for h in into.get(src[g], ()):
             if (g, h) not in comp:
-                violations.append(f"totality: no product declared for ({labels[g]!r}, {labels[h]!r})")
-                continue
+                fail(f"totality: no product declared for ({labels[g]!r}, {labels[h]!r})")
             r = comp[(g, h)]
             if src[r] != src[h] or rng[r] != rng[g]:
-                violations.append(f"composition: product of ({labels[g]!r}, {labels[h]!r}) has wrong endpoints")
+                fail(f"composition: product of ({labels[g]!r}, {labels[h]!r}) "
+                     f"has wrong endpoints")
 
-    if not violations:
-        for g in range(n):
-            gi = inv[g]
-            if comp.get((gi, g)) != src[g] or comp.get((g, gi)) != rng[g]:
-                violations.append(f"inverse: {labels[gi]!r} * {labels[g]!r} is not the identity")
-        for g in range(n):
-            for h in into.get(src[g], ()):
-                gh = comp[(g, h)]
-                for k in into.get(src[h], ()):
-                    if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
-                        violations.append(
-                            f"associativity: ({labels[g]!r}*{labels[h]!r})*{labels[k]!r} "
-                            f"!= {labels[g]!r}*({labels[h]!r}*{labels[k]!r})")
-
-    if violations:
-        raise AxiomViolation("groupoid", violations[0], violations=violations)
+    for g in range(n):
+        gi = inv[g]
+        if comp.get((gi, g)) != src[g] or comp.get((g, gi)) != rng[g]:
+            fail(f"inverse: {labels[gi]!r} * {labels[g]!r} is not the identity")
+    for g in range(n):
+        for h in into.get(src[g], ()):
+            gh = comp[(g, h)]
+            for k in into.get(src[h], ()):
+                if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
+                    fail(f"associativity: ({labels[g]!r}*{labels[h]!r})*{labels[k]!r} "
+                         f"!= {labels[g]!r}*({labels[h]!r}*{labels[k]!r})")
     return FiniteGroupoid(objects, labels, src, rng, comp, inv)
 
 
@@ -483,16 +476,17 @@ def _closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
-def subgroups(group: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> List[FiniteGroup]:
+def subgroups(group: FiniteGroup) -> List[FiniteGroup]:
     """All subgroups, found as closures of generated subsets.
 
     Starting from the trivial subgroup, repeatedly extend each known subgroup
     by one missing element and close; this reaches every subgroup because a
     subgroup is the closure of (any generating subset of) itself.  Results are
-    sorted by (order, element tuple).  Refuses groups larger than ``bound``.
+    sorted by (order, element tuple).  Refuses orders above ``SUBGROUP_ORDER_BOUND``.
     """
-    if group.order > bound:
-        raise BoundExceeded(f"subgroup enumeration bounded at order {bound}, got {group.order}")
+    if group.order > SUBGROUP_ORDER_BOUND:
+        raise BoundExceeded(f"subgroup enumeration bounded at order {SUBGROUP_ORDER_BOUND}, "
+                            f"got {group.order}")
     found = {frozenset({0})}
     work = [frozenset({0})]
     while work:

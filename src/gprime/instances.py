@@ -62,7 +62,8 @@ from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       sigma_invariant_closure, skew_prime_verdict,
                       skew_support_hub, sufficient_conditions_report,
                       validate_partial_action)
-from .primeness import StageClock, equivalence_report, evaluate_condition
+from .primeness import (StageClock, equivalence_report, evaluate_condition,
+                        require_nearly_epsilon_strong)
 from .rings import (CyclicRing, DirectSumRing, FiniteRing, GaloisField,
                     GroupRing, MatrixRing, PrimeResult, TableRing, _once,
                     additive_closure, is_prime_bruteforce, is_zero_ideal_pair)
@@ -718,7 +719,7 @@ def analysis_document(built: BuiltInstance) -> Dict:
         doc["nearly_epsilon_strong"] = {"holds": nes.holds,
                                         "units_certified": len(nes.certificate),
                                         "failures": list(nes.failures)}
-        support = support_groupoid(grading, nes=True if nes.holds else None)
+        support = support_groupoid(grading)
         doc["support"] = {
             "objects": [G.objects[e] for e in support.support_objects],
             "morphisms": len(support.subgroupoid.members)}
@@ -780,6 +781,7 @@ def _grading_primeness(grading: Grading, method: str, clock: StageClock) -> Dict
         res = clock("oracle", lambda: _oracle(grading.ring, witnesses))
         doc.update(verdict=res.prime, method="oracle", degenerate=res.degenerate)
     elif method == "theorem":
+        require_nearly_epsilon_strong(grading, "the theorem route")
         value, evidence = clock("criterion", lambda: evaluate_condition(grading, "vii"))
         doc.update(verdict=value, method="theorem")
         doc["objects"] = _objects_section(grading, evidence["objects"], witnesses)

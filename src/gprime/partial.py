@@ -118,18 +118,17 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     given for them must close to exactly that), and missing morphisms get the
     zero ideal.  ``maps`` supplies each sigma_g as an explicit element table;
     identity maps and tables on zero ideals are filled in automatically.
-    Checked: containment and ideal-ness in the range component (on
-    generators, ``rings.first_escape``), s-unitality of every attached ideal
-    closed under products (one that is not fails ideal-ness already),
-    that each table is a bijection onto its target and, by
-    ``rings.first_hom_failure``, a ring homomorphism, that inverse images
-    respect composite domains, and that composing tables agrees with the
-    table of the composite.  All violations found in one pass are reported
-    together.
+    Every generator is range-checked (MalformedInput) first.  Then checked,
+    in this order, up to the first violation (AxiomViolation): that
+    generators given for an identity span its component, containment and
+    ideal-ness in the range component (on generators, ``rings.first_escape``),
+    s-unitality of every attached ideal (a proven ideal by then), that each
+    table is a bijection onto its target and, by ``rings.first_hom_failure``,
+    a ring homomorphism, that inverse images respect composite domains, and
+    that composing tables agrees with the table of the composite.
 
-    Ideal and s-unitality verdicts are reached once per subgroup (a failed
-    ideal check once per morphism, for its witness).  The domain and
-    composition laws of (g, h) are tested on generators Y of
+    Ideal and s-unitality verdicts are reached once per subgroup.  The
+    domain and composition laws of (g, h) are tested on generators Y of
     D = A_{g^-1} n A_h: sigma_h^-1(D) is spanned by sigma_h^-1(Y), and both
     sides of each law are additive there, every table being a proven
     additive bijection; a failing generator starts the element scan that
@@ -144,24 +143,22 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
     n = G.n_morphisms
     for g in list(ideal_gens) + list(maps):
         G.check_morphism(g)
-    violations: List[Tuple[str, str]] = []
-
-    ideals: List[AdditiveSubgroup] = []
-    for g in range(n):
-        gens = list(ideal_gens.get(g, ()))
+    gens_of = [list(ideal_gens.get(g, ())) for g in range(n)]
+    for g, gens in enumerate(gens_of):
         for x in gens:
             if not isinstance(x, int) or not 0 <= x < ambient.size:
                 raise MalformedInput(
                     f"generator {x!r} for A_{G.morphisms[g]} is not an ambient element")
+    ideals: List[AdditiveSubgroup] = []
+    for g, gens in enumerate(gens_of):
         if G.is_identity(g):
             comp = ambient.component_subgroup(G.objects[g])
             if gens:
                 given = additive_closure(ambient, gens)
                 if given.key != comp.key:
-                    violations.append((
-                        "object-sum",
-                        f"generators for A_{G.morphisms[g]} span {len(given)} elements, "
-                        f"not the full component of size {len(comp)}"))
+                    raise AxiomViolation(
+                        "object-sum", f"generators for A_{G.morphisms[g]} span {len(given)} "
+                        f"elements, not the full component of size {len(comp)}")
             ideals.append(comp)
         else:
             ideals.append(additive_closure(ambient, gens))
@@ -176,32 +173,22 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
             continue
         outside = next((x for x in ag.gens if x not in comp), None)
         if outside is not None:
-            violations.append((
-                "ideal",
-                f"A_{G.morphisms[g]} is not contained in the component at "
-                f"{G.objects[G.rng[g]]!r} (witness {ambient.label(outside)})"))
-            continue
+            raise AxiomViolation(
+                "ideal", f"A_{G.morphisms[g]} is not contained in the component at "
+                f"{G.objects[G.rng[g]]!r} (witness {ambient.label(outside)})")
         escaped = first_escape(ambient, comp.gens, ag.gens, ag)
         if escaped is not None:
-            violations.append((
-                "ideal",
-                f"A_{G.morphisms[g]} is not an ideal of its component "
-                f"(witness {ambient.label(escaped[2])})"))
-        else:
-            proven_ideals.add((ag.key, comp.key))
+            raise AxiomViolation(
+                "ideal", f"A_{G.morphisms[g]} is not an ideal of its component "
+                f"(witness {ambient.label(escaped[2])})")
+        proven_ideals.add((ag.key, comp.key))
 
-    s_unital: Dict[frozenset, Optional[bool]] = {}
+    s_unital: Dict[frozenset, bool] = {}
     for g in range(n):
-        key = ideals[g].key
-        if key not in s_unital:
-            try:
-                s_unital[key] = is_s_unital(ideals[g])
-            except AxiomViolation:  # not closed under products, so reported above
-                s_unital[key] = None
-        if s_unital[key] is False:
-            violations.append(("s-unital", f"A_{G.morphisms[g]} is not s-unital"))
+        if not _memo(s_unital, ideals[g].key, lambda _: is_s_unital(ideals[g])):
+            raise AxiomViolation("s-unital", f"A_{G.morphisms[g]} is not s-unital")
 
-    tables: List[Optional[Dict[int, int]]] = [None] * n
+    tables: List[Dict[int, int]] = []
     for g in range(n):
         dom = ideals[G.inv[g]]
         cod = ideals[g]
@@ -209,47 +196,37 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         if G.is_identity(g):
             table = {x: x for x in dom.elements}
             if given is not None and dict(given) != table:
-                violations.append((
-                    "identity",
-                    f"sigma_{G.morphisms[g]} must be the identity on its component"))
-            tables[g] = table
+                raise AxiomViolation(
+                    "identity", f"sigma_{G.morphisms[g]} must be the identity on its component")
+            tables.append(table)
             continue
         if given is None:
-            if dom.is_zero() and cod.is_zero():
-                tables[g] = {0: 0}
-            else:
-                violations.append(("map", f"no table supplied for sigma_{G.morphisms[g]}"))
+            if not (dom.is_zero() and cod.is_zero()):
+                raise AxiomViolation("map", f"no table supplied for sigma_{G.morphisms[g]}")
+            tables.append({0: 0})
             continue
         table = dict(given)
         if set(table) != dom.elements:
-            violations.append((
-                "map",
-                f"sigma_{G.morphisms[g]} must be defined on exactly "
-                f"A_{G.morphisms[G.inv[g]]}"))
-            continue
+            raise AxiomViolation(
+                "map", f"sigma_{G.morphisms[g]} must be defined on exactly "
+                f"A_{G.morphisms[G.inv[g]]}")
         values = set(table.values())
         if len(values) != len(table) or values != cod.elements:
-            violations.append((
-                "map",
-                f"sigma_{G.morphisms[g]} is not a bijection onto A_{G.morphisms[g]}"))
-            continue
+            raise AxiomViolation(
+                "map", f"sigma_{G.morphisms[g]} is not a bijection onto A_{G.morphisms[g]}")
         bad = first_hom_failure(ambient, ambient, table.get,
                                 dom.sorted_elements(), dom.gens)
         if bad is not None:
             law, x, y = bad
-            violations.append((
-                "map",
-                f"sigma_{G.morphisms[g]} is not {law} at "
-                f"({ambient.label(x)}, {ambient.label(y)})"))
-            continue
-        tables[g] = table
+            raise AxiomViolation(
+                "map", f"sigma_{G.morphisms[g]} is not {law} at "
+                f"({ambient.label(x)}, {ambient.label(y)})")
+        tables.append(table)
 
     meets: Dict[Tuple[frozenset, frozenset], Sequence[int]] = {}
     inverses: Dict[int, Dict[int, int]] = {}
     for g, h in G.composable_pairs():
         gh = G.compose(g, h)
-        if tables[g] is None or tables[h] is None or tables[gh] is None:
-            continue
         dom, ran, target = ideals[G.inv[g]], ideals[h], ideals[G.inv[gh]]
         meet = _memo(meets, (dom.key, ran.key), lambda _: _kernel(
             ambient, [(x, x) for x in dom.gens] + [(y, 0) for y in ran.gens]))
@@ -257,24 +234,18 @@ def validate_partial_action(groupoid: FiniteGroupoid, ambient: DirectSumRing,
         if any(inv_h[y] not in target for y in meet):
             escape = next(y for y in sorted(dom.elements & ran.elements)
                           if inv_h[y] not in target)
-            violations.append((
-                "domain",
-                f"the inverse of sigma_{G.morphisms[h]} pushes "
+            raise AxiomViolation(
+                "domain", f"the inverse of sigma_{G.morphisms[h]} pushes "
                 f"{ambient.label(escape)} outside A_{G.morphisms[G.inv[gh]]} "
-                f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})"))
+                f"on the pair ({G.morphisms[g]}, {G.morphisms[h]})")
         if any(tables[gh].get(inv_h[y]) != tables[g][y] for y in meet):
             x = next(x for x in sorted(tables[h]) if tables[h][x] in dom
                      and tables[gh].get(x) != tables[g][tables[h][x]])
-            violations.append((
-                "composition",
-                f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
-                f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}"))
+            raise AxiomViolation(
+                "composition", f"sigma_{G.morphisms[g]} after sigma_{G.morphisms[h]} differs "
+                f"from sigma_{G.morphisms[gh]} at {ambient.label(x)}")
 
-    if violations:
-        tag, message = violations[0]
-        raise AxiomViolation(tag, message,
-                             violations=[f"[{t}] {m}" for t, m in violations])
-    return PartialAction(G, ambient, ideals, [t for t in tables if t is not None], bound)
+    return PartialAction(G, ambient, ideals, tables, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def _condition(label: str, pairs: Dict, flags: Dict[int, tuple]) -> bool:
 def evaluate_condition(grading: Grading, label: str):
     """One of the seven primeness conditions, from its own definition.
 
-    Returns (bool, evidence).  The caller is responsible for only applying
-    this to nearly epsilon-strong gradings; nothing is rechecked here.
+    Returns (bool, evidence).  Nothing is rechecked: callers that report the
+    verdict refuse non-NES gradings first (``require_nearly_epsilon_strong``).
     """
     if label not in CONDITION_LABELS:
         raise MalformedInput(f"unknown condition label {label!r}; "
@@ -137,6 +137,15 @@ def evaluate_condition(grading: Grading, label: str):
     return _condition(label, {leg: pair}, flags), {"pair": pair, "isotropy": iso}
 
 
+def require_nearly_epsilon_strong(grading: Grading, route: str) -> None:
+    """Refuse (MalformedInput) a grading that is not nearly epsilon-strong,
+    naming its first failure: ``route`` relies on the paper's theorem."""
+    nes = is_nearly_epsilon_strong(grading)
+    if not nes.holds:
+        raise MalformedInput(f"{route} needs a nearly epsilon-strong grading "
+                             f"(first failure: {nes.failures[0]})")
+
+
 def equivalence_report(grading: Grading,
                        clock: Optional[StageClock] = None) -> PrimenessReport:
     """Evaluate all primeness conditions independently and insist they agree.
@@ -148,12 +157,9 @@ def equivalence_report(grading: Grading,
     stage is recorded on ``clock`` when one is given; the caller stops it.
     """
     clock = StageClock(False) if clock is None else clock
-    nes = clock("nearly_epsilon_strong", lambda: is_nearly_epsilon_strong(grading))
-    if not nes.holds:
-        raise MalformedInput(
-            "the equivalence report needs a nearly epsilon-strong grading "
-            f"(first failure: {nes.failures[0]})")
-    support = support_groupoid(grading, nes=True)
+    clock("nearly_epsilon_strong",
+          lambda: require_nearly_epsilon_strong(grading, "the equivalence report"))
+    support = support_groupoid(grading)
     objs = support.support_objects
 
     oracle = clock("oracle", lambda: is_prime_bruteforce(grading.ring))
@@ -195,10 +201,6 @@ def equivalence_report(grading: Grading,
                    if not ev.hub.is_hub}
         if blocked:
             witnesses["non_hub_objects"] = blocked
-        bad_iso = {e: ev.isotropy_prime.witness for e, ev in per_object.items()
-                   if not ev.isotropy_prime.prime}
-        if bad_iso:
-            witnesses["non_prime_isotropy"] = bad_iso
 
     return PrimenessReport(
         verdict=verdict,

@@ -107,6 +107,7 @@ __all__ = [
 ]
 
 IDEAL_ENUMERATION_BOUND = 256
+IDEAL_ENUMERATION_CAP = 256
 TABLE_RING_BOUND = 256
 
 # Fixed irreducibles x^2 + c1*x + c0 over GF(p) used for the degree-2 fields
@@ -1372,12 +1373,12 @@ class IdealEnumeration(Record):
     truncated: bool
 
 
-def enumerate_ideals(ring: FiniteRing, cap: int = 256) -> IdealEnumeration:
+def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
     """All two-sided ideals: principal ideals closed under pairwise sums.
 
     Every ideal is a finite sum of principal ideals, so the join-closure of
     the principal ones is complete.  Stops (deterministically, in discovery
-    order) with truncated=True once more than ``cap`` ideals appear.  Rings
+    order) with truncated=True past ``IDEAL_ENUMERATION_CAP`` ideals; rings
     above ``IDEAL_ENUMERATION_BOUND`` elements are refused.
     """
     if ring.size > IDEAL_ENUMERATION_BOUND:
@@ -1391,7 +1392,7 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256) -> IdealEnumeration:
         if ideal.key not in keys:
             keys.add(ideal.key)
             ideals.append(ideal)
-            if len(ideals) > cap:
+            if len(ideals) > IDEAL_ENUMERATION_CAP:
                 return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
     for a in ideals:            # both loops see the ideals appended below
         for b in ideals:
@@ -1399,7 +1400,7 @@ def enumerate_ideals(ring: FiniteRing, cap: int = 256) -> IdealEnumeration:
             if merged.key not in keys:
                 keys.add(merged.key)
                 ideals.append(merged)
-                if len(ideals) > cap:
+                if len(ideals) > IDEAL_ENUMERATION_CAP:
                     return IdealEnumeration(tuple(_sorted_ideals(ideals)), True)
     return IdealEnumeration(tuple(_sorted_ideals(ideals)), False)
 

@@ -162,8 +162,7 @@ def reference_validate_partial_action(groupoid, ambient, ideal_gens, maps):
 
     if violations:
         tag, message = violations[0]
-        raise AxiomViolation(tag, message,
-                             violations=[f"[{t}] {m}" for t, m in violations])
+        raise AxiomViolation(tag, message)
     return PartialAction(G, ambient, ideals, [t for t in tables if t is not None])
 
 

@@ -43,7 +43,7 @@ from gprime.grading import (
     support_groupoid,
     validate_grading,
 )
-from gprime.groupoid import Subgroupoid, pair_groupoid, restrict
+from gprime.groupoid import FiniteGroup, Subgroupoid, one_object_groupoid, pair_groupoid, restrict
 from gprime.primeness import torsion_free_shortcut
 from gprime.rings import (
     GaloisField,
@@ -79,20 +79,32 @@ class TestValidation:
                 total = ring.add(total, p)
             assert total == x
 
-    def test_compatibility_violation_collects_witness(self):
+    def test_product_on_a_non_composable_pair_names_the_witness(self):
         G = pair_groupoid(["e", "f"])
         m2 = MatrixRing(GaloisField(2), 2)
         comps = {
             G.morphism_index("e"): [m2.unit(0, 0)],
             G.morphism_index("f"): [m2.unit(1, 1)],
-            # both cross morphisms carry e(2,1): the product e21*e12 escapes S_e
+            # the cross units sit on the wrong morphisms: e11 * e12 = e12
+            # is a product over the non-composable pair (e, e>f)
             G.morphism_index("f>e"): [m2.unit(1, 0)],
             G.morphism_index("e>f"): [m2.unit(0, 1)],
         }
         with pytest.raises(AxiomViolation) as exc:
             validate_grading(G, m2, comps)
-        assert exc.value.axiom == "grading"
-        assert any("escapes" in v for v in exc.value.violations)
+        assert str(exc.value) == (
+            "[grading] compatibility: S_e * S_e>f is nonzero on a non-composable pair "
+            "(witness e(1,1) * e(1,2) = e(1,2))")
+
+    def test_product_escaping_its_component_names_the_witness(self):
+        # over C2 every pair composes; (e11 + e12) * e11 = e11 leaves S_t
+        G = one_object_groupoid(FiniteGroup.cyclic(2), "e")
+        m2 = MatrixRing(GaloisField(2), 2)
+        comps = {0: [m2.unit(0, 0)], 1: [m2.add(m2.unit(0, 0), m2.unit(0, 1))]}
+        with pytest.raises(AxiomViolation) as exc:
+            validate_grading(G, m2, comps)
+        assert str(exc.value) == (
+            "[grading] compatibility: e(1,1) + e(1,2) * e(1,1) = e(1,1) escapes S_t")
 
     def test_overlapping_components_rejected(self):
         # zero multiplication keeps every compatibility product trivially
@@ -205,19 +217,19 @@ class TestNearEpsilonStrong:
 
 class TestSupport:
     def test_full_support(self, m3_grading):
-        res = support_groupoid(m3_grading, nes=True)
+        res = support_groupoid(m3_grading)
         assert res.support_objects == (0, 1, 2)
         assert res.subgroupoid.members == frozenset(range(9))
 
     def test_zero_components_do_not_shrink_object_support(self, block_grading):
-        res = support_groupoid(block_grading, nes=True)
+        res = support_groupoid(block_grading)
         assert res.support_objects == (0, 1, 2)
         assert res.subgroupoid.members == frozenset(range(9))
 
     def test_dead_object_removed(self):
         G = pair_groupoid(["e", "f"])
         grading = validate_grading(G, GaloisField(2), {G.morphism_index("f"): [1]})
-        res = support_groupoid(grading, nes=True)
+        res = support_groupoid(grading)
         assert res.support_objects == (1,)
         assert res.subgroupoid.members == {G.morphism_index("f")}
         with pytest.raises(ObjectNotInSupport):
@@ -225,7 +237,7 @@ class TestSupport:
         assert is_support_hub(grading, 1).is_hub
 
     def test_disconnected_support_splits(self, disconnected_grading):
-        res = support_groupoid(disconnected_grading, nes=True)
+        res = support_groupoid(disconnected_grading)
         assert res.support_objects == (0, 1)
         assert res.subgroupoid.members == {0, 1}
 
@@ -417,15 +429,16 @@ class TestInternalConsistency:
     def test_nes_support_consistency_guard(self):
         # hand-build a grading object with a nonzero component outside the
         # support and check the guard trips (this cannot come out of
-        # validate_grading followed by an honest nearly-epsilon-strong run)
+        # validate_grading followed by an honest nearly-epsilon-strong run;
+        # the verdict of that run stays kept on the grading when it is patched)
         dead = validate_grading(pair_groupoid(["e", "f"]), GaloisField(2), {1: [1]})
-        assert support_groupoid(dead, nes=True).support_objects == (1,)
+        assert support_groupoid(dead).support_objects == (1,)
         patched = additive_closure(dead.ring, [1])
         comps = list(dead.components)
         comps[dead.groupoid.morphism_index("e>f")] = patched
         dead.components = tuple(comps)
         with pytest.raises(InternalDisagreement):
-            support_groupoid(dead, nes=True)
+            support_groupoid(dead)
 
 
 class TestUnknownIndices:

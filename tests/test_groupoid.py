@@ -90,7 +90,7 @@ class TestValidation:
                 "inverse": {},
                 "compose": [["a", "b", "f"], ["b", "a", "e"]],
             })
-        assert any("inverse" in v for v in err.value.violations)
+        assert str(err.value) == "[groupoid] inverse: no inverse declared for 'a'"
 
     def test_noncomposable_entry_is_rejected(self):
         with pytest.raises(AxiomViolation) as err:
@@ -101,7 +101,8 @@ class TestValidation:
                 "inverse": {"a": "b"},
                 "compose": [["a", "b", "f"], ["b", "a", "e"], ["a", "a", "f"]],
             })
-        assert any("composability" in v for v in err.value.violations)
+        assert str(err.value) == (
+            "[groupoid] composability: compose('a', 'a') declared but src('a') != rng('a')")
 
     def test_missing_product_is_reported(self):
         with pytest.raises(AxiomViolation) as err:
@@ -112,11 +113,11 @@ class TestValidation:
                 "inverse": {"a": "b"},
                 "compose": [["a", "b", "f"]],
             })
-        assert any("totality" in v for v in err.value.violations)
+        assert str(err.value) == "[groupoid] totality: no product declared for ('b', 'a')"
 
     def test_bad_inverse_law(self):
         # declare a*b to be the wrong identity-side result
-        with pytest.raises(AxiomViolation):
+        with pytest.raises(AxiomViolation) as err:
             validate_groupoid({
                 "objects": ["e"],
                 "morphisms": [{"name": "a", "src": "e", "rng": "e"},
@@ -125,6 +126,7 @@ class TestValidation:
                 "compose": [["a", "b", "a"], ["b", "a", "e"], ["a", "a", "e"],
                             ["b", "b", "a"]],
             })
+        assert str(err.value) == "[groupoid] inverse: 'b' * 'a' is not the identity"
 
     def test_unknown_labels(self):
         with pytest.raises(UnknownMorphism):

@@ -158,16 +158,43 @@ def test_clashing_labels_are_refused_as_before(labels, message):
             build(labels)
 
 
-def test_index_tables_report_the_violations_of_their_description():
-    raw = {"objects": ["e", "f"],
+def _loops(compose, inverse=None):
+    """One object e with loops a and b, a and b mutually inverse unless
+    ``inverse`` says otherwise."""
+    return {"objects": ["e"],
+            "morphisms": [{"name": "a", "src": "e", "rng": "e"},
+                          {"name": "b", "src": "e", "rng": "e"}],
+            "inverse": {"a": "b"} if inverse is None else inverse, "compose": compose}
+
+
+CROSSED = {"objects": ["e", "f"],
            "morphisms": [{"name": "g", "src": "e", "rng": "f"},
-                         {"name": "h", "src": "f", "rng": "e"}],
-           "inverse": {"g": "g"},
-           "compose": [["g", "h", "e"], ["h", "g", "e"]]}
+                         {"name": "h", "src": "f", "rng": "e"}]}
+C3 = [["a", "a", "b"], ["a", "b", "e"], ["b", "a", "e"], ["b", "b", "a"]]
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({**CROSSED, "inverse": {"g": "g"}, "compose": [["g", "h", "e"], ["h", "g", "e"]]},
+     "inverse: 'g' does not reverse 'g'"),
+    (_loops([], inverse={}), "inverse: no inverse declared for 'a'"),
+    (_loops([["a", "a", "b"], ["a", "a", "e"]] + C3[1:]),
+     "composition: conflicting products for ('a', 'a')"),
+    (_loops([["a", "e", "e"]] + C3), "identity: 'a' composed with an identity is wrong"),
+    (_loops(C3[1:]), "totality: no product declared for ('a', 'a')"),
+    ({**CROSSED, "inverse": {"g": "h"}, "compose": [["g", "h", "e"], ["h", "g", "e"]]},
+     "composition: product of ('g', 'h') has wrong endpoints"),
+    (_loops([["a", "a", "a"], ["a", "b", "e"], ["b", "a", "e"], ["b", "b", "b"]]),
+     "associativity: ('a'*'a')*'b' != 'a'*('a'*'b')"),
+], ids=["reverse", "no-inverse", "conflict", "identity", "totality", "endpoints",
+        "associativity"])
+def test_index_tables_report_the_first_violation_of_their_description(raw, message):
     with pytest.raises(AxiomViolation) as named:
         validate_groupoid(raw)
+    objects = raw["objects"]
+    index = {lab: k for k, lab in enumerate(objects + [m["name"] for m in raw["morphisms"]])}
+    arrows = [(m["name"], index[m["src"]], index[m["rng"]]) for m in raw["morphisms"]]
     with pytest.raises(AxiomViolation) as indexed:
-        groupoid_from_tables(["e", "f"], [("g", 0, 1), ("h", 1, 0)], [(2, 2)],
-                             [(2, 3, 0), (3, 2, 0)])
-    assert indexed.value.violations == named.value.violations
-    assert len(named.value.violations) > 2
+        groupoid_from_tables(objects, arrows,
+                             [(index[a], index[b]) for a, b in raw["inverse"].items()],
+                             [tuple(index[lab] for lab in entry) for entry in raw["compose"]])
+    assert str(indexed.value) == str(named.value) == f"[groupoid] {message}"

@@ -853,3 +853,29 @@ def test_short_table_labels_exit_1_with_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line == "gprime: error: labels must name each of the 4 elements once"
+
+
+# GF(2)[x]/(x^2) on 0, 1, x, 1 + x, graded by C2 with S_e = span{1} and
+# S_g = span{x}: S_g S_g S_g = 0 != S_g, so the grading is not nearly
+# epsilon-strong and the paper's theorem says nothing about it
+DUAL_NUMBERS = {"groupoid": LOOP, "grading": {
+    "ring": {"table": {"add": [[a ^ b for b in range(4)] for a in range(4)],
+                       "mul": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]]}},
+    "components": {"e": ["1"], "g": ["2"]}}}
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["prime", "--method", "theorem"], "the theorem route"),
+    (["prime"], "the equivalence report"),
+    (["equivalence"], "the equivalence report"),
+])
+def test_theorem_routes_refuse_a_grading_that_is_not_nes(tmp_path, capsys, argv, route):
+    path = tmp_path / "dual_numbers.json"
+    path.write_text(json.dumps(DUAL_NUMBERS))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (f"gprime: error: {route} needs a nearly epsilon-strong grading "
+                    "(first failure: 'g': S_g S_g^-1 S_g != S_g)")
+    assert cli.main(["prime", str(path), "--method", "oracle"]) == 0

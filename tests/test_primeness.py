@@ -91,9 +91,10 @@ class TestReport:
         assert (w["oracle"].a, w["oracle"].b) == (3, 3)
         assert "invariant_ideal_pair" not in w   # identity-component legs hold
         assert "graded_ideal_pair" not in w
-        assert w["non_prime_isotropy"][0] is not None
+        assert set(w) == {"oracle"}     # isotropy witnesses live on per_object
         ev = report.per_object[0]
         assert ev.hub.is_hub and not ev.isotropy_prime.prime
+        assert ev.isotropy_prime.witness is not None
         assert isotropy_component(f2c2_grading, 0).ring.size == 4
 
     def test_disconnected_all_false(self, disconnected_grading):
@@ -105,8 +106,9 @@ class TestReport:
         assert w["invariant_ideal_pair"][:2] == (1, 2)
         assert w["graded_ideal_pair"][:2] == (1, 2)
         assert w["non_hub_objects"] == {0: (1, 2), 1: (0, 1)}
-        assert "non_prime_isotropy" not in w     # both components are fields
-        assert all(ev.isotropy_prime.prime for ev in report.per_object.values())
+        assert set(w) == {"oracle", "invariant_ideal_pair", "graded_ideal_pair",
+                          "non_hub_objects"}
+        assert all(ev.isotropy_prime.prime for ev in report.per_object.values())  # fields
 
     def test_block_grading_all_false(self, block_grading):
         report = equivalence_report(block_grading)

@@ -4,7 +4,8 @@ A deletion that leaves a stale ``__all__`` entry breaks ``from gprime.<module>
 import *``; this test names the entry instead.  Only the functions that make
 an object keeping a carrier bound take one.  Every public module-level
 function and class has a reader in the package besides its own definition
-and its ``__all__`` entry.
+and its ``__all__`` entry, and every defaulted parameter of a public
+function or method is passed by some call in the package.
 """
 
 from __future__ import annotations
@@ -85,3 +86,48 @@ def test_every_public_definition_has_a_reader():
                    for node in readers):
             unread.append(f"{module}.{definition.name}")
     assert sorted(set(unread) - ENTRY_POINTS) == []
+
+
+#: defaulted parameters that need no caller in the package: the console
+#: script's ``argv``
+UNPASSED_DEFAULTS = {"gprime.cli.main(argv)"}
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    """A parameter whose default every call in the package takes is a knob
+    only tests turn.  A call passes a parameter by keyword, by position
+    (``self`` not counted), or through ``*args`` or ``**kwargs``; a
+    constructor's calls are the calls of its class."""
+    trees = {f"gprime.{path.stem}": ast.parse(path.read_text())
+             for path in sorted(Path(gprime.__file__).parent.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((f"{module}.{node.name}", node.name, node, False))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                            item.name == "__init__" or not item.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        called = node.name if item.name == "__init__" else item.name
+                        defined.append((f"{module}.{node.name}.{item.name}", called, item,
+                                        not static))
+    unpassed = []
+    for qualname, called, fn, bound in defined:
+        mine = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == called]
+        positional = (fn.args.posonlyargs + fn.args.args)[1 if bound else 0:]
+        defaulted = [(p.arg, positional.index(p))
+                     for p in positional[len(positional) - len(fn.args.defaults):]]
+        defaulted += [(p.arg, None) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        for name, place in defaulted:
+            if not any(any(k.arg in (name, None) for k in c.keywords)
+                       or place is not None and (len(c.args) > place or any(
+                           isinstance(a, ast.Starred) for a in c.args))
+                       for c in mine):
+                unpassed.append(f"{qualname}({name})")
+    assert sorted(set(unpassed) - UNPASSED_DEFAULTS) == []

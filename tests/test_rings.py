@@ -6,8 +6,9 @@ import pytest
 
 from gprime.errors import AxiomViolation, BoundExceeded, MalformedInput, NotSUnital, RingMismatch
 from gprime.groupoid import FiniteGroup
-from gprime.rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, GaloisField, GroupRing,
-                          MatrixRing, SubRing, TableRing, additive_closure, centralizer,
+from gprime.rings import (IDEAL_ENUMERATION_CAP, AdditiveSubgroup, CyclicRing, DirectSumRing,
+                          GaloisField, GroupRing, MatrixRing, SubRing, TableRing,
+                          additive_closure, centralizer,
                           enumerate_ideals, ideal_generated, is_maximal_commutative,
                           is_prime_bruteforce, is_s_unital, is_zero_product, principal_ideal,
                           set_product, validate_ring)
@@ -175,11 +176,15 @@ class TestSubgroupsAndIdeals:
         assert len(enumerate_ideals(DirectSumRing([GaloisField(2)] * 2)).ideals) == 4
 
     def test_enumerate_ideals_truncation(self):
-        r = DirectSumRing([GaloisField(2)] * 4)
-        out = enumerate_ideals(r, cap=10)
+        # with zero multiplication every subgroup of GF(2)^8 is an ideal: the
+        # 255 lines and {0} fill the cap, the first plane passes it
+        r = TableRing([[a ^ b for b in range(256)] for a in range(256)],
+                      [[0] * 256 for _ in range(256)])
+        out = enumerate_ideals(r)
         assert out.truncated
-        assert len(out.ideals) == 11
-        full = enumerate_ideals(r)
+        assert len(out.ideals) == IDEAL_ENUMERATION_CAP + 1
+        assert [len(i) for i in out.ideals] == [1] + [2] * 255 + [4]
+        full = enumerate_ideals(DirectSumRing([GaloisField(2)] * 4))
         assert not full.truncated and len(full.ideals) == 16
 
     def test_enumerate_ideals_bound(self):

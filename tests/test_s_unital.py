@@ -121,8 +121,8 @@ def test_attached_subgroup_not_closed_is_reported_not_an_ideal():
     off_diagonal = [amb.inject(0, m2.unit(0, 1)), amb.inject(0, m2.unit(1, 0))]
     with pytest.raises(AxiomViolation) as err:
         validate_partial_action(G, amb, {G.morphism_index("f>e"): off_diagonal}, {})
-    assert any("not an ideal of its component" in v for v in err.value.violations)
-    assert not any("A_f>e is not s-unital" in v for v in err.value.violations)
+    assert str(err.value) == (
+        "[ideal] A_f>e is not an ideal of its component (witness at(e, e(1,1)))")
 
 
 def closed_span(ring, seed, products):

@@ -326,7 +326,20 @@ class TestFirstEscape:
                             additive_closure(amb, column).elements) is not None
         with pytest.raises(AxiomViolation) as err:
             validate_partial_action(G, amb, {G.morphism_index("f>e"): column}, {})
-        assert any("not an ideal of its component" in v for v in err.value.violations)
+        assert str(err.value) == (
+            "[ideal] A_f>e is not an ideal of its component (witness at(e, e(1,2)))")
+
+    def test_validation_stops_at_the_first_violation(self, monkeypatch):
+        # the left ideal above fails ideal-ness, so s-unitality is never asked
+        G = pair_groupoid(["e", "f"])
+        m2 = MatrixRing(GaloisField(2), 2)
+        amb = DirectSumRing([m2, m2], keys=["e", "f"])
+        column = [amb.inject(0, m2.unit(0, 0)), amb.inject(0, m2.unit(1, 0))]
+        asked = []
+        monkeypatch.setattr(gprime.partial, "is_s_unital", lambda x: asked.append(x) or True)
+        with pytest.raises(AxiomViolation, match=r"^\[ideal\]"):
+            validate_partial_action(G, amb, {G.morphism_index("f>e"): column}, {})
+        assert asked == []
 
     @settings(max_examples=80, **COMMON)
     @given(st.integers(0, len(CARRIERS) - 1), st.data())
@@ -424,19 +437,16 @@ class TestFirstHomFailure:
             validate_partial_action(G, amb, {1: [3, 5, 7]}, {1: table})
         assert err.value.axiom == "map"
 
-    def test_table_on_a_domain_not_closed_under_products_is_rejected(self):
-        # the span of e12 + e21 in M2(GF(2)) is not multiplicatively closed,
-        # so the table has no value at the square of its generator
-        G = pair_groupoid(["e", "f"])
-        m2 = MatrixRing(GaloisField(2), 2)
-        amb = DirectSumRing([m2, m2], keys=["e", "f"])
-        swap = m2.add(m2.unit(0, 1), m2.unit(1, 0))
-        xe, xf = amb.inject(0, swap), amb.inject(1, swap)
-        to_e, to_f = G.morphism_index("f>e"), G.morphism_index("e>f")
+    def test_additive_bijection_that_is_not_multiplicative_is_rejected(self):
+        # (a, b) -> (a + b, b) on GF(2) x GF(2), as above, acting for t in C2
+        G = one_object_groupoid(FiniteGroup.cyclic(2), "e")
+        pair = DirectSumRing([GaloisField(2), GaloisField(2)])
+        amb = DirectSumRing([pair], keys=["e"])
+        table = {x: [0, 1, 3, 2][x] for x in range(4)}
         with pytest.raises(AxiomViolation) as err:
-            validate_partial_action(G, amb, {to_e: [xe], to_f: [xf]},
-                                    {to_e: {0: 0, xf: xe}, to_f: {0: 0, xe: xf}})
-        assert any("not multiplicative" in v for v in err.value.violations)
+            validate_partial_action(G, amb, {1: [1, 2]}, {1: table})
+        assert str(err.value) == (
+            "[map] sigma_t is not multiplicative at (at(e, at(0, 1)), at(e, at(1, 1)))")
 
 
 class TestFirstIdentity:
