@@ -27,8 +27,8 @@ from .groupoid import (FiniteGroup, FiniteGroupoid, disjoint_union, is_connected
                        subgroups)
 from .partial import (SKEW_RING_BOUND, PartialAction, build_groupoid_ring,
                       build_skew_ring, connell_check, global_support_connectivity_check,
-                      is_global, is_group_type, orbit_density_check, psi_check,
-                      skew_prime_verdict, validate_partial_action)
+                      groupoid_ring_action, is_global, is_group_type, orbit_density_check,
+                      psi_check, skew_prime_verdict, validate_partial_action)
 from .primeness import equivalence_report, torsion_free_shortcut
 from .rings import (AdditiveSubgroup, CyclicRing, DirectSumRing, FiniteRing,
                     GaloisField, MatrixRing, additive_closure,
@@ -576,7 +576,26 @@ def _check_partial(action: PartialAction) -> int:
     return checks
 
 
-def _check_groupoid_ring(base: FiniteRing, G: FiniteGroupoid, verdict: bool) -> int:
+def _check_groupoid_ring(base: FiniteRing, grading: Grading, verdict: bool) -> int:
+    """The carrier against the skew product of the induced global action,
+    built under the carrier's size as bound: tag, size, identity, additive
+    generators and their labels, every generator product and every
+    component; then the three-part criterion and orbit density against the
+    verdict."""
+    G, ring = grading.groupoid, grading.ring
+    skew = build_skew_ring(groupoid_ring_action(base, G, ring.size))
+    twin = skew.ring
+    gens = ring.additive_generators()
+    _ensure((ring.tag, ring.size, ring.one) == (twin.tag, twin.size, twin.one),
+            "the groupoid ring and the induced skew product differ in tag, size or identity")
+    _ensure(gens == twin.additive_generators()
+            and [ring.label(x) for x in gens] == [twin.label(x) for x in gens],
+            "the groupoid ring and the induced skew product differ in their generators")
+    _ensure(all(ring.mul(x, y) == twin.mul(x, y) for x in gens for y in gens),
+            "the groupoid ring and the induced skew product differ in a product")
+    _ensure([c.elements for c in grading.components]
+            == [c.elements for c in skew.components],
+            "the groupoid ring and the induced skew product differ in a component")
     checks = 0
     res = connell_check(base, G)
     _ensure(res.holds == verdict,
@@ -620,7 +639,7 @@ def check_instance(rng: random.Random,
     if inst.action is not None:
         checks += _check_partial(inst.action)
     if inst.base is not None and verdict is not None:
-        checks += _check_groupoid_ring(inst.base, inst.groupoid, verdict)
+        checks += _check_groupoid_ring(inst.base, grading, verdict)
     return verdict, checks
 
 

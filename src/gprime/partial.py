@@ -8,7 +8,9 @@ attached ideals; it is materialized as a concrete finite ring and handed back
 as a Grading, so the whole graded tool chain (support, hubs, pair criteria,
 the equivalence report) applies to it unchanged.  Groupoid rings are the
 special case where every ideal is a full component and every map is the
-identity transport.
+identity transport; they are built directly as base[G], one ``base`` digit
+per morphism with the convolution product, element for element the skew
+product of that induced action, which fuzz builds beside it and compares.
 
 An action keeps the carrier bound it was validated under, the one every
 ring built from it obeys, and every fact derived from it (``rings._once``).
@@ -48,6 +50,7 @@ __all__ = [
     "validate_partial_action",
     "SkewGroupoidRing",
     "build_skew_ring",
+    "GroupoidRing",
     "groupoid_ring_action",
     "build_groupoid_ring",
     "is_global",
@@ -349,29 +352,25 @@ class SkewGroupoidRing(_VectorRing):
         return first_identity(self, [self.encode(coeffs)], self.additive_generators())
 
 
-@_once
-def build_skew_ring(action: PartialAction) -> Grading:
-    """Materialize the skew product, once per action, and hand it back as a
-    validated grading.
+def _checked_grading(groupoid: FiniteGroupoid, ring: _VectorRing,
+                     raw: Dict[int, List[int]]) -> Grading:
+    """Validate a built product ring, graded by morphism, as a grading whose
+    components ``raw`` generates, and close its checks.
 
-    The carrier is refused (never truncated) above the action's bound.  The
-    grading axioms are checked first, then of the ring laws only
-    associativity: the addition is coordinatewise on subgroups A_g of a
-    validated ring, and the product, a sum of terms sigma_g(sigma_{g^{-1}}(a)
-    b), is biadditive since ``first_hom_failure`` proved every sigma
-    additive.  So generator triples a in S_g, b in S_h, c in S_k suffice,
-    and only those with g*h and h*k defined, in generator order: on any
-    other ab = 0, or bc lies in S_hk with g*hk undefined, so both sides are
-    0 and the first failure is the one a scan of all triples finds.
+    The grading axioms are checked first, then of the ring laws only
+    associativity: the addition is coordinatewise on validated digit rings
+    and the product is biadditive, a sum of terms from a biadditive rule.
+    So generator triples a in S_g, b in S_h, c in S_k suffice, and only
+    those with g*h and h*k defined, in generator order: on any other ab =
+    0, or bc lies in S_hk with g*hk undefined, so both sides are 0 and the
+    first failure is the one a scan of all triples finds.
     AssociativityFailure signals an invalid action that slipped through
-    validation (a product that breaks the grading axioms too raises their
-    AxiomViolation first); a grading that is not nearly epsilon-strong
-    raises the falsification alarm.
+    validation, or a faulty product rule (a product that breaks the grading
+    axioms too raises their AxiomViolation first); a grading that is not
+    nearly epsilon-strong raises the falsification alarm, since the product
+    is a skew product of s-unital ideals.
     """
-    ring = SkewGroupoidRing(action)
-    raw = {g: [ring.inject(g, a) for a in action.ideals[g].gens]
-           for g in range(action.groupoid.n_morphisms)}
-    grading = validate_grading(action.groupoid, ring, raw)
+    grading = validate_grading(groupoid, ring, raw)
     comps = grading.components
     after = {a: [b for h in ring._partners[g] for b in comps[h].gens]
              for g, comp in enumerate(comps) for a in comp.gens}
@@ -387,10 +386,61 @@ def build_skew_ring(action: PartialAction) -> Grading:
     return grading
 
 
+@_once
+def build_skew_ring(action: PartialAction) -> Grading:
+    """Materialize the skew product, once per action, and hand it back as a
+    validated grading.
+
+    The carrier is refused (never truncated) above the action's bound, and
+    closed by ``_checked_grading``: biadditive since ``first_hom_failure``
+    proved every sigma additive.
+    """
+    ring = SkewGroupoidRing(action)
+    raw = {g: [ring.inject(g, a) for a in action.ideals[g].gens]
+           for g in range(action.groupoid.n_morphisms)}
+    return _checked_grading(action.groupoid, ring, raw)
+
+
+class GroupoidRing(_VectorRing):
+    """The groupoid ring base[G]: one ``base`` digit per morphism, with the
+    convolution product (x delta_g)(y delta_h) = xy delta_{gh} on composable
+    pairs and zero otherwise -- ``rings.GroupRing``'s shape with the
+    groupoid's partial composition.
+
+    Element for element it is the skew product of ``groupoid_ring_action``:
+    digit g there is the position of at(r(g), v) in its sorted component,
+    which is v.  So it keeps that ring's indices, additive generators, tag
+    and labels, (at(o, x))*d(g) with o the range of g, and its identity is
+    confirmed by ``first_identity`` as there.
+    """
+
+    def __init__(self, base: FiniteRing, groupoid: FiniteGroupoid):
+        G = groupoid
+        super().__init__([base] * G.n_morphisms,
+                         [[h for h in range(G.n_morphisms) if G.composable(g, h)]
+                          for g in range(G.n_morphisms)])
+        self.base = base
+        self.groupoid = G
+        parts = ", ".join(f"{o}:{base.tag}" for o in G.objects)
+        self.tag = f"skew(sum({parts}); {G.n_morphisms} morphisms)"
+        self.one = None if base.one is None else first_identity(
+            self, [sum(self.inject(G.identity(e), base.one) for e in range(G.n_objects))],
+            self.additive_generators())
+
+    def _term(self, g: int, x: int, h: int, y: int) -> Tuple[int, int]:
+        return self.groupoid.compose(g, h), self.base.mul(x, y)
+
+    def label(self, x: int) -> str:
+        G, base = self.groupoid, self.base
+        return " + ".join(f"(at({G.objects[G.rng[g]]}, {base.label(c)}))*d({G.morphisms[g]})"
+                          for g, c in enumerate(self.decode(x)) if c != 0) or "0"
+
+
 def groupoid_ring_action(base: FiniteRing, groupoid: FiniteGroupoid,
                          bound: int = SKEW_RING_BOUND) -> PartialAction:
     """The global action with every component a copy of ``base`` and every
-    map the identity transport between copies, under carrier bound ``bound``."""
+    map the identity transport between copies, under carrier bound ``bound``;
+    its skew product is ``GroupoidRing(base, groupoid)``."""
     G = groupoid
     amb = DirectSumRing([base] * G.n_objects, keys=G.objects)
     gens: Dict[int, List[int]] = {}
@@ -408,13 +458,23 @@ def build_groupoid_ring(base: FiniteRing, groupoid: FiniteGroupoid,
                         bound: int = SKEW_RING_BOUND) -> Grading:
     """The groupoid ring of ``groupoid`` over ``base`` as a validated grading.
 
-    Realized through the induced global action, under which the skew product
-    rule collapses to a b delta_{gh} on composable pairs.  The carrier has
-    |base|^|morphisms| elements, so it is refused above ``bound`` before the
-    action's ambient sum and tables are built.
+    Built directly as ``GroupoidRing`` and closed by ``_checked_grading``.
+    The carrier has |base|^|morphisms| elements, so it is refused above
+    ``bound`` before anything is built.  Then the bases that
+    ``validate_partial_action`` refuses on the induced action are refused
+    with its first error: a zero base, and one that is not s-unital (every
+    A_g is a copy of it, and the first one checked is A at morphism 0).
+    Every other axiom of that action holds by construction.
     """
-    _refuse_carrier(base.size ** groupoid.n_morphisms, bound)
-    return build_skew_ring(groupoid_ring_action(base, groupoid, bound))
+    G = groupoid
+    _refuse_carrier(base.size ** G.n_morphisms, bound)
+    if base.size == 1:
+        raise DegenerateInstance("the zero ring admits no meaningful action")
+    if not is_s_unital(base):
+        raise AxiomViolation("s-unital", f"A_{G.morphisms[0]} is not s-unital")
+    ring = GroupoidRing(base, G)
+    return _checked_grading(G, ring, {g: [ring.inject(g, c) for c in base.additive_generators()]
+                                      for g in range(G.n_morphisms)})
 
 
 # ---------------------------------------------------------------------------

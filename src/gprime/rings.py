@@ -1,13 +1,13 @@
 """Finite rings on dense integer carriers 0..n-1, with 0 the additive identity.
 
 Rings are not assumed unital or commutative.  Structured constructors
-(matrix rings, direct sums, group rings, and the skew groupoid rings of
-``partial``) never materialize a global multiplication table: all are
-``_VectorRing``s of mixed-radix digits (a skew ring's digits are its ideals
-A_g, as subrings of the ambient), and one kernel, ``_VectorRing.mul``,
-extends each carrier's product of single terms bilinearly, summing the
-terms' packed coordinate vectors (below), so e.g. the 512-element ring of
-3x3 matrices over the 2-element field stays cheap.
+(matrix rings, direct sums, group rings, and the groupoid rings and skew
+groupoid rings of ``partial``) never materialize a global multiplication
+table: all are ``_VectorRing``s of mixed-radix digits (a skew ring's digits
+are its ideals A_g, as subrings of the ambient), and one kernel,
+``_VectorRing.mul``, extends each carrier's product of single terms
+bilinearly, summing the terms' packed coordinate vectors (below), so e.g.
+the 512-element ring of 3x3 matrices over the 2-element field stays cheap.
 
 Beside its element index every carrier has a coordinate map: (carrier, +)
 is carried into a product of cyclic groups Z/m_1 x ... x Z/m_k, where
@@ -734,7 +734,7 @@ class _Terms(dict):
 class _VectorRing(FiniteRing):
     """A carrier of mixed-radix digit vectors whose product is the bilinear
     extension of a product on single terms: matrices, group rings, direct
-    sums and skew groupoid rings.
+    sums, groupoid rings and skew groupoid rings.
 
     Element a is the vector of its digits, digit i in ``_digits[i]`` (digit
     0 least significant), and its coordinates concatenate the digits'
@@ -1336,17 +1336,19 @@ def is_prime_bruteforce(ring: FiniteRing) -> PrimeResult:
     faithful (zero annihilator), a is faithful and its ideal is not
     closed.  Only proven-faithful elements are skipped, so the walk stops
     at the same a, with the same ideal and the same b.  On a prime ring
-    this leaves about two products per element and a few closures.
+    this leaves about two products per element and a few closures.  The
+    walk returns at the first element that is not faithful, so at step a
+    the proven-faithful elements are exactly 1..a-1, and p is one of them
+    iff 0 < p < a.
     """
     if ring.size == 1:
         return PrimeResult(False, None, degenerate=True)
 
     mul, rgens = ring.mul, ring.additive_generators()
     faithful = set()        # keys of ideals with a zero right annihilator
-    proven = bytearray(ring.size)   # 1 for elements whose ideal is one of them
     for a in range(1, ring.size):
         for r in rgens:         # a faithful product r*a or a*r makes a faithful
-            if proven[mul(r, a)] or proven[mul(a, r)]:
+            if 0 < mul(r, a) < a or 0 < mul(a, r) < a:
                 break
         else:
             ideal = principal_ideal(ring, a)
@@ -1360,7 +1362,6 @@ def is_prime_bruteforce(ring: FiniteRing) -> PrimeResult:
                              if all(mul(g, b) == 0 for g in ideal.gens))
                     return PrimeResult(False, PrimePairWitness(a, b, ideal))
                 faithful.add(ideal.key)
-        proven[a] = 1
     return PrimeResult(True, None)
 
 

@@ -12,8 +12,9 @@ cross-checks it.
 ``reference_prime`` is the pairwise search over all principal ideals that
 the annihilator test of ``rings.is_prime_bruteforce`` replaced.
 ``reference_mul`` is the digit-wise product that the single-term kernel
-``rings._VectorRing.mul`` replaced on matrices, group rings, direct sums and
-skew groupoid rings, on digits and coefficients read without coordinates.
+``rings._VectorRing.mul`` replaced on matrices, group rings, groupoid
+rings, direct sums and skew groupoid rings, on digits and coefficients read
+without coordinates.
 ``reference_decompose`` is the staged sweep of partial sums that decided
 directness in ``grading.validate_grading`` and backed ``Grading.decompose``
 before both moved onto canonical bases.
@@ -22,8 +23,9 @@ route two read its unit tests off generator images: route one per
 morphism, and route two's element scan, one ring product per pair (u, d).
 The element sweeps that ``rings._kernel`` retired follow it:
 ``reference_centralizer`` tests every carrier element against the
-generators, ``reference_r_dense`` scans the groupoid ring for the first
-element without a coefficient at the given sources (it now checks
+generators, ``reference_r_dense`` scans the groupoid ring, as the skew
+product of the induced action, for the first element without a coefficient
+at the given sources (it now checks
 ``partial.orbit_density_check``, which reads density off the groupoid),
 ``reference_meet``
 intersects element sets, ``reference_sigma_invariant`` applies each
@@ -39,7 +41,8 @@ from functools import lru_cache
 
 from gprime.errors import InternalDisagreement, NotDirectSum, NotSUnital, Record
 from gprime.grading import NESResult
-from gprime.partial import SkewGroupoidRing, build_groupoid_ring
+from gprime.partial import (GroupoidRing, SkewGroupoidRing, build_skew_ring,
+                            groupoid_ring_action)
 from gprime.rings import (AdditiveSubgroup, DirectSumRing, FiniteRing, GroupRing, MatrixRing,
                           PrimePairWitness, PrimeResult, SubRing, _basis, _coordinates, _row_packer,
                           additive_closure, first_identity, first_zero_pair, is_s_unital,
@@ -54,7 +57,7 @@ def reference_add(ring):
     if isinstance(ring, SubRing):
         add = reference_add(ring.parent)
         return lambda a, b: ring.from_parent[add(ring.to_parent[a], ring.to_parent[b])]
-    if isinstance(ring, (MatrixRing, DirectSumRing, GroupRing)):
+    if isinstance(ring, (MatrixRing, DirectSumRing, GroupRing, GroupoidRing)):
         adds = [reference_add(r) for r in ring._digits]
         return lambda a, b: _number(ring, [add(x, y) for add, x, y in
                                            zip(adds, _digits(ring, a), _digits(ring, b))])
@@ -173,16 +176,19 @@ def reference_mul(ring):
         muls = [reference_mul(p) for p in ring.parts]
         return lambda a, b: _number(ring, [mul(x, y) for mul, x, y in
                                            zip(muls, _digits(ring, a), _digits(ring, b))])
-    if not isinstance(ring, (MatrixRing, GroupRing)):
+    if not isinstance(ring, (MatrixRing, GroupRing, GroupoidRing)):
         return ring.mul
     badd, bmul = reference_add(ring.base), reference_mul(ring.base)
     if isinstance(ring, MatrixRing):
         n = ring.n
         cells = [(i * n + k, k * n + j, i * n + j)
                  for i in range(n) for k in range(n) for j in range(n)]
-    else:
+    elif isinstance(ring, GroupRing):
         H = ring.group
         cells = [(i, j, H.mul(i, j)) for i in range(H.order) for j in range(H.order)]
+    else:
+        G = ring.groupoid
+        cells = [(g, h, G.compose(g, h)) for g, h in G.composable_pairs()]
 
     def convolve(a, b):
         A, B = _digits(ring, a), _digits(ring, b)
@@ -285,7 +291,7 @@ def reference_r_dense(groupoid, base, xs, bound=4096):
     """``DensityResult`` for the object indices ``xs``: the first nonzero
     element of the groupoid ring with no nonzero coefficient at a morphism
     whose source lies in ``xs``."""
-    ring = build_groupoid_ring(base, groupoid, bound).ring
+    ring = build_skew_ring(groupoid_ring_action(base, groupoid, bound)).ring
     for a in range(1, ring.size):
         if not any(c != 0 and groupoid.src[g] in xs
                    for g, c in enumerate(ring.coefficients(a))):

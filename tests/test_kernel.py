@@ -33,8 +33,9 @@ from gprime.grading import GradedIdeal, phi, validate_grading
 from gprime.groupoid import (FiniteGroup, one_object_groupoid, orbit, pair_groupoid,
                              validate_groupoid)
 from gprime.instances import build_instance, carrier_grading, parse
-from gprime.partial import (SkewGroupoidRing, _meets_identity_part, groupoid_ring_action,
-                            orbit_density_check, restrict_to_isotropy, sigma_invariant_closure)
+from gprime.partial import (GroupoidRing, SkewGroupoidRing, _meets_identity_part,
+                            groupoid_ring_action, orbit_density_check, restrict_to_isotropy,
+                            sigma_invariant_closure)
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing, MatrixRing,
                           _kernel, additive_closure, centralizer, enumerate_ideals,
                           is_commutative, is_maximal_commutative, principal_ideal)
@@ -314,12 +315,12 @@ def test_centralizer_makes_two_products_per_generator_pair():
 
 def test_orbit_density_builds_no_groupoid_ring_and_makes_no_product(monkeypatch):
     G, base = pair_groupoid(["e", "f"]), GaloisField(3)
-    builds, init = [0], SkewGroupoidRing.__init__
-
-    def counted(self, *args, **kwargs):
-        builds[0] += 1
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(SkewGroupoidRing, "__init__", counted)
+    builds = [0]
+    for cls in (GroupoidRing, SkewGroupoidRing):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            builds[0] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
     calls = counting(base)
     assert orbit_density_check(G, base, 0) and orbit_density_check(G, base, 1)
     assert builds == [0] and calls == [0]

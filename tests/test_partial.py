@@ -21,8 +21,9 @@ from gprime.errors import (AxiomViolation, BoundExceeded,
 from gprime.grading import HubResult, PairCriterionResult, is_support_hub
 from gprime.instances import build_instance, parse
 from gprime.groupoid import FiniteGroup, one_object_groupoid, pair_groupoid, validate_groupoid
-from gprime.partial import (GroupTypeResult, SkewGroupoidRing, build_groupoid_ring,
-                            build_skew_ring, connell_check, global_support_connectivity_check,
+from gprime.partial import (GroupoidRing, GroupTypeResult, SkewGroupoidRing,
+                            build_groupoid_ring, build_skew_ring, connell_check,
+                            global_support_connectivity_check,
                             groupoid_ring_action, is_A_G_prime, is_global,
                             is_group_type, orbit_density_check,
                             psi_check, restrict_to_isotropy,
@@ -250,8 +251,9 @@ class TestSkewRing:
 @pytest.fixture(scope="module")
 def skew_rings():
     """Every skew ring that ``prime`` and ``equivalence`` build on the
-    fixtures, and the skew rings of ``generate_instance``, six draws for
-    each seed 0-59."""
+    fixtures, the skew rings of ``generate_instance``, six draws for each
+    seed 0-59, and the skew products of the actions that the groupoid rings
+    among both induce."""
     built = {}
     init = SkewGroupoidRing.__init__
 
@@ -267,7 +269,14 @@ def skew_rings():
     finally:
         patch.undo()
     generated = [grading.ring for _, grading in generated_corpus()]
-    return list(built.values()) + [r for r in generated if isinstance(r, SkewGroupoidRing)]
+    bases = [(r.base, r.groupoid) for r in generated if isinstance(r, GroupoidRing)]
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        fixture = build_instance(parse(path))
+        if fixture.kind == "groupoid_ring":
+            bases.append((fixture.base, fixture.groupoid))
+    induced = [build_skew_ring(groupoid_ring_action(base, G)).ring for base, G in bases]
+    return (list(built.values()) + [r for r in generated if isinstance(r, SkewGroupoidRing)]
+            + induced)
 
 
 def test_the_codec_round_trips_on_every_built_skew_ring(skew_rings):
@@ -313,7 +322,7 @@ def test_encode_refuses_a_wrong_length_and_a_coefficient_outside_its_ideal(skew_
     (lambda ring: ring.inject(0, 100), "100"),
 ], ids=["encode -1", "encode 9", "inject 100"])
 def test_encode_refuses_a_coefficient_that_is_no_ambient_element(call, value):
-    ring = build_groupoid_ring(GaloisField(3), pair_groupoid(["e", "f"])).ring
+    ring = build_skew_ring(groupoid_ring_action(GaloisField(3), pair_groupoid(["e", "f"]))).ring
     with pytest.raises(MalformedInput, match=f"^coefficient {value} for A_e is not an "
                                              f"ambient element$"):
         call(ring)

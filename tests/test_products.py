@@ -23,14 +23,14 @@ from gprime import cli
 from gprime.errors import InternalDisagreement
 from gprime.fuzz import run_fuzz
 from gprime.groupoid import FiniteGroup, pair_groupoid
-from gprime.partial import SkewGroupoidRing, groupoid_ring_action
+from gprime.partial import GroupoidRing, SkewGroupoidRing, groupoid_ring_action
 from gprime.rings import (CyclicRing, DirectSumRing, GaloisField, GroupRing,
                           MatrixRing, _Coordinates, _VectorRing, ideal_generated)
 from span_reference import reference_mul
 from test_span_engine import relabelled
 
 ROOT = Path(__file__).resolve().parents[1]
-TERM_RINGS = (MatrixRing, DirectSumRing, GroupRing, SkewGroupoidRing)
+TERM_RINGS = (MatrixRing, DirectSumRing, GroupRing, GroupoidRing, SkewGroupoidRing)
 
 
 def assert_kernel_matches_reference(ring, pairs):
@@ -65,11 +65,16 @@ def built_carriers():
 
 def carrier_key(ring):
     """Equal for carriers with equal products: a tag names a vector carrier
-    unless a table ring is inside; a skew ring also needs its action."""
+    unless a table ring is inside; a skew ring also needs its action, and a
+    groupoid ring its composition."""
     if isinstance(ring, SkewGroupoidRing):
         act = ring.action
         return (ring.tag, tuple(i.key for i in act.ideals),
                 tuple(frozenset(m.items()) for m in act.maps))
+    if isinstance(ring, GroupoidRing):
+        G = ring.groupoid
+        return (carrier_key(ring.base),
+                tuple((g, h, G.compose(g, h)) for g, h in G.composable_pairs()))
     return ring.tag if "table" not in ring.tag else id(ring)
 
 
@@ -77,7 +82,8 @@ def test_kernel_matches_reference_on_built_carriers(built_carriers, capsys):
     capsys.readouterr()
     # no bundled fixture or fuzz seed here builds a GroupRing; the random
     # pairs below cover it
-    assert {MatrixRing, DirectSumRing, SkewGroupoidRing} <= {type(r) for r in built_carriers}
+    assert {MatrixRing, DirectSumRing, GroupoidRing, SkewGroupoidRing} \
+        <= {type(r) for r in built_carriers}
     for ring in built_carriers:
         n = ring.size
         assert_kernel_matches_reference(ring, ((a, b) for a in range(n) for b in range(n)))

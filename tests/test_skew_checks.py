@@ -62,7 +62,8 @@ def recorded():
     skew ring with the verdict of its associativity check, while the four
     instance commands run on the fixtures, ``run_fuzz(2, 8)`` and
     ``run_fuzz(5, 8)`` run, and ``generate_instance`` draws six instances
-    for each seed 0-59."""
+    for each seed 0-59; the groupoid rings among the fixtures and draws,
+    built directly, have their induced actions' skew products built too."""
     calls, checked = [], []
     patch = pytest.MonkeyPatch()
 
@@ -80,12 +81,17 @@ def recorded():
         for path in sorted((ROOT / "fixtures").glob("*.json")):
             for command in ("validate", "analyze", "prime", "equivalence"):
                 cli.main([command, str(path)])
+            built = build_instance(parse(path))
+            if built.kind == "groupoid_ring":
+                build_skew_ring(groupoid_ring_action(built.base, built.groupoid, BOUND))
         fuzz.run_fuzz(2, 8)
         fuzz.run_fuzz(5, 8)
         for seed in range(60):
             rng = random.Random(seed)
             for _ in range(6):
-                fuzz.generate_instance(rng, BOUND)
+                inst = fuzz.generate_instance(rng, BOUND)
+                if inst.kind == "groupoid_ring":
+                    build_skew_ring(groupoid_ring_action(inst.base, inst.groupoid, BOUND))
     finally:
         patch.undo()
     return calls, checked
